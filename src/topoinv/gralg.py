@@ -4,15 +4,16 @@ A presentation is an optional truncated polynomial generator y (y^N = 0)
 tensored with a simple system of generators: a basis of square-free
 products where squaring a generator either vanishes, lands on another
 generator of twice the degree, or is left undetermined by the catalog.
-Monomials are packed into single ints, a generator-subset bitmask shifted
-over the y-exponent, so that products, cup-length search and Steenrod
-squares all run on machine words.
+Distinct generators square onto distinct targets, so the squares form
+chains j -> 2j -> 4j -> ... and the cup length has a closed form over
+them.  Monomials are packed into single ints, a generator-subset bitmask
+shifted over the y-exponent, so that products, the cup-length oracle and
+Steenrod squares all run on machine words.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappush, heappop
@@ -105,6 +106,7 @@ class AlgebraPresentation:
         if labels != sorted(set(labels)):
             raise InvalidParameters("generator labels must be strictly increasing")
         label_set = set(labels)
+        squared_onto: dict[int, int] = {}
         for g in self.simple_gens:
             if g.degree < 1:
                 raise InvalidParameters(f"generator {g.label} must have positive degree")
@@ -113,6 +115,12 @@ class AlgebraPresentation:
                     raise InvalidParameters(
                         f"square target {g.square} of generator {g.label} is not a later generator"
                     )
+                if g.square in squared_onto:
+                    raise InvalidParameters(
+                        f"generators {squared_onto[g.square]} and {g.label} both square onto "
+                        f"{g.square}; square targets must be distinct"
+                    )
+                squared_onto[g.square] = g.label
                 target = next(h for h in self.simple_gens if h.label == g.square)
                 if target.degree != 2 * g.degree:
                     raise InvalidParameters(
@@ -570,49 +578,25 @@ class CupResult:
     caveat: bool = False
 
 
-def _cup_generator_search(p: AlgebraPresentation) -> CupResult:
-    gens: list[tuple[str, int, int]] = []
-    if p.trunc is not None and p.order >= 2:
-        gens.append((p.y_symbol, p.pack(1, 0), p.trunc.degree))
-    for bit, g in enumerate(p.simple_gens):
-        gens.append((f"{p.symbol}{g.label}", p.pack(0, 1 << bit), g.degree))
-    if not gens:
-        return CupResult(0, (), False)
-    min_deg = min(d for _, _, d in gens)
-    top = p.top_degree
-    mul_codes = p.mul_codes
-    best = 0
-    best_path: tuple[str, ...] = ()
+def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
+    """A chain r -> r^2 -> ... of L generators is a tensor factor
+    Z2[r]/(r^(2^L)), so it adds 2^L - 1; y^(N-1) times each root to that
+    power is the only longest generator product."""
+    witness = [p.y_symbol] * (p.order - 1)
+    rules = p._rule_of_bit
+    targets = {r for r in rules if r >= 0}
     caveat = False
-    path: list[str] = []
-
-    limit = top // min_deg + 64
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit + 1000)
-
-    def extend(code: int, start: int, count: int, deg: int) -> None:
-        nonlocal best, best_path, caveat
-        if count > best:
-            best = count
-            best_path = tuple(path)
-        # degree budget: every further factor costs at least min_deg
-        if count + (top - deg) // min_deg <= best:
-            return
-        for idx in range(start, len(gens)):
-            name, gcode, gdeg = gens[idx]
-            try:
-                nxt = mul_codes(code, gcode)
-            except UndeterminedSquare:
-                caveat = True
-                continue
-            if nxt is None:
-                continue
-            path.append(name)
-            extend(nxt, idx, count + 1, deg + gdeg)
-            path.pop()
-
-    extend(0, 0, 0, 0)
-    return CupResult(best, best_path, caveat)
+    for bit, g in enumerate(p.simple_gens):
+        if bit in targets:
+            continue
+        length, last = 1, bit
+        while rules[last] >= 0:
+            last = rules[last]
+            length += 1
+        if rules[last] == _RULE_UNDET and 2 * p._degree_of_bit[last] <= p.top_degree:
+            caveat = True
+        witness += [f"{p.symbol}{g.label}"] * ((1 << length) - 1)
+    return CupResult(len(witness), tuple(witness), caveat)
 
 
 def _cup_oracle(p: AlgebraPresentation, cap: int) -> CupResult:
@@ -668,20 +652,23 @@ def cup_length(
 ) -> CupResult:
     """Largest number of positive-degree classes with nonzero product.
 
-    GENERATOR_SEARCH multiplies algebra generators (repetitions allowed)
-    depth-first with degree pruning.  EXHAUSTIVE_ORACLE maximizes the
-    factor count over all nonzero products of positive-degree basis
-    monomials by a degree-ascending sweep; expanding arbitrary homogeneous
-    factors monomial by monomial shows a product of elements is nonzero
-    only if some product of support monomials is, so the maximum over
-    monomials is the true cup length.
+    GENERATOR_SEARCH reads the value off the square chains in closed form:
+    (N-1) for the truncated generator plus 2^L - 1 for each chain of L
+    generators, with the witness y^(N-1) followed by each chain root
+    repeated, in generator order.  EXHAUSTIVE_ORACLE maximizes the factor
+    count over all nonzero products of positive-degree basis monomials by a
+    degree-ascending sweep; expanding arbitrary homogeneous factors
+    monomial by monomial shows a product of elements is nonzero only if
+    some product of support monomials is, so the maximum over monomials is
+    the true cup length.
 
-    The caveat flag is set when an undetermined square was conservatively
-    treated as zero during the search.
+    The caveat flag is set when an undetermined square was treated as zero
+    and its degree does not exceed the top degree, so the true cup length
+    may be larger.  Squares above the top degree vanish and never set it.
     """
     mode = CupMode(mode)
     if mode is CupMode.GENERATOR_SEARCH:
-        return _cup_generator_search(p)
+        return _cup_from_chains(p)
     cap = resolve_cap(dimension_cap, DEFAULT_ORACLE_DIMENSION_CAP)
     return _cup_oracle(p, cap)
 

