@@ -41,12 +41,10 @@ from .gralg import (
     cup_length,
     element_from_dict,
     element_to_dict,
-    mul,
     poincare,
     presentation_from_dict,
     presentation_to_dict,
     steenrod_sq,
-    top_degree,
 )
 from .spaces import Family, SSReport, SpaceId, catalog, dimension, presentation, serre_verify
 from .invariants import (
@@ -57,9 +55,7 @@ from .invariants import (
     cup_bound_korbas,
     cup_bound_nt,
     cup_report,
-    ucharrank_projective_CH,
-    ucharrank_projective_real,
-    ucharrank_stiefel,
+    ucharrank,
 )
 from .equivariant import (
     FeasibilityVerdict,

@@ -3,14 +3,16 @@
 Single queries print one deterministic JSON document (sorted keys, no
 timestamps; --meta wraps the payload instead of polluting it).  Grids
 stream through `table` as CSV or JSON, and `verify` runs the consistency
-suites.  Exit codes: 0 success, 1 verification failure, 2 invalid
-parameters, 3 input not covered by the decision tables.
+suites.  Exit codes: 0 success, 1 verification failure or internal error
+(such as a cross-check disagreement), 2 invalid parameters or a work cap
+hit, 3 input not covered by the decision tables.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,32 +28,19 @@ from .errors import (
     TopoinvError,
     WorkCapExceeded,
 )
-from .gralg import (
-    CupMode,
-    Element,
-    cup_length,
-    mul,
-    poincare,
-    presentation_to_dict,
-    steenrod_sq,
-    top_degree,
-)
+from .gralg import CupMode, Element, cup_length, poincare, presentation_to_dict, steenrod_sq
 from .invariants import (
     DIM_MINUS_INDEX_BOUND,
+    ORACLE_CROSS_CHECK_MAX_DIMENSION,
     RankResult,
     cup_report,
-    ucharrank_projective_CH,
-    ucharrank_projective_real,
-    ucharrank_stiefel,
+    ucharrank,
 )
 from .equivariant import feasibility, index_sphere, index_stiefel_mod2, parse_gspace
 from .parity import binom_parity, parity_row
 from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
 
 SCHEMA = "topoinv/1"
-
-_STIEFEL_FIELD = {Family.RV: "R", Family.CV: "C", Family.HV: "H"}
-_PROJECTIVE_CH_FIELD = {Family.CX: "C", Family.HX: "H"}
 
 
 def _cli_errors(f):
@@ -62,6 +51,10 @@ def _cli_errors(f):
         except (InvalidParameters, NoIndex, DimensionCapExceeded, WorkCapExceeded) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except TopoinvError as exc:
+            # an internal error, such as a cross-check disagreement
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
     return wrapper
 
@@ -94,15 +87,6 @@ def _rank_to_dict(r: RankResult) -> dict:
     return out
 
 
-def _ucharrank_for(space: SpaceId) -> RankResult:
-    fam = space.family
-    if fam in _STIEFEL_FIELD:
-        return ucharrank_stiefel(_STIEFEL_FIELD[fam], space.n, space.k)
-    if fam in (Family.RX, Family.FV):
-        return ucharrank_projective_real(fam, space.n, space.k)
-    return ucharrank_projective_CH(_PROJECTIVE_CH_FIELD[fam], space.n, space.k)
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="topoinv")
 @click.option("--meta", is_flag=True, help="Wrap output with a timestamped meta envelope.")
@@ -118,14 +102,14 @@ def main(ctx: click.Context, meta: bool) -> None:
     ctx.obj["meta"] = meta
 
 
-@main.command()
+@main.command("ucharrank")
 @click.argument("space_spec")
 @click.pass_context
 @_cli_errors
-def ucharrank(ctx: click.Context, space_spec: str) -> None:
+def ucharrank_command(ctx: click.Context, space_spec: str) -> None:
     """Upper characteristic rank of SPACE_SPEC (exact or interval)."""
     space = SpaceId.parse(space_spec)
-    result = _ucharrank_for(space)
+    result = ucharrank(space)
     payload = {
         "schema": SCHEMA,
         "query": {"command": "ucharrank", "space": str(space)},
@@ -150,8 +134,8 @@ def cohomology(ctx: click.Context, space_spec: str, max_deg: int | None,
     """Generators, truncation and mod-2 Betti series of SPACE_SPEC."""
     space = SpaceId.parse(space_spec)
     p = presentation(space)
+    result = presentation_to_dict(p)
     if emit_presentation:
-        result = presentation_to_dict(p)
         result["space"] = str(space)
     else:
         series = poincare(p)
@@ -159,13 +143,7 @@ def cohomology(ctx: click.Context, space_spec: str, max_deg: int | None,
             if max_deg < 0:
                 raise InvalidParameters("--max-deg must be nonnegative")
             series = [series[d] if d < len(series) else 0 for d in range(max_deg + 1)]
-        result = {
-            "trunc": presentation_to_dict(p)["trunc"],
-            "gens": presentation_to_dict(p)["gens"],
-            "series": series,
-            "top_degree": top_degree(p),
-            "dimension": dimension(space),
-        }
+        result.update(series=series, top_degree=p.top_degree, dimension=dimension(space))
     payload = {
         "schema": SCHEMA,
         "query": {"command": "cohomology", "space": str(space), "max_deg": max_deg},
@@ -230,12 +208,35 @@ def s3map(ctx: click.Context, source_spec: str, target_spec: str) -> None:
     _emit(ctx, payload)
 
 
-def _parse_range(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+_MAX_GRID_N = 128
+
+
+def _parse_range(name: str, spec: str) -> range:
+    """Values of `lo..hi` or of one integer for --NAME, checked before any
+    list is built; values below 1 name no space and are dropped."""
+    lo, sep, hi = spec.strip().partition("..")
+    try:
+        first, last = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise InvalidParameters(
+            f"--{name} must be an integer or a range lo..hi, got {spec!r}"
+        ) from None
+    if last > _MAX_GRID_N:
+        raise InvalidParameters(f"{name} ranges are limited to {name} <= {_MAX_GRID_N}")
+    return range(max(first, 1), last + 1)
+
+
+def _map_grid(fn, items: list, jobs: int) -> list:
+    """fn over items in order, on at most `jobs` worker processes.
+
+    The worker count is also capped by the CPU count and the grid size;
+    with one worker or fewer the grid runs in this process.
+    """
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 _TABLE_COLUMNS = ("family", "n", "k", "kind", "value", "lo", "hi", "case", "N")
@@ -245,7 +246,7 @@ def _table_row(invariant: str, space: SpaceId) -> dict:
     row = {"family": space.family.value, "n": space.n, "k": space.k,
            "kind": "", "value": "", "lo": "", "hi": "", "case": "", "N": ""}
     if invariant == "ucharrank":
-        r = _ucharrank_for(space)
+        r = ucharrank(space)
         row["kind"] = r.kind
         row["case"] = r.case_label
         if r.value is not None:
@@ -273,16 +274,10 @@ def _table_row(invariant: str, space: SpaceId) -> dict:
 def table(ctx: click.Context, invariant: str, family: str, n_spec: str,
           k_spec: str | None, fmt: str, jobs: int) -> None:
     """One row per valid (n, k) of FAMILY, in deterministic order."""
-    n_values = _parse_range(n_spec)
-    if any(n > 128 for n in n_values):
-        raise InvalidParameters("n ranges are limited to n <= 128")
-    k_values = _parse_range(k_spec) if k_spec is not None else None
-    spaces, _skipped = catalog([family], n_values, k_values)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(functools.partial(_table_row, invariant), spaces))
-    else:
-        rows = [_table_row(invariant, s) for s in spaces]
+    n_values = _parse_range("n", n_spec)
+    k_values = _parse_range("k", k_spec) if k_spec is not None else None
+    spaces = catalog([family], n_values, k_values)
+    rows = _map_grid(functools.partial(_table_row, invariant), spaces, jobs)
     if fmt == "csv":
         lines = [",".join(_TABLE_COLUMNS)]
         lines += [",".join(str(row[c]) for c in _TABLE_COLUMNS) for row in rows]
@@ -295,15 +290,14 @@ def table(ctx: click.Context, invariant: str, family: str, n_spec: str,
 
 
 def _grid(families: list[Family], max_n: int) -> list[SpaceId]:
-    spaces, _ = catalog(families, range(2, max_n + 1))
-    return spaces
+    return catalog(families, range(2, max_n + 1))
 
 
 def _check_palindrome(space: SpaceId) -> str | None:
     p = presentation(space)
     series = poincare(p)
-    if top_degree(p) != dimension(space):
-        return f"{space}: top degree {top_degree(p)} != dimension {dimension(space)}"
+    if p.top_degree != dimension(space):
+        return f"{space}: top degree {p.top_degree} != dimension {dimension(space)}"
     if series != series[::-1]:
         return f"{space}: series is not palindromic"
     return None
@@ -324,7 +318,7 @@ def _check_steenrod(space: SpaceId) -> str | None:
     rng = random.Random(hash((space.n, space.k)) & 0xFFFF)
     for g in p.simple_gens:
         z = p.gen(g.label)
-        if steenrod_sq(p, g.degree, z) != mul(p, z, z):
+        if steenrod_sq(p, g.degree, z) != z * z:
             return f"{space}: top square rule fails on generator {g.label}"
         for i in range(0, g.degree + 2):
             got = steenrod_sq(p, i, z)
@@ -337,21 +331,21 @@ def _check_steenrod(space: SpaceId) -> str | None:
                 ok = got.is_zero()
             if not ok:
                 return f"{space}: generator rule fails at Sq^{i} on {g.label}"
-    codes = list(p.basis_codes())
     for _ in range(4):
+        # sums of random monomials, drawn as generator bit masks so that the
+        # 2^g basis is never listed
         a = p.zero()
         b = p.zero()
-        for c in rng.sample(codes, min(3, len(codes))):
-            a = a + Element(p, frozenset((c,)))
-        for c in rng.sample(codes, min(3, len(codes))):
-            b = b + Element(p, frozenset((c,)))
+        for _ in range(3):
+            a = a + Element(p, frozenset((p.pack(0, rng.getrandbits(p.num_gens)),)))
+            b = b + Element(p, frozenset((p.pack(0, rng.getrandbits(p.num_gens)),)))
         if steenrod_sq(p, 0, a) != a:
             return f"{space}: Sq^0 is not the identity"
         i = rng.randrange(0, p.top_degree + 2)
-        lhs = steenrod_sq(p, i, mul(p, a, b))
+        lhs = steenrod_sq(p, i, a * b)
         rhs = p.zero()
         for s in range(i + 1):
-            rhs = rhs + mul(p, steenrod_sq(p, s, a), steenrod_sq(p, i - s, b))
+            rhs = rhs + steenrod_sq(p, s, a) * steenrod_sq(p, i - s, b)
         if lhs != rhs:
             return f"{space}: Cartan formula fails at Sq^{i}"
     return None
@@ -436,11 +430,7 @@ def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
 
     def run_grid(name: str, spaces: list[SpaceId], check) -> None:
         nonlocal checks
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(check, spaces))
-        else:
-            results = [check(s) for s in spaces]
+        results = _map_grid(check, spaces, jobs)
         bad = [r for r in results if r is not None]
         checks += len(spaces)
         failures.extend(bad)
@@ -456,7 +446,7 @@ def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
     if suite == "all":
         cup_spaces = [
             s for s in _grid(list(Family), max_n)
-            if presentation(s).total_dimension <= 1 << 10
+            if presentation(s).total_dimension <= ORACLE_CROSS_CHECK_MAX_DIMENSION
         ]
         results = [_check_cup(s) for s in cup_spaces]
         checks += len(cup_spaces)

@@ -40,12 +40,10 @@ __all__ = [
     "cup_length",
     "element_from_dict",
     "element_to_dict",
-    "mul",
     "poincare",
     "presentation_from_dict",
     "presentation_to_dict",
     "steenrod_sq",
-    "top_degree",
 ]
 
 SQ_ZERO = "zero"
@@ -85,10 +83,14 @@ class Trunc:
 
 @dataclass(frozen=True)
 class AlgebraPresentation:
+    """A ring: an optional truncated generator tensored with a simple system.
+
+    Equality and hashing see only these fields, so two identical rings
+    built from different spaces compare equal.
+    """
+
     trunc: Trunc | None
     simple_gens: tuple[SimpleGenerator, ...]
-    ambient_bound: int | None = None
-    metadata: Any = "custom"
     symbol: str = "g"
     y_symbol: str = "y"
     # "borel": the full generator rule Sq^i(z_q) = binom(q, i) z_{q+i} applies
@@ -334,15 +336,6 @@ class Element:
         p = self.presentation
         return tuple(sorted({p.monomial_degree(c) for c in self.codes}))
 
-    def degree(self) -> int:
-        """Degree of a homogeneous element (the unit has degree 0)."""
-        degs = self.degrees()
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise InvalidParameters(f"element is not homogeneous (degrees {degs})")
-        return degs[0]
-
     def monomials(self) -> list[tuple[int, tuple[int, ...]]]:
         p = self.presentation
         return sorted(p.unpack(c) for c in self.codes)
@@ -389,16 +382,6 @@ class Element:
 
 
 # -- ring operations ---------------------------------------------------------
-
-
-def mul(p: AlgebraPresentation, a: Element, b: Element) -> Element:
-    if a.presentation != p or b.presentation != p:
-        raise MixedPresentations("operands do not belong to the given presentation")
-    return a * b
-
-
-def top_degree(p: AlgebraPresentation) -> int:
-    return p.top_degree
 
 
 def poincare(p: AlgebraPresentation) -> list[int]:

@@ -1,10 +1,10 @@
 """Upper characteristic rank tables and cup-length bounds.
 
-The rank of a space is reported either exactly or as a closed interval,
-together with the case label of the decision ladder that produced it.
-Interval upper ends are capped by the manifold dimension, the only bound
-guaranteed in general.  Inputs outside every ladder are reported as
-"uncovered" rather than guessed.
+ucharrank(space) reports the rank of any catalog space either exactly or
+as a closed interval, together with the case label of the decision
+ladder that produced it.  Interval upper ends are capped by the manifold
+dimension, the only bound guaranteed in general.  Inputs outside every
+ladder are reported as "uncovered" rather than guessed.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ __all__ = [
     "cup_bound_korbas",
     "cup_bound_nt",
     "cup_report",
-    "ucharrank_projective_CH",
-    "ucharrank_projective_real",
-    "ucharrank_stiefel",
+    "ucharrank",
 ]
 
 
@@ -62,16 +60,31 @@ class RankResult:
         return RankResult("uncovered", "uncovered", reason=reason)
 
 
-def ucharrank_stiefel(field: str, n: int, k: int) -> RankResult:
+def ucharrank(space: SpaceId) -> RankResult:
+    """Upper characteristic rank of any catalog space, exact or an interval.
+
+    Dispatches on the family to the Stiefel table, the real projective and
+    flip ladder, or the complex and quaternionic projective formulas.
+    RV:n,1 lies outside every ladder and raises InvalidParameters.
+    """
+    fam = space.family
+    if fam in (Family.RV, Family.CV, Family.HV):
+        return ucharrank_stiefel(space)
+    if fam in (Family.RX, Family.FV):
+        return ucharrank_projective_real(space)
+    return ucharrank_projective_CH(space)
+
+
+def ucharrank_stiefel(space: SpaceId) -> RankResult:
     """Upper characteristic rank of the Stiefel manifold of k-frames in F^n.
 
     The real table is exact except for the frame gaps 4 (with k > 2) and 8,
     which give the intervals [3, 4] and [7, 8]; the complex and quaternionic
     values are closed formulas in n - k.
     """
-    field = field.upper()
-    if field == "R":
-        if not 1 < k < n:
+    fam, n, k = space.family, space.n, space.k
+    if fam is Family.RV:
+        if k == 1:
             raise InvalidParameters(f"real Stiefel table needs 1 < k < n, got ({n}, {k})")
         m = n - k
         if m not in (1, 2, 4, 8):
@@ -87,34 +100,27 @@ def ucharrank_stiefel(field: str, n: int, k: int) -> RankResult:
                 return RankResult.exact(4, "R.gap4.k2")
             return RankResult.interval(3, 4, "R.gap4")
         return RankResult.interval(7, 8, "R.gap8")
-    if field in ("C", "H"):
-        if not 1 <= k <= n:
-            raise InvalidParameters(f"table needs 1 <= k <= n, got ({n}, {k})")
-        if k == 1:
-            return RankResult.uncovered(f"{field}V:{n},1 is a sphere, outside the table")
-        if field == "C":
-            if k == n:
-                return RankResult.exact(2, "C.group")
-            return RankResult.exact(2 * (n - k), "C.generic")
-        return RankResult.exact(4 * (n - k) + 2, "H.generic")
-    raise InvalidParameters(f"unknown field {field!r}")
+    if k == 1:
+        return RankResult.uncovered(f"{space} is a sphere, outside the table")
+    if fam is Family.CV:
+        if k == n:
+            return RankResult.exact(2, "C.group")
+        return RankResult.exact(2 * (n - k), "C.generic")
+    return RankResult.exact(4 * (n - k) + 2, "H.generic")
 
 
 def _is_power_of_two(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
-def ucharrank_projective_real(family: Family | str, n: int, k: int) -> RankResult:
-    """Case ladder for the real projective and flip Stiefel quotients.
+def ucharrank_projective_real(space: SpaceId) -> RankResult:
+    """Case ladder for the real projective (RX) and flip Stiefel (FV) quotients.
 
     The case is a function of (family, m, N) with m the first possibly
     nontrivial degree of the fiber and N the truncation index.  Interval
     upper ends are capped at the manifold dimension.
     """
-    family = Family(family) if not isinstance(family, Family) else family
-    if family not in (Family.RX, Family.FV):
-        raise InvalidParameters(f"{family} is not a real quotient family")
-    space = SpaceId(family, n, k)
+    family, n, k = space.family, space.n, space.k
     c = 1 if family is Family.RX else 2
     idx_family = IndexFamily.REAL if family is Family.RX else IndexFamily.FLIP
     m = n - c * k
@@ -156,19 +162,13 @@ def ucharrank_projective_real(family: Family | str, n: int, k: int) -> RankResul
     return RankResult.interval(7, min(8, dim), "e1", N)
 
 
-def ucharrank_projective_CH(field: str, n: int, k: int) -> RankResult:
-    """Closed formulas for the complex and quaternionic projective quotients,
-    selected by the parity of binom(n, n-k+1)."""
-    field = field.upper()
-    if field not in ("C", "H"):
-        raise InvalidParameters(f"field must be C or H, got {field!r}")
-    if not 1 <= k <= n:
-        raise InvalidParameters(f"needs 1 <= k <= n, got ({n}, {k})")
-    if k == n:
-        return RankResult.uncovered(f"{field}X:{n},{n} lies outside the formulas")
+def ucharrank_projective_CH(space: SpaceId) -> RankResult:
+    """Closed formulas for the complex (CX) and quaternionic (HX) projective
+    quotients, selected by the parity of binom(n, n-k+1)."""
+    n, k = space.n, space.k
     N = n_index(IndexFamily.CQ, n, k).value
     odd = binom_parity(n, n - k + 1)
-    if field == "C":
+    if space.family is Family.CX:
         if odd:
             return RankResult.exact(2 * (n - k) + 2, "C.odd", N)
         return RankResult.exact(2 * (n - k), "C.even", N)
@@ -233,19 +233,25 @@ class CupReport:
     violations: tuple[str, ...]
 
 
-def cup_report(space: SpaceId, *, oracle_cross_check_dim: int = 1 << 10) -> CupReport:
+# Largest total dimension on which cup_report re-derives the cup length
+# with the exhaustive oracle.
+ORACLE_CROSS_CHECK_MAX_DIMENSION = 1 << 10
+
+
+def cup_report(space: SpaceId) -> CupReport:
     """Exact cup length with the catalog bound and any violations.
 
-    The exact value comes from the square-chain closed form; when the
-    algebra is small enough the exhaustive oracle re-derives it and a
-    disagreement raises TopoinvError (an internal error, not a report).  A
-    bound smaller than the exact value is recorded as a violation, never
-    suppressed: over all catalog spaces with n <= 40 the dimension-minus-
-    index bound is exceeded exactly on RX:n,2 with n odd.
+    The exact value comes from the square-chain closed form; when the total
+    dimension is at most ORACLE_CROSS_CHECK_MAX_DIMENSION the exhaustive
+    oracle re-derives it and a disagreement raises TopoinvError (an
+    internal error, not a report).  A bound smaller than the exact value is
+    recorded as a violation, never suppressed: over all catalog spaces with
+    n <= 40 the dimension-minus-index bound is exceeded exactly on RX:n,2
+    with n odd.
     """
     p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
-    if p.total_dimension <= oracle_cross_check_dim:
+    if p.total_dimension <= ORACLE_CROSS_CHECK_MAX_DIMENSION:
         oracle = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
         if oracle.value != exact.value:
             raise TopoinvError(

@@ -150,19 +150,14 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
             SimpleGenerator(j, j, _real_square(j, n - 1, None)) for j in range(n - k, n)
         )
         return AlgebraPresentation(
-            None, gens, ambient_bound=n - 1, metadata=space, symbol=symbol,
-            y_symbol=y_symbol, steenrod_rule="borel",
+            None, gens, symbol=symbol, y_symbol=y_symbol, steenrod_rule="borel"
         )
     if fam is Family.CV:
         gens = tuple(SimpleGenerator(j, 2 * j - 1) for j in range(n - k + 1, n + 1))
-        return AlgebraPresentation(
-            None, gens, ambient_bound=n - 1, metadata=space, symbol=symbol, y_symbol=y_symbol
-        )
+        return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)
     if fam is Family.HV:
         gens = tuple(SimpleGenerator(j, 4 * j - 1) for j in range(n - k + 1, n + 1))
-        return AlgebraPresentation(
-            None, gens, ambient_bound=n - 1, metadata=space, symbol=symbol, y_symbol=y_symbol
-        )
+        return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)
 
     if fam in (Family.RX, Family.FV):
         c = 1 if fam is Family.RX else 2
@@ -174,10 +169,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
             for j in range(n - c * k, n)
             if j != omitted
         )
-        return AlgebraPresentation(
-            Trunc(1, order), gens, ambient_bound=n - 1, metadata=space,
-            symbol=symbol, y_symbol=y_symbol,
-        )
+        return AlgebraPresentation(Trunc(1, order), gens, symbol=symbol, y_symbol=y_symbol)
 
     order = n_index(IndexFamily.CQ, n, k).value
     d = 2 if fam is Family.CX else 4
@@ -186,10 +178,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
         for j in range(n - k + 1, n + 1)
         if j != order
     )
-    return AlgebraPresentation(
-        Trunc(d, order), gens, ambient_bound=n - 1, metadata=space,
-        symbol=symbol, y_symbol=y_symbol,
-    )
+    return AlgebraPresentation(Trunc(d, order), gens, symbol=symbol, y_symbol=y_symbol)
 
 
 # -- spectral-sequence verification -------------------------------------------
@@ -321,16 +310,13 @@ def catalog(
     families: Iterable[Family | str],
     n_values: Iterable[int],
     k_values: Iterable[int] | None = None,
-) -> tuple[list[SpaceId], int]:
-    """Expand a parameter grid, silently skipping invalid combinations.
+) -> list[SpaceId]:
+    """Expand a parameter grid into its valid spaces, in (family, n, k) order.
 
-    Returns the valid spaces in (family, n, k) order and the number of
-    explicitly requested combinations that were skipped.  When k_values is
-    omitted, all valid k for each n are generated (nothing counts as
-    skipped).
+    Invalid combinations are skipped silently.  When k_values is omitted,
+    all valid k for each n are generated.
     """
     spaces: list[SpaceId] = []
-    skipped = 0
     n_list = list(n_values)
     k_list = None if k_values is None else list(k_values)
     for fam in families:
@@ -341,6 +327,5 @@ def catalog(
                 try:
                     spaces.append(SpaceId(fam, n, k))
                 except InvalidParameters:
-                    if k_list is not None:
-                        skipped += 1
-    return spaces, skipped
+                    pass
+    return spaces

@@ -126,6 +126,46 @@ def test_table_skips_invalid_combinations():
 
 def test_table_guards_huge_ranges():
     assert run("table", "ucharrank", "RX", "--n", "3..200").exit_code == 2
+    for bad in (("--n", "abc"), ("--n", "3.."), ("--n", "3..10", "--k", "x"),
+                ("--n", "3..10000000000"), ("--n", "5", "--k", "2..10000000000")):
+        res = run("table", "ucharrank", "RX", *bad)
+        assert res.exit_code == 2, bad
+        assert isinstance(res.exception, SystemExit), bad
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, bad
+    # values below 1 name no space and are dropped before the grid is built
+    res = run("table", "ucharrank", "RX", "--n", "-10000000000..4", "--format", "csv")
+    assert res.exit_code == 0
+    assert len(res.output.strip().splitlines()) == 1 + 3
+
+
+def test_jobs_clamped_to_cpu_count_and_grid(monkeypatch):
+    import os
+
+    import topoinv.cli
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(topoinv.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    args = ("table", "ucharrank", "RX", "--n", "3..10", "--format", "csv")
+    assert run(*args, "--jobs", "100000").output == run(*args).output
+    assert run("table", "ucharrank", "RX", "--n", "4", "--jobs", "100000").exit_code == 0
+    assert run("verify", "--suite", "palindrome", "--max-n", "4", "--jobs", "100000").exit_code == 0
+    # RX:4 has two spaces, so its grid runs with two workers
+    assert pools == [3, 2, 3]
 
 
 def test_table_deterministic_and_parallel():
@@ -189,7 +229,7 @@ def test_work_cap_environment_override(monkeypatch):
     assert "cap" in res.output or "cap" in (res.stderr if hasattr(res, "stderr") else "")
 
 
-def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
+def _wrong_oracle(monkeypatch):
     import topoinv.invariants
     from topoinv.gralg import CupMode, CupResult, cup_length
 
@@ -200,7 +240,31 @@ def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
         return res
 
     monkeypatch.setattr(topoinv.invariants, "cup_length", wrong_oracle)
+
+
+def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
+    _wrong_oracle(monkeypatch)
     res = run("verify", "--suite", "all", "--max-n", "3")
     assert res.exit_code == 1
     assert "FAIL: RV:3,2: closed form gave" in res.output
     assert isinstance(res.exception, SystemExit)  # clean exit, not an uncaught error
+
+
+def test_cup_disagreement_in_a_query_exits_1_without_traceback(monkeypatch):
+    _wrong_oracle(monkeypatch)
+    res = run("cuplength", "RV:3,2", "--with-bounds")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: RV:3,2: closed form gave")
+
+
+def test_verify_steenrod_never_lists_the_basis(monkeypatch):
+    from topoinv.gralg import AlgebraPresentation
+
+    def no_basis(self):
+        raise AssertionError("basis listed")
+
+    monkeypatch.setattr(AlgebraPresentation, "basis_codes", no_basis)
+    res = run("verify", "--suite", "steenrod", "--max-n", "6")
+    assert res.exit_code == 0, res.output
+    assert "verify: PASS" in res.output

@@ -21,11 +21,9 @@ from topoinv.gralg import (
     cup_length,
     element_from_dict,
     element_to_dict,
-    mul,
     poincare,
     presentation_from_dict,
     presentation_to_dict,
-    top_degree,
 )
 from topoinv.spaces import SpaceId, presentation
 
@@ -87,8 +85,6 @@ def test_mixed_presentations_rejected():
     b = P("RV:7,3").gen(4)
     with pytest.raises(MixedPresentations):
         a * b  # noqa: B018
-    with pytest.raises(MixedPresentations):
-        mul(P("RV:6,3"), a, b)
 
 
 _CATALOG = ["RV:5,2", "RV:8,5", "RV:12,11", "CV:4,3", "HV:4,2", "RX:5,2",
@@ -139,10 +135,10 @@ def test_poincare_total_is_algebra_dimension():
 
 
 def test_top_degree_examples():
-    assert top_degree(P("RV:5,2")) == 7
+    assert P("RV:5,2").top_degree == 7
     trivial = AlgebraPresentation(Trunc(1, 1), ())
-    assert top_degree(trivial) == 0
-    assert top_degree(P("CX:5,2")) == 15
+    assert trivial.top_degree == 0
+    assert P("CX:5,2").top_degree == 15
 
 
 def test_poincare_palindromic_on_catalog():
@@ -350,10 +346,14 @@ def test_presentation_round_trip():
         p = P(spec)
         data = presentation_to_dict(p)
         q = presentation_from_dict(
-            data, ambient_bound=p.ambient_bound, metadata=p.metadata,
-            symbol=p.symbol, y_symbol=p.y_symbol, steenrod_rule=p.steenrod_rule,
+            data, symbol=p.symbol, y_symbol=p.y_symbol, steenrod_rule=p.steenrod_rule
         )
         assert q == p
+
+
+def test_presentation_identity_is_the_ring():
+    p = P("RX:5,2")
+    assert p == presentation_from_dict(presentation_to_dict(p), symbol="y", y_symbol="y")
 
 
 def test_element_round_trip():

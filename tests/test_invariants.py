@@ -9,72 +9,68 @@ from topoinv.invariants import (
     cup_bound_nt,
     cup_bound_dim_minus_index,
     cup_report,
-    ucharrank_projective_CH,
-    ucharrank_projective_real,
-    ucharrank_stiefel,
+    ucharrank,
 )
 from topoinv.spaces import Family, SpaceId, catalog, dimension
 
 
 def test_stiefel_table_examples():
-    assert ucharrank_stiefel("R", 9, 3).value == 5
-    assert ucharrank_stiefel("H", 5, 2).value == 14
-    r = ucharrank_stiefel("R", 7, 3)
+    assert ucharrank(SpaceId(Family.RV, 9, 3)).value == 5
+    assert ucharrank(SpaceId(Family.HV, 5, 2)).value == 14
+    r = ucharrank(SpaceId(Family.RV, 7, 3))
     assert (r.kind, r.lo, r.hi) == ("interval", 3, 4)
-    assert ucharrank_stiefel("R", 12, 4) == ucharrank_stiefel("R", 12, 4)
-    assert ucharrank_stiefel("R", 11, 3).kind == "interval"  # gap 8
-    assert ucharrank_stiefel("C", 6, 6).value == 2
-    assert ucharrank_stiefel("C", 6, 3).value == 6
+    assert ucharrank(SpaceId(Family.RV, 12, 4)) == ucharrank(SpaceId(Family.RV, 12, 4))
+    assert ucharrank(SpaceId(Family.RV, 11, 3)).kind == "interval"  # gap 8
+    assert ucharrank(SpaceId(Family.CV, 6, 6)).value == 2
+    assert ucharrank(SpaceId(Family.CV, 6, 3)).value == 6
 
 
 def test_stiefel_table_uncovered_inputs():
-    assert ucharrank_stiefel("R", 3, 2).kind == "uncovered"
-    assert ucharrank_stiefel("C", 5, 1).kind == "uncovered"
-    assert ucharrank_stiefel("H", 5, 1).kind == "uncovered"
+    assert ucharrank(SpaceId(Family.RV, 3, 2)).kind == "uncovered"
+    assert ucharrank(SpaceId(Family.CV, 5, 1)).kind == "uncovered"
+    assert ucharrank(SpaceId(Family.HV, 5, 1)).kind == "uncovered"
 
 
 def test_stiefel_table_validation():
     with pytest.raises(InvalidParameters):
-        ucharrank_stiefel("R", 5, 5)
+        ucharrank(SpaceId(Family.RV, 5, 5))
     with pytest.raises(InvalidParameters):
-        ucharrank_stiefel("R", 5, 1)
-    with pytest.raises(InvalidParameters):
-        ucharrank_stiefel("Q", 5, 2)
+        ucharrank(SpaceId(Family.RV, 5, 1))
 
 
 def test_projective_real_spot_values():
-    r = ucharrank_projective_real(Family.RX, 7, 2)
+    r = ucharrank(SpaceId(Family.RX, 7, 2))
     assert (r.kind, r.value, r.case_label, r.n_index_used) == ("exact", 5, "a1", 6)
-    r = ucharrank_projective_real(Family.RX, 8, 3)
+    r = ucharrank(SpaceId(Family.RX, 8, 3))
     assert (r.kind, r.value, r.case_label) == ("exact", 4, "a2")
-    r = ucharrank_projective_real(Family.FV, 8, 2)
+    r = ucharrank(SpaceId(Family.FV, 8, 2))
     assert (r.kind, r.lo, r.hi, r.case_label) == ("interval", 3, 6, "d2")
 
 
 def test_projective_real_case_families():
     # gap 1: keyed on the truncation index
-    assert ucharrank_projective_real(Family.RX, 6, 5).value == 2  # b1
-    assert ucharrank_projective_real(Family.RX, 5, 4).value == 0  # b3
-    fv = ucharrank_projective_real(Family.FV, 5, 2)
+    assert ucharrank(SpaceId(Family.RX, 6, 5)).value == 2  # b1
+    assert ucharrank(SpaceId(Family.RX, 5, 4)).value == 0  # b3
+    fv = ucharrank(SpaceId(Family.FV, 5, 2))
     assert (fv.kind, fv.lo, fv.case_label) == ("interval", 2, "b2")
     assert fv.hi == dimension(SpaceId.parse("FV:5,2"))
     assert fv.advisory
     # gap 2
-    assert ucharrank_projective_real(Family.RX, 7, 5).value == 2  # c1 exact
-    c2 = ucharrank_projective_real(Family.RX, 12, 10)
+    assert ucharrank(SpaceId(Family.RX, 7, 5)).value == 2  # c1 exact
+    c2 = ucharrank(SpaceId(Family.RX, 12, 10))
     assert (c2.kind, c2.lo, c2.hi, c2.case_label) == ("interval", 1, 4, "c2")
-    c1 = ucharrank_projective_real(Family.RX, 8, 6)
+    c1 = ucharrank(SpaceId(Family.RX, 8, 6))
     assert (c1.kind, c1.lo, c1.hi, c1.case_label) == ("interval", 1, 2, "c1")
     # gap 4
-    assert ucharrank_projective_real(Family.RX, 13, 9).value == 4  # d1 exact
-    d1 = ucharrank_projective_real(Family.RX, 9, 5)
+    assert ucharrank(SpaceId(Family.RX, 13, 9)).value == 4  # d1 exact
+    d1 = ucharrank(SpaceId(Family.RX, 9, 5))
     assert (d1.kind, d1.lo, d1.hi, d1.case_label) == ("interval", 3, 4, "d1")
     # gap 8
-    assert ucharrank_projective_real(Family.RX, 13, 5).value == 8  # e1 exact
-    e2 = ucharrank_projective_real(Family.RX, 10, 2)
+    assert ucharrank(SpaceId(Family.RX, 13, 5)).value == 8  # e1 exact
+    e2 = ucharrank(SpaceId(Family.RX, 10, 2))
     assert (e2.kind, e2.lo, e2.hi, e2.case_label) == ("interval", 7, 10, "e2")
     # generic with a power-of-two obstruction: only the lower bound survives
-    lower = ucharrank_projective_real(Family.RX, 6, 3)
+    lower = ucharrank(SpaceId(Family.RX, 6, 3))
     assert (lower.kind, lower.lo, lower.case_label) == ("interval", 3, "a1.lower")
     assert lower.hi == dimension(SpaceId.parse("RX:6,3"))
 
@@ -107,10 +103,10 @@ def _n_index_by_comb(family, n, k):
 
 
 def test_projective_real_cases_are_function_of_m_and_index():
-    spaces, _ = catalog([Family.RX, Family.FV], range(3, 17))
+    spaces = catalog([Family.RX, Family.FV], range(3, 17))
     assert spaces
     for s in spaces:
-        r = ucharrank_projective_real(s.family, s.n, s.k)
+        r = ucharrank(s)
         c = 1 if s.family is Family.RX else 2
         N = _n_index_by_comb(s.family, s.n, s.k)
         assert r.n_index_used == N, str(s)
@@ -118,9 +114,9 @@ def test_projective_real_cases_are_function_of_m_and_index():
 
 
 def test_projective_real_bounds_within_dimension():
-    spaces, _ = catalog([Family.RX, Family.FV], range(3, 17))
+    spaces = catalog([Family.RX, Family.FV], range(3, 17))
     for s in spaces:
-        r = ucharrank_projective_real(s.family, s.n, s.k)
+        r = ucharrank(s)
         d = dimension(s)
         if r.kind == "exact":
             assert 0 <= r.value <= d, str(s)
@@ -129,38 +125,34 @@ def test_projective_real_bounds_within_dimension():
 
 
 def test_projective_real_a2_matches_stiefel_table():
-    spaces, _ = catalog([Family.RX], range(3, 17))
+    spaces = catalog([Family.RX], range(3, 17))
     for s in spaces:
-        r = ucharrank_projective_real(s.family, s.n, s.k)
+        r = ucharrank(s)
         if r.case_label == "a2":
-            assert r.value == ucharrank_stiefel("R", s.n, s.k).value, str(s)
+            assert r.value == ucharrank(SpaceId(Family.RV, s.n, s.k)).value, str(s)
 
 
 def test_projective_ch_spot_values():
-    assert ucharrank_projective_CH("H", 5, 2).value == 18
-    assert ucharrank_projective_CH("C", 6, 2).value == 8
-    assert ucharrank_projective_CH("C", 5, 2).value == 8
-    assert ucharrank_projective_CH("C", 3, 2).value == 4
-    assert ucharrank_projective_CH("C", 4, 2).value == 4
+    assert ucharrank(SpaceId(Family.HX, 5, 2)).value == 18
+    assert ucharrank(SpaceId(Family.CX, 6, 2)).value == 8
+    assert ucharrank(SpaceId(Family.CX, 5, 2)).value == 8
+    assert ucharrank(SpaceId(Family.CX, 3, 2)).value == 4
+    assert ucharrank(SpaceId(Family.CX, 4, 2)).value == 4
 
 
 def test_projective_ch_uncovered_and_validation():
-    assert ucharrank_projective_CH("C", 4, 4).kind == "uncovered"
-    assert ucharrank_projective_CH("H", 4, 4).kind == "uncovered"
     with pytest.raises(InvalidParameters):
-        ucharrank_projective_CH("C", 4, 5)
-    with pytest.raises(InvalidParameters):
-        ucharrank_projective_CH("R", 4, 2)
+        ucharrank(SpaceId(Family.CX, 4, 5))
 
 
 def test_projective_ch_offsets_from_stiefel_table():
     for n in range(3, 17):
         for k in range(2, n):
             odd = math.comb(n, n - k + 1) % 2
-            c = ucharrank_projective_CH("C", n, k).value
-            h = ucharrank_projective_CH("H", n, k).value
-            assert c == ucharrank_stiefel("C", n, k).value + (2 if odd else 0)
-            assert h == ucharrank_stiefel("H", n, k).value + (4 if odd else 0)
+            c = ucharrank(SpaceId(Family.CX, n, k)).value
+            h = ucharrank(SpaceId(Family.HX, n, k)).value
+            assert c == ucharrank(SpaceId(Family.CV, n, k)).value + (2 if odd else 0)
+            assert h == ucharrank(SpaceId(Family.HV, n, k)).value + (4 if odd else 0)
 
 
 # -- cup bounds -----------------------------------------------------------------
@@ -216,7 +208,7 @@ def test_cup_report_without_violations():
 def test_cup_report_floor_for_projective_spaces():
     from topoinv.spaces import presentation
 
-    spaces, _ = catalog([Family.RX, Family.FV, Family.CX, Family.HX], range(3, 9))
+    spaces = catalog([Family.RX, Family.FV, Family.CX, Family.HX], range(3, 9))
     for s in spaces:
         p = presentation(s)
         report = cup_report(s)
@@ -227,7 +219,7 @@ def test_dim_minus_index_violations_are_exactly_odd_rx_n_2():
     from topoinv.gralg import cup_length
     from topoinv.spaces import presentation
 
-    spaces, _ = catalog(list(Family), range(1, 41))
+    spaces = catalog(list(Family), range(1, 41))
     violated = set()
     for s in spaces:
         bound = cup_bound_dim_minus_index(s)

@@ -28,7 +28,7 @@ def test_generator_rule_respects_ambient_cutoff():
 
 
 def test_top_square_matches_multiplication_on_all_generators():
-    spaces, _ = catalog([Family.RV], range(3, 17))
+    spaces = catalog([Family.RV], range(3, 17))
     for s in spaces:
         p = presentation(s)
         for g in p.simple_gens:
@@ -77,7 +77,7 @@ def test_top_square_on_homogeneous_elements():
 
 def test_cartan_formula_randomized():
     rng = random.Random(3)
-    spaces, _ = catalog([Family.RV], range(3, 17))
+    spaces = catalog([Family.RV], range(3, 17))
     for s in spaces:
         p = presentation(s)
         for _ in range(3):
