@@ -52,8 +52,6 @@ from .invariants import (
     DIM_MINUS_INDEX_BOUND,
     RankResult,
     cup_bound_dim_minus_index,
-    cup_bound_korbas,
-    cup_bound_nt,
     cup_report,
     ucharrank,
 )

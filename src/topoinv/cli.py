@@ -29,13 +29,7 @@ from .errors import (
     WorkCapExceeded,
 )
 from .gralg import CupMode, Element, cup_length, poincare, presentation_to_dict, steenrod_sq
-from .invariants import (
-    DIM_MINUS_INDEX_BOUND,
-    ORACLE_CROSS_CHECK_MAX_DIMENSION,
-    RankResult,
-    cup_report,
-    ucharrank,
-)
+from .invariants import ORACLE_CROSS_CHECK_MAX_DIMENSION, RankResult, cup_report, ucharrank
 from .equivariant import feasibility, index_sphere, index_stiefel_mod2, parse_gspace
 from .parity import binom_parity, parity_row
 from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
@@ -163,14 +157,18 @@ def cohomology(ctx: click.Context, space_spec: str, max_deg: int | None,
 def cuplength(ctx: click.Context, space_spec: str, mode: str, with_bounds: bool) -> None:
     """Exact mod-2 cup length of SPACE_SPEC from its square chains."""
     space = SpaceId.parse(space_spec)
-    p = presentation(space)
-    res = cup_length(p, CupMode(mode))
+    cup_mode = CupMode(mode)
+    report = cup_report(space) if with_bounds else None
+    res = None
+    if report is not None:
+        res = report.exact if cup_mode is CupMode.GENERATOR_SEARCH else report.oracle
+    if res is None:
+        res = cup_length(presentation(space), cup_mode)
     warnings: list[str] = []
     result: dict = {"value": res.value, "witness": list(res.witness), "caveat": res.caveat}
     if res.caveat:
         warnings.append("an undetermined square was treated as zero during the search")
-    if with_bounds:
-        report = cup_report(space)
+    if report is not None:
         result["bounds"] = [{"name": name, "value": value} for name, value in report.bounds]
         result["violations"] = list(report.violations)
         for name in report.violations:
@@ -243,23 +241,12 @@ _TABLE_COLUMNS = ("family", "n", "k", "kind", "value", "lo", "hi", "case", "N")
 
 
 def _table_row(invariant: str, space: SpaceId) -> dict:
-    row = {"family": space.family.value, "n": space.n, "k": space.k,
-           "kind": "", "value": "", "lo": "", "hi": "", "case": "", "N": ""}
     if invariant == "ucharrank":
-        r = ucharrank(space)
-        row["kind"] = r.kind
-        row["case"] = r.case_label
-        if r.value is not None:
-            row["value"] = r.value
-        if r.lo is not None:
-            row["lo"], row["hi"] = r.lo, r.hi
-        if r.n_index_used is not None:
-            row["N"] = r.n_index_used
+        fields = _rank_to_dict(ucharrank(space))
     else:
-        report = cup_report(space)
-        row["kind"] = "exact"
-        row["value"] = report.exact.value
-    return row
+        fields = {"kind": "exact", "value": cup_report(space).exact.value}
+    row = {"family": space.family.value, "n": space.n, "k": space.k, **fields}
+    return {column: row.get(column, "") for column in _TABLE_COLUMNS}
 
 
 @main.command()
@@ -293,33 +280,34 @@ def _grid(families: list[Family], max_n: int) -> list[SpaceId]:
     return catalog(families, range(2, max_n + 1))
 
 
-def _check_palindrome(space: SpaceId) -> str | None:
+def _check_palindrome(space: SpaceId) -> tuple[str | None, list[str]]:
     p = presentation(space)
     series = poincare(p)
     if p.top_degree != dimension(space):
-        return f"{space}: top degree {p.top_degree} != dimension {dimension(space)}"
+        return f"{space}: top degree {p.top_degree} != dimension {dimension(space)}", []
     if series != series[::-1]:
-        return f"{space}: series is not palindromic"
-    return None
+        return f"{space}: series is not palindromic", []
+    return None, []
 
 
-def _check_spectral(space: SpaceId) -> str | None:
+def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
     report = serre_verify(space)
     if not report.match:
         return (
             f"{space}: spectral series {report.e_infinity_series} "
-            f"!= presentation series {report.presentation_series}"
+            f"!= presentation series {report.presentation_series}",
+            [],
         )
-    return None
+    return None, []
 
 
-def _check_steenrod(space: SpaceId) -> str | None:
+def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
     p = presentation(space)
     rng = random.Random(hash((space.n, space.k)) & 0xFFFF)
     for g in p.simple_gens:
         z = p.gen(g.label)
         if steenrod_sq(p, g.degree, z) != z * z:
-            return f"{space}: top square rule fails on generator {g.label}"
+            return f"{space}: top square rule fails on generator {g.label}", []
         for i in range(0, g.degree + 2):
             got = steenrod_sq(p, i, z)
             expect_label = g.label + i
@@ -330,7 +318,7 @@ def _check_steenrod(space: SpaceId) -> str | None:
             else:
                 ok = got.is_zero()
             if not ok:
-                return f"{space}: generator rule fails at Sq^{i} on {g.label}"
+                return f"{space}: generator rule fails at Sq^{i} on {g.label}", []
     for _ in range(4):
         # sums of random monomials, drawn as generator bit masks so that the
         # 2^g basis is never listed
@@ -340,38 +328,33 @@ def _check_steenrod(space: SpaceId) -> str | None:
             a = a + Element(p, frozenset((p.pack(0, rng.getrandbits(p.num_gens)),)))
             b = b + Element(p, frozenset((p.pack(0, rng.getrandbits(p.num_gens)),)))
         if steenrod_sq(p, 0, a) != a:
-            return f"{space}: Sq^0 is not the identity"
+            return f"{space}: Sq^0 is not the identity", []
         i = rng.randrange(0, p.top_degree + 2)
         lhs = steenrod_sq(p, i, a * b)
         rhs = p.zero()
         for s in range(i + 1):
             rhs = rhs + steenrod_sq(p, s, a) * steenrod_sq(p, i - s, b)
         if lhs != rhs:
-            return f"{space}: Cartan formula fails at Sq^{i}"
-    return None
+            return f"{space}: Cartan formula fails at Sq^{i}", []
+    return None, []
 
 
-def _check_cup(space: SpaceId) -> tuple[str | None, list[str]]:
-    p = presentation(space)
+def _check_cup(item: tuple[SpaceId, int | None]) -> tuple[str | None, list[str]]:
+    """Cross-check one space through cup_report; `item` is the space and the
+    cup-length floor (N-1) + g of a truncated ring, None for the others."""
+    space, floor = item
     try:
         report = cup_report(space)
     except TopoinvError as exc:
-        return (str(exc), [])
-    exact = report.exact
-    if p.trunc is not None:
-        floor = (p.order - 1) + p.num_gens
-        if exact.value < floor:
-            return (f"{space}: cup length {exact.value} below floor {floor}", [])
-    warnings = []
-    for name in report.violations:
-        bound = dict(report.bounds)[name]
-        if name == DIM_MINUS_INDEX_BOUND:
-            warnings.append(
-                f"{space}: bound {name}={bound} < exact {exact.value} (expected discrepancy)"
-            )
-        else:
-            return (f"{space}: unexpected violation of bound {name}", warnings)
-    return (None, warnings)
+        return str(exc), []
+    exact = report.exact.value
+    if floor is not None and exact < floor:
+        return f"{space}: cup length {exact} below floor {floor}", []
+    bounds = dict(report.bounds)
+    return None, [
+        f"{space}: bound {name}={bounds[name]} < exact {exact} (expected discrepancy)"
+        for name in report.violations
+    ]
 
 
 def _check_parity() -> str | None:
@@ -428,13 +411,16 @@ def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
     warnings: list[str] = []
     checks = 0
 
-    def run_grid(name: str, spaces: list[SpaceId], check) -> None:
+    def run_grid(name: str, items: list, check) -> None:
+        # each check returns its failure, if any, and its expected warnings
         nonlocal checks
-        results = _map_grid(check, spaces, jobs)
-        bad = [r for r in results if r is not None]
-        checks += len(spaces)
+        results = _map_grid(check, items, jobs)
+        bad = [failure for failure, _ in results if failure is not None]
+        for _, found in results:
+            warnings.extend(found)
+        checks += len(items)
         failures.extend(bad)
-        click.echo(f"{name}: {len(spaces)} spaces, {len(bad)} failures")
+        click.echo(f"{name}: {len(items)} spaces, {len(bad)} failures")
 
     if suite in ("palindrome", "all"):
         run_grid("palindrome", _grid(list(Family), max_n), _check_palindrome)
@@ -444,18 +430,13 @@ def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
     if suite in ("steenrod", "all"):
         run_grid("steenrod", _grid([Family.RV], max_n), _check_steenrod)
     if suite == "all":
-        cup_spaces = [
-            s for s in _grid(list(Family), max_n)
-            if presentation(s).total_dimension <= ORACLE_CROSS_CHECK_MAX_DIMENSION
-        ]
-        results = [_check_cup(s) for s in cup_spaces]
-        checks += len(cup_spaces)
-        for failure, warns in results:
-            if failure:
-                failures.append(failure)
-            warnings.extend(warns)
-        click.echo(f"cup: {len(cup_spaces)} spaces, "
-                   f"{sum(1 for f, _ in results if f)} failures")
+        cup_items = []
+        for space in _grid(list(Family), max_n):
+            p = presentation(space)
+            if p.total_dimension <= ORACLE_CROSS_CHECK_MAX_DIMENSION:
+                floor = (p.order - 1) + p.num_gens if p.trunc is not None else None
+                cup_items.append((space, floor))
+        run_grid("cup", cup_items, _check_cup)
         for name, check in (("parity", _check_parity), ("equivariant", _check_equivariant)):
             checks += 1
             failure = check()

@@ -32,11 +32,11 @@ class UnsupportedPresentation(TopoinvError):
 
 
 class DimensionCapExceeded(TopoinvError):
-    """Total dimension exceeds the configured cap for exhaustive search."""
+    """Total dimension exceeds the exhaustive cup-length oracle's fixed cap."""
 
 
 class WorkCapExceeded(TopoinvError):
-    """Estimated spectral-sequence work exceeds the configured cap."""
+    """Estimated spectral-sequence work exceeds its fixed cap."""
 
 
 class DegreeMismatch(TopoinvError):

@@ -19,7 +19,6 @@ from functools import cached_property
 from heapq import heappush, heappop
 from typing import Any, Iterable, Iterator
 
-from .config import DEFAULT_ORACLE_DIMENSION_CAP, resolve_cap
 from .errors import (
     DimensionCapExceeded,
     InvalidParameters,
@@ -582,10 +581,14 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     return CupResult(len(witness), tuple(witness), caveat)
 
 
-def _cup_oracle(p: AlgebraPresentation, cap: int) -> CupResult:
-    if p.total_dimension > cap:
+# Largest total Z2-dimension the exhaustive cup-length oracle accepts.
+ORACLE_DIMENSION_CAP = 1 << 14
+
+
+def _cup_oracle(p: AlgebraPresentation) -> CupResult:
+    if p.total_dimension > ORACLE_DIMENSION_CAP:
         raise DimensionCapExceeded(
-            f"total dimension {p.total_dimension} exceeds oracle cap {cap}"
+            f"total dimension {p.total_dimension} exceeds oracle cap {ORACLE_DIMENSION_CAP}"
         )
     top = p.top_degree
     deg_of = p.monomial_degree
@@ -628,10 +631,7 @@ def _cup_oracle(p: AlgebraPresentation, cap: int) -> CupResult:
 
 
 def cup_length(
-    p: AlgebraPresentation,
-    mode: CupMode | str = CupMode.GENERATOR_SEARCH,
-    *,
-    dimension_cap: int | None = None,
+    p: AlgebraPresentation, mode: CupMode | str = CupMode.GENERATOR_SEARCH
 ) -> CupResult:
     """Largest number of positive-degree classes with nonzero product.
 
@@ -643,7 +643,10 @@ def cup_length(
     degree-ascending sweep; expanding arbitrary homogeneous factors
     monomial by monomial shows a product of elements is nonzero only if
     some product of support monomials is, so the maximum over monomials is
-    the true cup length.
+    the true cup length.  The oracle refuses rings of total dimension above
+    ORACLE_DIMENSION_CAP with DimensionCapExceeded before any product.
+    cup_report runs both modes on small rings and keeps both results, so
+    callers that need the cross-check read it there instead of rerunning.
 
     The caveat flag is set when an undetermined square was treated as zero
     and its degree does not exceed the top degree, so the true cup length
@@ -652,8 +655,7 @@ def cup_length(
     mode = CupMode(mode)
     if mode is CupMode.GENERATOR_SEARCH:
         return _cup_from_chains(p)
-    cap = resolve_cap(dimension_cap, DEFAULT_ORACLE_DIMENSION_CAP)
-    return _cup_oracle(p, cap)
+    return _cup_oracle(p)
 
 
 # -- serialization -----------------------------------------------------------

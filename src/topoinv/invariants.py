@@ -21,8 +21,6 @@ __all__ = [
     "DIM_MINUS_INDEX_BOUND",
     "RankResult",
     "cup_bound_dim_minus_index",
-    "cup_bound_korbas",
-    "cup_bound_nt",
     "cup_report",
     "ucharrank",
 ]
@@ -64,8 +62,9 @@ def ucharrank(space: SpaceId) -> RankResult:
     """Upper characteristic rank of any catalog space, exact or an interval.
 
     Dispatches on the family to the Stiefel table, the real projective and
-    flip ladder, or the complex and quaternionic projective formulas.
-    RV:n,1 lies outside every ladder and raises InvalidParameters.
+    flip ladder, or the complex and quaternionic projective formulas.  The
+    spheres RV:n,1, CV:n,1 and HV:n,1 lie outside every table and come back
+    uncovered.
     """
     fam = space.family
     if fam in (Family.RV, Family.CV, Family.HV):
@@ -80,12 +79,13 @@ def ucharrank_stiefel(space: SpaceId) -> RankResult:
 
     The real table is exact except for the frame gaps 4 (with k > 2) and 8,
     which give the intervals [3, 4] and [7, 8]; the complex and quaternionic
-    values are closed formulas in n - k.
+    values are closed formulas in n - k.  Spheres (k = 1) are uncovered in
+    all three families.
     """
     fam, n, k = space.family, space.n, space.k
+    if k == 1:
+        return RankResult.uncovered(f"{space} is a sphere, outside the table")
     if fam is Family.RV:
-        if k == 1:
-            raise InvalidParameters(f"real Stiefel table needs 1 < k < n, got ({n}, {k})")
         m = n - k
         if m not in (1, 2, 4, 8):
             return RankResult.exact(m - 1, "R.generic")
@@ -100,8 +100,6 @@ def ucharrank_stiefel(space: SpaceId) -> RankResult:
                 return RankResult.exact(4, "R.gap4.k2")
             return RankResult.interval(3, 4, "R.gap4")
         return RankResult.interval(7, 8, "R.gap8")
-    if k == 1:
-        return RankResult.uncovered(f"{space} is a sphere, outside the table")
     if fam is Family.CV:
         if k == n:
             return RankResult.exact(2, "C.group")
@@ -180,24 +178,6 @@ def ucharrank_projective_CH(space: SpaceId) -> RankResult:
 # -- cup-length bounds ---------------------------------------------------------
 
 
-def cup_bound_nt(d: int, j: int, r_y: int) -> int:
-    """1 + floor((d-j-1)/r_y): bound from all top-dimensional monomials in
-    low characteristic classes vanishing."""
-    if r_y < 1 or d < j + 1:
-        raise InvalidParameters(f"cup_bound_nt needs r_y >= 1 and d >= j+1, got ({d}, {j}, {r_y})")
-    return 1 + (d - j - 1) // r_y
-
-
-def cup_bound_korbas(d: int, k: int, charrank: int) -> int:
-    """1 + floor((d-1-charrank)/k) for a d-manifold whose first nontrivial
-    reduced cohomology sits in degree k."""
-    if k < 1 or charrank > d - 2:
-        raise InvalidParameters(
-            f"cup_bound_korbas needs k >= 1 and charrank <= d-2, got ({d}, {k}, {charrank})"
-        )
-    return 1 + (d - 1 - charrank) // k
-
-
 DIM_MINUS_INDEX_BOUND = "dim-minus-index"
 
 
@@ -229,6 +209,7 @@ def cup_bound_dim_minus_index(space: SpaceId) -> int | None:
 class CupReport:
     space: SpaceId
     exact: CupResult
+    oracle: CupResult | None  # None above ORACLE_CROSS_CHECK_MAX_DIMENSION
     bounds: tuple[tuple[str, int], ...]
     violations: tuple[str, ...]
 
@@ -239,27 +220,31 @@ ORACLE_CROSS_CHECK_MAX_DIMENSION = 1 << 10
 
 
 def cup_report(space: SpaceId) -> CupReport:
-    """Exact cup length with the catalog bound and any violations.
+    """Exact cup length with its oracle cross-check, the catalog bound and
+    any violations.
 
-    The exact value comes from the square-chain closed form; when the total
+    The exact value comes from the square-chain closed form.  When the total
     dimension is at most ORACLE_CROSS_CHECK_MAX_DIMENSION the exhaustive
-    oracle re-derives it and a disagreement raises TopoinvError (an
-    internal error, not a report).  A bound smaller than the exact value is
-    recorded as a violation, never suppressed: over all catalog spaces with
-    n <= 40 the dimension-minus-index bound is exceeded exactly on RX:n,2
-    with n odd.
+    oracle re-derives it once, its result is kept in `oracle` for callers
+    to read, and a disagreement in value or caveat raises TopoinvError (an
+    internal error, not a report); above that dimension `oracle` is None.
+    A bound smaller than the exact value is recorded as a violation, never
+    suppressed: over all catalog spaces with n <= 40 the
+    dimension-minus-index bound is exceeded exactly on RX:n,2 with n odd.
     """
     p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
+    oracle = None
     if p.total_dimension <= ORACLE_CROSS_CHECK_MAX_DIMENSION:
         oracle = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
-        if oracle.value != exact.value:
+        if (oracle.value, oracle.caveat) != (exact.value, exact.caveat):
             raise TopoinvError(
-                f"{space}: closed form gave {exact.value} but the oracle gave {oracle.value}"
+                f"{space}: closed form gave {exact.value} (caveat {exact.caveat}) "
+                f"but the oracle gave {oracle.value} (caveat {oracle.caveat})"
             )
     bounds: list[tuple[str, int]] = []
     catalog_bound = cup_bound_dim_minus_index(space)
     if catalog_bound is not None:
         bounds.append((DIM_MINUS_INDEX_BOUND, catalog_bound))
     violations = tuple(name for name, value in bounds if value < exact.value)
-    return CupReport(space, exact, tuple(bounds), violations)
+    return CupReport(space, exact, oracle, tuple(bounds), violations)

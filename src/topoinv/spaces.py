@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .config import DEFAULT_SS_WORK_CAP, resolve_cap
 from .errors import InvalidParameters, WorkCapExceeded
 from .gralg import (
     SQ_UNDETERMINED,
@@ -228,9 +227,11 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def serre_verify(
-    space: SpaceId, window: int | None = None, *, work_cap: int | None = None
-) -> SSReport:
+# Largest monomial-count estimate serre_verify accepts.
+SS_WORK_CAP = 1 << 21
+
+
+def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     """Check a quotient presentation against its transgression differentials.
 
     Builds the window of the fiber-times-base bigraded Z2 vector space, lets
@@ -239,6 +240,11 @@ def serre_verify(
     computations over Z2 (bit-parallel Gaussian elimination).  With a bounded
     filtration the limit's total series equals the homology series of the
     assembled differential, which is what is computed degree by degree.
+
+    The window defaults to the manifold dimension.  Before any list is
+    built, the monomial count is estimated as 2^(fiber generators) *
+    ((window + 1) // base degree + 1); an estimate above SS_WORK_CAP raises
+    WorkCapExceeded.
     """
     if not space.family.is_projective:
         raise InvalidParameters(f"serre_verify applies to quotient families, not {space}")
@@ -249,10 +255,9 @@ def serre_verify(
         raise InvalidParameters("window must be nonnegative")
     amb = w + 1
 
-    cap = resolve_cap(work_cap, DEFAULT_SS_WORK_CAP)
     estimate = (1 << len(fiber)) * (amb // t + 1)
-    if estimate > cap:
-        raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {cap}")
+    if estimate > SS_WORK_CAP:
+        raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {SS_WORK_CAP}")
 
     fdeg = [d for d, _, _ in fiber]
     # monomials per total degree: (fiber subset mask, base exponent)

@@ -1,6 +1,7 @@
 import json
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from topoinv.cli import main
 
@@ -222,11 +223,47 @@ def test_csv_column_count_is_constant():
         assert line.count(",") == 8
 
 
-def test_work_cap_environment_override(monkeypatch):
+def test_oracle_over_its_cap_exits_2_with_one_error_line():
+    res = run("cuplength", "RV:16,15", "--mode", "oracle")  # dimension 2^15
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "oracle cap 16384" in lines[0]
+
+
+def test_work_cap_environment_variable_is_ignored(monkeypatch):
     monkeypatch.setenv("TOPOINV_WORK_CAP", "4")
     res = run("cuplength", "RX:5,2", "--mode", "oracle")
-    assert res.exit_code == 2
-    assert "cap" in res.output or "cap" in (res.stderr if hasattr(res, "stderr") else "")
+    assert res.exit_code == 0
+    assert payload(res)["result"]["value"] == 4
+
+
+def test_oracle_mode_with_bounds_runs_the_oracle_once(monkeypatch):
+    import topoinv.gralg
+
+    calls = []
+    oracle = topoinv.gralg._cup_oracle
+
+    def counted(p):
+        calls.append(p)
+        return oracle(p)
+
+    monkeypatch.setattr(topoinv.gralg, "_cup_oracle", counted)
+    data = payload(run("cuplength", "RX:5,2", "--mode", "oracle", "--with-bounds"))
+    assert len(calls) == 1
+    assert data["result"]["value"] == 4
+    assert data["result"]["violations"] == ["dim-minus-index"]
+
+
+def test_table_answers_spheres_as_uncovered():
+    res = run("table", "ucharrank", "RV", "--n", "3..5", "--format", "csv")
+    assert res.exit_code == 0, res.output
+    rows = [line.split(",") for line in res.output.splitlines()[1:]]
+    spheres = [row for row in rows if row[2] == "1"]
+    assert [row[1] for row in spheres] == ["3", "4", "5"]
+    assert all(row[3] == "uncovered" for row in spheres)
+    assert payload(run("ucharrank", "RV:5,1"))["result"]["kind"] == "uncovered"
 
 
 def _wrong_oracle(monkeypatch):
@@ -268,3 +305,53 @@ def test_verify_steenrod_never_lists_the_basis(monkeypatch):
     res = run("verify", "--suite", "steenrod", "--max-n", "6")
     assert res.exit_code == 0, res.output
     assert "verify: PASS" in res.output
+
+
+_FAMILIES = ["RV", "CV", "HV", "RX", "FV", "CX", "HX"]
+_JUNK_FAMILIES = ["", "XX", "rv", "R V", "RV:", "S4n-1"]
+_bound = st.integers(-3, 40)
+
+
+@st.composite
+def space_specs(draw):
+    """FAMILY:n,k specs, well formed about two times in three."""
+    if draw(st.integers(0, 2)):
+        fam, shape = draw(st.sampled_from(_FAMILIES)), "{f}:{n},{k}"
+    else:
+        fam = draw(st.sampled_from(_FAMILIES + _JUNK_FAMILIES))
+        shape = draw(st.sampled_from(["{f}:{n},{k}", "{f}:{n}", "{f}{n},{k}",
+                                      "{f}:{n},{k},{n}", "{f}:{n}..{k},{k}", "{f}:x,{k}"]))
+    n = draw(_bound)
+    k = draw(st.integers(-3, max(min(n + 1, 40), -3)))  # k <= n + 1 keeps most specs valid
+    return shape.format(f=fam, n=n, k=k)
+
+
+@st.composite
+def range_specs(draw):
+    """lo..hi ranges of at most two values, well formed about two times in three."""
+    lo = draw(_bound)
+    hi = lo + draw(st.integers(-1, 1))
+    if draw(st.integers(0, 2)):
+        return draw(st.sampled_from([f"{lo}..{hi}", f"{lo}"]))
+    return draw(st.sampled_from([f"{lo}..", f"..{hi}", "abc", f"{lo}..x", f"{lo}...{hi}", ""]))
+
+
+@st.composite
+def cli_queries(draw):
+    command = draw(st.sampled_from(["ucharrank", "cohomology", "cuplength", "bounds", "table"]))
+    if command == "table":
+        invariant = draw(st.sampled_from(["ucharrank", "cuplength"]))
+        return ["table", invariant, draw(st.sampled_from(_FAMILIES)),
+                "--n", draw(range_specs()), "--k", draw(range_specs()), "--format", "csv"]
+    if command == "bounds":
+        return ["cuplength", "--with-bounds", "--", draw(space_specs())]
+    return [command, "--", draw(space_specs())]
+
+
+@given(cli_queries())
+@settings(max_examples=60, deadline=None)
+def test_cli_error_contract_on_generated_inputs(args):
+    res = run(*args)
+    assert res.exit_code in (0, 2, 3), (args, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), args
+    assert len(res.stderr.splitlines()) <= 1, (args, res.stderr)

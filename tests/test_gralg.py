@@ -198,9 +198,9 @@ def test_cup_leaves_recursion_limit_alone():
 
 
 def test_cup_oracle_dimension_cap():
-    p = P("RV:12,11")  # dimension 2^11
+    p = P("RV:16,15")  # dimension 2^15, over the 2^14 cap
     with pytest.raises(DimensionCapExceeded):
-        cup_length(p, CupMode.EXHAUSTIVE_ORACLE, dimension_cap=1024)
+        cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
 
 
 def _elementwise_cup(p):

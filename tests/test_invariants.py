@@ -5,8 +5,6 @@ import pytest
 from topoinv.errors import InvalidParameters
 from topoinv.invariants import (
     DIM_MINUS_INDEX_BOUND,
-    cup_bound_korbas,
-    cup_bound_nt,
     cup_bound_dim_minus_index,
     cup_report,
     ucharrank,
@@ -29,13 +27,12 @@ def test_stiefel_table_uncovered_inputs():
     assert ucharrank(SpaceId(Family.RV, 3, 2)).kind == "uncovered"
     assert ucharrank(SpaceId(Family.CV, 5, 1)).kind == "uncovered"
     assert ucharrank(SpaceId(Family.HV, 5, 1)).kind == "uncovered"
+    assert ucharrank(SpaceId(Family.RV, 5, 1)).kind == "uncovered"
 
 
 def test_stiefel_table_validation():
     with pytest.raises(InvalidParameters):
         ucharrank(SpaceId(Family.RV, 5, 5))
-    with pytest.raises(InvalidParameters):
-        ucharrank(SpaceId(Family.RV, 5, 1))
 
 
 def test_projective_real_spot_values():
@@ -158,26 +155,6 @@ def test_projective_ch_offsets_from_stiefel_table():
 # -- cup bounds -----------------------------------------------------------------
 
 
-def test_cup_bound_nt():
-    assert cup_bound_nt(7, 4, 1) == 3
-    assert cup_bound_nt(31, 9, 3) == 8
-    for d in (5, 9):
-        assert cup_bound_nt(d, d - 1, 1) == 1
-    with pytest.raises(InvalidParameters):
-        cup_bound_nt(5, 5, 1)
-    with pytest.raises(InvalidParameters):
-        cup_bound_nt(7, 4, 0)
-
-
-def test_cup_bound_korbas():
-    assert cup_bound_korbas(7, 1, 3) == 4
-    assert cup_bound_korbas(10, 2, 4) == 3
-    for d, k in ((9, 2), (9, 5)):
-        assert cup_bound_korbas(d, k, d - 2) == 1 + 1 // k
-    with pytest.raises(InvalidParameters):
-        cup_bound_korbas(7, 1, 6)
-
-
 def test_cup_bound_dim_minus_index_examples():
     assert cup_bound_dim_minus_index(SpaceId.parse("RX:5,2")) == 3
     assert cup_bound_dim_minus_index(SpaceId.parse("HX:5,2")) == 16
@@ -203,6 +180,26 @@ def test_cup_report_without_violations():
     ext = cup_report(SpaceId(Family.CV, 4, 4))
     assert ext.exact.value == 4
     assert ext.bounds == ()
+
+
+def test_cup_report_keeps_its_oracle_run_and_checks_the_caveat(monkeypatch):
+    import topoinv.invariants
+    from topoinv.errors import TopoinvError
+    from topoinv.gralg import CupMode, CupResult, cup_length
+
+    report = cup_report(SpaceId.parse("RX:5,2"))
+    assert report.oracle is not None and report.oracle.value == report.exact.value
+    assert cup_report(SpaceId.parse("RV:16,15")).oracle is None  # 2^15 > 2^10
+
+    def caveat_flipped(p, mode=CupMode.GENERATOR_SEARCH):
+        res = cup_length(p, mode)
+        if CupMode(mode) is CupMode.EXHAUSTIVE_ORACLE:
+            return CupResult(res.value, res.witness, not res.caveat)
+        return res
+
+    monkeypatch.setattr(topoinv.invariants, "cup_length", caveat_flipped)
+    with pytest.raises(TopoinvError, match="RX:5,2: closed form gave 4"):
+        cup_report(SpaceId.parse("RX:5,2"))
 
 
 def test_cup_report_floor_for_projective_spaces():
