@@ -4,8 +4,9 @@ Single queries print one deterministic JSON document (sorted keys, no
 timestamps; --meta wraps the payload instead of polluting it).  Grids
 stream through `table` as CSV or JSON, and `verify` runs the consistency
 suites.  Exit codes: 0 success, 1 verification failure or internal error
-(such as a cross-check disagreement), 2 invalid parameters or a work cap
-hit, 3 input not covered by the decision tables.
+(such as a cross-check disagreement), 2 invalid parameters, a usage error
+or a work cap hit, 3 input not covered by the decision tables; every error
+is one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -37,20 +38,27 @@ from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_ver
 SCHEMA = "topoinv/1"
 
 
-def _cli_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except (InvalidParameters, NoIndex, DimensionCapExceeded, WorkCapExceeded) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except TopoinvError as exc:
-            # an internal error, such as a cross-check disagreement
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+class _Cli(click.Group):
+    """The command group; its `main` is the CLI's one error boundary.
 
-    return wrapper
+    Every error ends in one `error:` line on stderr and an exit code: 2 for
+    a usage error, invalid parameters or a cap hit, 1 for any other
+    TopoinvError (an internal error such as a cross-check disagreement).
+    """
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            message, code = exc.format_message(), exc.exit_code
+        except click.Abort:
+            message, code = "aborted", 1
+        except (InvalidParameters, NoIndex, DimensionCapExceeded, WorkCapExceeded) as exc:
+            message, code = str(exc), 2
+        except TopoinvError as exc:
+            message, code = str(exc), 1
+        click.echo("error: " + " ".join(message.split()), err=True)
+        sys.exit(code)
 
 
 def _emit(ctx: click.Context, payload: dict) -> None:
@@ -81,7 +89,7 @@ def _rank_to_dict(r: RankResult) -> dict:
     return out
 
 
-@click.group()
+@click.group(cls=_Cli, no_args_is_help=False)
 @click.version_option(version=__version__, prog_name="topoinv")
 @click.option("--meta", is_flag=True, help="Wrap output with a timestamped meta envelope.")
 @click.pass_context
@@ -99,7 +107,6 @@ def main(ctx: click.Context, meta: bool) -> None:
 @main.command("ucharrank")
 @click.argument("space_spec")
 @click.pass_context
-@_cli_errors
 def ucharrank_command(ctx: click.Context, space_spec: str) -> None:
     """Upper characteristic rank of SPACE_SPEC (exact or interval)."""
     space = SpaceId.parse(space_spec)
@@ -122,7 +129,6 @@ def ucharrank_command(ctx: click.Context, space_spec: str) -> None:
 @click.option("--emit-presentation", is_flag=True,
               help="Dump the ring in its canonical serialization instead of a summary.")
 @click.pass_context
-@_cli_errors
 def cohomology(ctx: click.Context, space_spec: str, max_deg: int | None,
                emit_presentation: bool) -> None:
     """Generators, truncation and mod-2 Betti series of SPACE_SPEC."""
@@ -153,7 +159,6 @@ def cohomology(ctx: click.Context, space_spec: str, max_deg: int | None,
 @click.option("--mode", type=click.Choice(["generators", "oracle"]), default="generators")
 @click.option("--with-bounds", is_flag=True, help="Include catalog bounds and violations.")
 @click.pass_context
-@_cli_errors
 def cuplength(ctx: click.Context, space_spec: str, mode: str, with_bounds: bool) -> None:
     """Exact mod-2 cup length of SPACE_SPEC from its square chains."""
     space = SpaceId.parse(space_spec)
@@ -190,7 +195,6 @@ def cuplength(ctx: click.Context, space_spec: str, mode: str, with_bounds: bool)
 @click.option("--from", "source_spec", required=True, help="Source G-space spec.")
 @click.option("--to", "target_spec", required=True, help="Target G-space spec.")
 @click.pass_context
-@_cli_errors
 def s3map(ctx: click.Context, source_spec: str, target_spec: str) -> None:
     """Feasibility of an equivariant map between unit-quaternion spaces."""
     source = parse_gspace(source_spec)
@@ -244,7 +248,7 @@ def _table_row(invariant: str, space: SpaceId) -> dict:
     if invariant == "ucharrank":
         fields = _rank_to_dict(ucharrank(space))
     else:
-        fields = {"kind": "exact", "value": cup_report(space).exact.value}
+        fields = {"kind": "exact", "value": cup_length(presentation(space)).value}
     row = {"family": space.family.value, "n": space.n, "k": space.k, **fields}
     return {column: row.get(column, "") for column in _TABLE_COLUMNS}
 
@@ -257,7 +261,6 @@ def _table_row(invariant: str, space: SpaceId) -> dict:
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--jobs", type=int, default=1, help="Parallel workers for the grid.")
 @click.pass_context
-@_cli_errors
 def table(ctx: click.Context, invariant: str, family: str, n_spec: str,
           k_spec: str | None, fmt: str, jobs: int) -> None:
     """One row per valid (n, k) of FAMILY, in deterministic order."""
@@ -399,7 +402,6 @@ def _check_equivariant() -> str | None:
 @click.option("--max-n", type=int, default=8, help="Largest n in the verification grids.")
 @click.option("--jobs", type=int, default=1, help="Parallel workers for grid suites.")
 @click.pass_context
-@_cli_errors
 def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
     """Run consistency suites; exit 1 on any unexpected failure.
 

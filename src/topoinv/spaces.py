@@ -227,7 +227,7 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-# Largest monomial-count estimate serre_verify accepts.
+# Largest work estimate serre_verify accepts.
 SS_WORK_CAP = 1 << 21
 
 
@@ -236,13 +236,19 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
 
     Builds the window of the fiber-times-base bigraded Z2 vector space, lets
     every fiber generator transgress with its binomial coefficient, extends
-    by the Leibniz rule, and computes graded dimensions of the limit by rank
-    computations over Z2 (bit-parallel Gaussian elimination).  With a bounded
-    filtration the limit's total series equals the homology series of the
-    assembled differential, which is what is computed degree by degree.
+    by the Leibniz rule, and computes graded dimensions of the limit.  A
+    generator with an even coefficient has zero differential, so by Kunneth
+    over Z2 the limit is the homology of the odd generators' complex tensored
+    with the exterior algebra on the even ones.  Only the odd part is ranked
+    over Z2 (bit-parallel Gaussian elimination); in one total degree a fiber
+    monomial fixes its base exponent, so the fiber mask is the column.  With
+    a bounded filtration the limit's total series equals the homology series
+    of the assembled differential, which is what is computed degree by
+    degree.  Neither the truncation index nor the presentation enters the
+    ranks; the presentation is read only for the comparison.
 
     The window defaults to the manifold dimension.  Before any list is
-    built, the monomial count is estimated as 2^(fiber generators) *
+    built, the work is estimated as 2^(odd-coefficient generators) *
     ((window + 1) // base degree + 1); an estimate above SS_WORK_CAP raises
     WorkCapExceeded.
     """
@@ -255,47 +261,34 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
         raise InvalidParameters("window must be nonnegative")
     amb = w + 1
 
-    estimate = (1 << len(fiber)) * (amb // t + 1)
+    odd = [(d, m) for d, m, c in fiber if c]
+    estimate = (1 << len(odd)) * (amb // t + 1)
     if estimate > SS_WORK_CAP:
         raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {SS_WORK_CAP}")
 
-    fdeg = [d for d, _, _ in fiber]
-    # monomials per total degree: (fiber subset mask, base exponent)
-    by_degree: list[list[tuple[int, int]]] = [[] for _ in range(amb + 1)]
-    for mask in range(1 << len(fiber)):
-        d0 = 0
-        m = mask
-        while m:
-            low = m & -m
-            d0 += fdeg[low.bit_length() - 1]
-            m ^= low
-        if d0 > amb:
-            continue
-        for s in range((amb - d0) // t + 1):
-            by_degree[d0 + t * s].append((mask, s))
-    index: list[dict[tuple[int, int], int]] = [
-        {mono: i for i, mono in enumerate(level)} for level in by_degree
-    ]
+    # odd-part monomials per total degree; a mask fixes its base exponent,
+    # so the mask is the column and a mask's row is the same in every degree
+    by_degree: list[list[int]] = [[] for _ in range(w + 1)]
+    rows: list[int] = []
+    for mask in range(1 << len(odd)):
+        d0 = row = 0
+        for i, (d, _) in enumerate(odd):
+            if mask >> i & 1:
+                d0 += d
+                row ^= 1 << (mask ^ (1 << i))
+        rows.append(row)
+        for total in range(d0, w + 1, t):
+            by_degree[total].append(mask)
 
-    odd = [(i, m, 1 << i) for i, (_, m, c) in enumerate(fiber) if c]
-    ranks = [0] * (amb + 1)
-    for d in range(amb):
-        target = index[d + 1]
-        rows = []
-        for mask, s in by_degree[d]:
-            row = 0
-            for i, m, bit in odd:
-                if mask & bit:
-                    row ^= 1 << target[(mask ^ bit, s + m)]
-            if row:
-                rows.append(row)
-        ranks[d] = _gf2_rank(rows)
+    ranks = [_gf2_rank([rows[mask] for mask in level]) for level in by_degree]
+    betti = [len(by_degree[d]) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(w + 1)]
+    # Kunneth: times (1 + x^deg) for each even-coefficient generator
+    for fdeg, _, c in fiber:
+        if not c:
+            for d in range(w, fdeg - 1, -1):
+                betti[d] += betti[d - fdeg]
 
-    betti = tuple(
-        len(by_degree[d]) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(w + 1)
-    )
-
-    visible_pages = [t * m for _, m, _ in odd if t * m <= amb]
+    visible_pages = [t * m for _, m in odd if t * m <= amb]
     first_page = min(visible_pages) if visible_pages else 0
 
     series = poincare(presentation(space))
@@ -305,9 +298,9 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
         space=space,
         window=w,
         first_nonzero_differential_page=first_page,
-        e_infinity_series=betti,
+        e_infinity_series=tuple(betti),
         presentation_series=pres,
-        match=betti == pres,
+        match=tuple(betti) == pres,
     )
 
 

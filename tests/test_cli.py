@@ -4,6 +4,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from topoinv.cli import main
+from topoinv.spaces import catalog
 
 
 def run(*args):
@@ -137,6 +138,37 @@ def test_table_guards_huge_ranges():
     res = run("table", "ucharrank", "RX", "--n", "-10000000000..4", "--format", "csv")
     assert res.exit_code == 0
     assert len(res.output.strip().splitlines()) == 1 + 3
+
+
+def test_usage_errors_print_one_error_line():
+    for args in (("table", "ucharrank", "XX", "--n", "3"), ("table",), ("nosuch",),
+                 ("verify", "--mx-n", "3"), ()):
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert isinstance(res.exception, SystemExit), args
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, args
+    assert "'XX' is not one of" in run("table", "ucharrank", "XX", "--n", "3").stderr
+    help_text = run("table", "--help")
+    assert help_text.exit_code == 0 and help_text.output.startswith("Usage:")
+    version = run("--version")
+    assert version.exit_code == 0 and "version" in version.output
+
+
+def test_table_cuplength_runs_no_oracle(monkeypatch):
+    import topoinv.gralg
+
+    calls = []
+    oracle = topoinv.gralg._cup_oracle
+
+    def counted(p):
+        calls.append(p)
+        return oracle(p)
+
+    monkeypatch.setattr(topoinv.gralg, "_cup_oracle", counted)
+    res = run("table", "cuplength", "RX", "--n", "3..12", "--format", "csv")
+    assert res.exit_code == 0
+    assert len(res.output.splitlines()) == 1 + len(catalog(["RX"], range(3, 13)))
+    assert calls == []
 
 
 def test_jobs_clamped_to_cpu_count_and_grid(monkeypatch):
@@ -340,8 +372,8 @@ def range_specs(draw):
 def cli_queries(draw):
     command = draw(st.sampled_from(["ucharrank", "cohomology", "cuplength", "bounds", "table"]))
     if command == "table":
-        invariant = draw(st.sampled_from(["ucharrank", "cuplength"]))
-        return ["table", invariant, draw(st.sampled_from(_FAMILIES)),
+        invariant = draw(st.sampled_from(["ucharrank", "cuplength", "", "cup", "UCHARRANK"]))
+        return ["table", invariant, draw(st.sampled_from(_FAMILIES + _JUNK_FAMILIES)),
                 "--n", draw(range_specs()), "--k", draw(range_specs()), "--format", "csv"]
     if command == "bounds":
         return ["cuplength", "--with-bounds", "--", draw(space_specs())]

@@ -167,7 +167,7 @@ def test_serre_rejects_stiefel_families():
 
 def test_serre_work_cap():
     with pytest.raises(WorkCapExceeded):
-        serre_verify(SpaceId.parse("RX:23,21"))  # estimate 2^21 * 253, over 2^21
+        serre_verify(SpaceId.parse("RX:31,30"))  # 30 odd generators: estimate 2^30 * 467
 
 
 # -- catalog ----------------------------------------------------------------------
