@@ -42,13 +42,24 @@ class _Cli(click.Group):
     """The command group; its `main` is the CLI's one error boundary.
 
     Every error ends in one `error:` line on stderr and an exit code: 2 for
-    a usage error, invalid parameters or a cap hit, 1 for any other
-    TopoinvError (an internal error such as a cross-check disagreement).
+    a usage error, invalid parameters or a cap hit, 1 for an interrupt or
+    any other TopoinvError (such as a cross-check disagreement).  A bare
+    `topoinv` prints the help on stderr and exits 2.
     """
+
+    def invoke(self, ctx: click.Context):
+        # click's own handler would print a blank line before the error line
+        try:
+            return super().invoke(ctx)
+        except KeyboardInterrupt:
+            raise click.Abort() from None
 
     def main(self, *args, **kwargs):
         try:
             return super().main(*args, standalone_mode=False, **kwargs)
+        except click.exceptions.NoArgsIsHelpError as exc:
+            exc.show()  # a bare `topoinv` prints the help on stderr
+            sys.exit(exc.exit_code)
         except click.ClickException as exc:
             message, code = exc.format_message(), exc.exit_code
         except click.Abort:
@@ -89,7 +100,7 @@ def _rank_to_dict(r: RankResult) -> dict:
     return out
 
 
-@click.group(cls=_Cli, no_args_is_help=False)
+@click.group(cls=_Cli)
 @click.version_option(version=__version__, prog_name="topoinv")
 @click.option("--meta", is_flag=True, help="Wrap output with a timestamped meta envelope.")
 @click.pass_context
@@ -178,9 +189,7 @@ def cuplength(ctx: click.Context, space_spec: str, mode: str, with_bounds: bool)
         result["violations"] = list(report.violations)
         for name in report.violations:
             bound = dict(report.bounds)[name]
-            warnings.append(
-                f"bound {name}={bound} exceeded by exact value {report.exact.value}"
-            )
+            warnings.append(f"bound {name}={bound} exceeded by exact value {report.exact.value}")
     payload = {
         "schema": SCHEMA,
         "query": {"command": "cuplength", "space": str(space), "mode": mode},
@@ -295,13 +304,10 @@ def _check_palindrome(space: SpaceId) -> tuple[str | None, list[str]]:
 
 def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
     report = serre_verify(space)
-    if not report.match:
-        return (
-            f"{space}: spectral series {report.e_infinity_series} "
-            f"!= presentation series {report.presentation_series}",
-            [],
-        )
-    return None, []
+    if report.match:
+        return None, []
+    return (f"{space}: spectral series {report.e_infinity_series} "
+            f"!= presentation series {report.presentation_series}"), []
 
 
 def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:

@@ -247,10 +247,11 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     degree.  Neither the truncation index nor the presentation enters the
     ranks; the presentation is read only for the comparison.
 
-    The window defaults to the manifold dimension.  Before any list is
-    built, the work is estimated as 2^(odd-coefficient generators) *
-    ((window + 1) // base degree + 1); an estimate above SS_WORK_CAP raises
-    WorkCapExceeded.
+    The window defaults to the manifold dimension; a generator above it is
+    in no monomial of the window and is left out.  Before any list is
+    built, the monomials ranked are bounded by 2^g * ((window + 1) // base
+    degree + 1), g the odd-coefficient generators in the window; a bound
+    above SS_WORK_CAP raises WorkCapExceeded.  A row has at most 2^g bits.
     """
     if not space.family.is_projective:
         raise InvalidParameters(f"serre_verify applies to quotient families, not {space}")
@@ -259,10 +260,9 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     w = dimension(space) if window is None else window
     if w < 0:
         raise InvalidParameters("window must be nonnegative")
-    amb = w + 1
 
-    odd = [(d, m) for d, m, c in fiber if c]
-    estimate = (1 << len(odd)) * (amb // t + 1)
+    odd = [(d, m) for d, m, c in fiber if c and d <= w]
+    estimate = (1 << len(odd)) * ((w + 1) // t + 1)
     if estimate > SS_WORK_CAP:
         raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {SS_WORK_CAP}")
 
@@ -271,12 +271,9 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     by_degree: list[list[int]] = [[] for _ in range(w + 1)]
     rows: list[int] = []
     for mask in range(1 << len(odd)):
-        d0 = row = 0
-        for i, (d, _) in enumerate(odd):
-            if mask >> i & 1:
-                d0 += d
-                row ^= 1 << (mask ^ (1 << i))
-        rows.append(row)
+        bits = [i for i in range(len(odd)) if mask >> i & 1]
+        d0 = sum(odd[i][0] for i in bits)
+        rows.append(sum(1 << (mask ^ (1 << i)) for i in bits) if d0 <= w else 0)
         for total in range(d0, w + 1, t):
             by_degree[total].append(mask)
 
@@ -288,8 +285,8 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
             for d in range(w, fdeg - 1, -1):
                 betti[d] += betti[d - fdeg]
 
-    visible_pages = [t * m for _, m in odd if t * m <= amb]
-    first_page = min(visible_pages) if visible_pages else 0
+    # t * m = d + 1, so every generator left in `odd` is visible
+    first_page = min((t * m for _, m in odd), default=0)
 
     series = poincare(presentation(space))
     pres = tuple(series[d] if d < len(series) else 0 for d in range(w + 1))

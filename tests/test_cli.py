@@ -142,7 +142,7 @@ def test_table_guards_huge_ranges():
 
 def test_usage_errors_print_one_error_line():
     for args in (("table", "ucharrank", "XX", "--n", "3"), ("table",), ("nosuch",),
-                 ("verify", "--mx-n", "3"), ()):
+                 ("verify", "--mx-n", "3")):
         res = run(*args)
         assert res.exit_code == 2, args
         assert isinstance(res.exception, SystemExit), args
@@ -152,6 +152,20 @@ def test_usage_errors_print_one_error_line():
     assert help_text.exit_code == 0 and help_text.output.startswith("Usage:")
     version = run("--version")
     assert version.exit_code == 0 and "version" in version.output
+    bare = run()
+    assert bare.exit_code == 2 and bare.stderr.startswith("Usage:") and "Commands:" in bare.stderr
+
+
+def test_interrupt_prints_one_error_line(monkeypatch):
+    import topoinv.cli
+
+    def interrupted(space):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(topoinv.cli, "ucharrank", interrupted)
+    res = run("ucharrank", "RX:7,2")
+    assert res.exit_code == 1
+    assert res.stderr == "error: aborted\n"
 
 
 def test_table_cuplength_runs_no_oracle(monkeypatch):

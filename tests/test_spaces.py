@@ -170,6 +170,14 @@ def test_serre_work_cap():
         serre_verify(SpaceId.parse("RX:31,30"))  # 30 odd generators: estimate 2^30 * 467
 
 
+def test_serre_small_window_leaves_out_generators_above_it():
+    # RX:31,k has only odd coefficients; a generator of degree q is in the window iff q <= w
+    for spec, window in (("RX:31,20", 0), ("RX:31,20", 12), ("RX:31,30", 16)):
+        assert serre_verify(SpaceId.parse(spec), window).match, (spec, window)
+    with pytest.raises(WorkCapExceeded):
+        serre_verify(SpaceId.parse("RX:31,30"), 17)  # 17 generators: 2^17 * 19
+
+
 # -- catalog ----------------------------------------------------------------------
 
 
