@@ -6,9 +6,10 @@ products where squaring a generator either vanishes, lands on another
 generator of twice the degree, or is left undetermined by the catalog.
 Distinct generators square onto distinct targets, so the squares form
 chains j -> 2j -> 4j -> ... and the cup length has a closed form over
-them.  Monomials are packed into single ints, a generator-subset bitmask
-shifted over the y-exponent, so that products, the cup-length oracle and
-Steenrod squares all run on machine words.
+them; an oracle re-derives it over generator words in (g+1)*N*2^g
+products.  Monomials are packed into single ints (a generator bitmask
+shifted over the y-exponent), so products, the oracle and Steenrod
+squares all run on machine words.
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ class AlgebraPresentation:
         labels = [g.label for g in self.simple_gens]
         if labels != sorted(set(labels)):
             raise InvalidParameters("generator labels must be strictly increasing")
-        label_set = set(labels)
+        degree_of = {g.label: g.degree for g in self.simple_gens}
         squared_onto: dict[int, int] = {}
         for g in self.simple_gens:
             if g.degree < 1:
                 raise InvalidParameters(f"generator {g.label} must have positive degree")
             if isinstance(g.square, int):
-                if g.square not in label_set or g.square <= g.label:
+                if g.square not in degree_of or g.square <= g.label:
                     raise InvalidParameters(
                         f"square target {g.square} of generator {g.label} is not a later generator"
                     )
@@ -122,8 +123,7 @@ class AlgebraPresentation:
                         f"{g.square}; square targets must be distinct"
                     )
                 squared_onto[g.square] = g.label
-                target = next(h for h in self.simple_gens if h.label == g.square)
-                if target.degree != 2 * g.degree:
+                if degree_of[g.square] != 2 * g.degree:
                     raise InvalidParameters(
                         f"square of generator {g.label} must double the degree"
                     )
@@ -590,24 +590,23 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
         raise DimensionCapExceeded(
             f"total dimension {p.total_dimension} exceeds oracle cap {ORACLE_DIMENSION_CAP}"
         )
-    top = p.top_degree
-    deg_of = p.monomial_degree
-    monos = sorted((deg_of(c), c) for c in p.basis_codes())
-    positives = [(d, c) for d, c in monos if d > 0]
-    if not positives:
+    y = [(p.y_degree, p.pack(1, 0))] if p.order > 1 else []
+    gens = sorted(y + [(d, p.pack(0, 1 << i)) for i, d in enumerate(p._degree_of_bit)])
+    if not gens:
         return CupResult(0, (), False)
+    top = p.top_degree
     caveat = False
     mul_codes = p.mul_codes
-    # factors[m] = most positive-degree monomial factors in a nonzero
-    # factorization of m.  A prefix of a nonzero product is nonzero, so
-    # peeling one factor (degree-ascending sweep) sees every factorization.
-    factors = {c: 1 for _, c in positives}
+    # factors[m] = length of the longest generator word with product m.  A
+    # prefix of a nonzero word is nonzero, so extending each reached
+    # monomial by one generator (degree-ascending sweep) sees every word.
+    factors = {c: 1 for _, c in gens}
     parent: dict[int, tuple[int, int]] = {}
-    for da, a in monos:
+    for da, a in sorted((p.monomial_degree(c), c) for c in p.basis_codes()):
         fa = factors.get(a)
         if fa is None:
             continue
-        for db, b in positives:
+        for db, b in gens:
             if da + db > top:
                 break
             try:
@@ -620,13 +619,12 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
                 parent[m] = (a, b)
     best = max(factors.values())
     tail = min(c for c, f in factors.items() if f == best)
-    chain: list[int] = []
+    word: list[int] = []
     while tail in parent:
-        prev, factor = parent[tail]
-        chain.append(factor)
-        tail = prev
-    chain.append(tail)
-    witness = tuple(p.monomial_name(c) for c in reversed(chain))
+        tail, factor = parent[tail]
+        word.append(factor)
+    word.append(tail)
+    witness = tuple(p.monomial_name(c) for c in reversed(word))
     return CupResult(best, witness, caveat)
 
 
@@ -638,13 +636,14 @@ def cup_length(
     GENERATOR_SEARCH reads the value off the square chains in closed form:
     (N-1) for the truncated generator plus 2^L - 1 for each chain of L
     generators, with the witness y^(N-1) followed by each chain root
-    repeated, in generator order.  EXHAUSTIVE_ORACLE maximizes the factor
-    count over all nonzero products of positive-degree basis monomials by a
-    degree-ascending sweep; expanding arbitrary homogeneous factors
-    monomial by monomial shows a product of elements is nonzero only if
-    some product of support monomials is, so the maximum over monomials is
-    the true cup length.  The oracle refuses rings of total dimension above
-    ORACLE_DIMENSION_CAP with DimensionCapExceeded before any product.
+    repeated, in generator order.  EXHAUSTIVE_ORACLE reads no chains: a
+    product of elements is nonzero only if some product of support
+    monomials is, and a monomial is the product of its generators, so it
+    takes the longest nonzero word in y and the g_i, found by extending
+    each monomial reached by each generator in degree order, at most
+    (g+1)*N*2^g products; the witness is that word.  It refuses rings of
+    total dimension above ORACLE_DIMENSION_CAP with DimensionCapExceeded
+    before any product.
     cup_report runs both modes on small rings and keeps both results, so
     callers that need the cross-check read it there instead of rerunning.
 

@@ -216,7 +216,7 @@ class CupReport:
 
 # Largest total dimension on which cup_report re-derives the cup length
 # with the exhaustive oracle.
-ORACLE_CROSS_CHECK_MAX_DIMENSION = 1 << 10
+ORACLE_CROSS_CHECK_MAX_DIMENSION = 1 << 13
 
 
 def cup_report(space: SpaceId) -> CupReport:

@@ -113,9 +113,10 @@ class SpaceId:
         try:
             fam, rest = spec.split(":", 1)
             n, k = rest.split(",", 1)
-            return SpaceId(Family(fam.strip()), int(n), int(k))
-        except (ValueError, KeyError) as exc:
+            family, n, k = Family(fam.strip()), int(n), int(k)
+        except ValueError as exc:
             raise InvalidParameters(f"cannot parse space spec {spec!r}") from exc
+        return SpaceId(family, n, k)
 
 
 def dimension(space: SpaceId) -> int:

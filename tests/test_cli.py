@@ -140,6 +140,16 @@ def test_table_guards_huge_ranges():
     assert len(res.output.strip().splitlines()) == 1 + 3
 
 
+def test_out_of_range_spec_says_so():
+    for spec in ("RX:3,9", "RV:2,5", "FV:4,2"):
+        res = run("ucharrank", spec)
+        assert res.exit_code == 2, spec
+        assert res.stderr == f"error: parameters out of range for {spec}\n"
+    res = run("ucharrank", "RX:3")
+    assert res.exit_code == 2
+    assert res.stderr == "error: cannot parse space spec 'RX:3'\n"
+
+
 def test_usage_errors_print_one_error_line():
     for args in (("table", "ucharrank", "XX", "--n", "3"), ("table",), ("nosuch",),
                  ("verify", "--mx-n", "3")):

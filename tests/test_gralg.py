@@ -245,10 +245,10 @@ def random_presentations(draw):
     """Custom rings: optional truncation, random degrees, optional doubling
     chains, and undetermined squares when truncated."""
     if draw(st.booleans()):
-        trunc = Trunc(draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+        trunc = Trunc(draw(st.integers(1, 3)), draw(st.integers(1, 9)))
     else:
         trunc = None
-    degrees = draw(st.lists(st.integers(1, 6), min_size=0, max_size=5))
+    degrees = draw(st.lists(st.integers(1, 12), min_size=0, max_size=8))
     labels = sorted(set(degrees))
     rules = [SQ_ZERO] + ([SQ_UNDETERMINED] if trunc is not None else [])
     gens = []
@@ -269,6 +269,45 @@ def test_cup_modes_agree_on_random_presentations(p):
     b = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
     assert a.value == b.value
     assert a.caveat == b.caveat
+
+
+def _assert_witness_word_is_nonzero(p):
+    res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+    factor_of = {f"{p.symbol}{j}": p.gen(j) for j in p.labels}
+    if p.order > 1:
+        factor_of[p.y_symbol] = p.y_power(1)
+    product = p.one()
+    for name in res.witness:
+        product = product * factor_of[name]
+    assert len(res.witness) == res.value
+    assert not product.is_zero()
+
+
+def test_oracle_witness_is_a_nonzero_generator_word_on_catalog():
+    for spec in _CATALOG:
+        _assert_witness_word_is_nonzero(P(spec))
+
+
+@given(random_presentations())
+@settings(max_examples=80, deadline=None)
+def test_oracle_witness_is_a_nonzero_generator_word(p):
+    _assert_witness_word_is_nonzero(p)
+
+
+def test_oracle_makes_at_most_one_product_per_monomial_and_generator(monkeypatch):
+    calls = []
+    mul_codes = AlgebraPresentation.mul_codes
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul_codes(self, a, b)
+
+    monkeypatch.setattr(AlgebraPresentation, "mul_codes", counted)
+    for spec in ("RX:9,8", "CV:9,9"):
+        p = P(spec)
+        calls.clear()
+        assert cup_length(p, CupMode.EXHAUSTIVE_ORACLE).value == cup_length(p).value
+        assert 0 < len(calls) <= (p.num_gens + 1) * p.total_dimension, spec
 
 
 @given(random_presentations())

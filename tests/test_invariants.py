@@ -189,7 +189,7 @@ def test_cup_report_keeps_its_oracle_run_and_checks_the_caveat(monkeypatch):
 
     report = cup_report(SpaceId.parse("RX:5,2"))
     assert report.oracle is not None and report.oracle.value == report.exact.value
-    assert cup_report(SpaceId.parse("RV:16,15")).oracle is None  # 2^15 > 2^10
+    assert cup_report(SpaceId.parse("RV:16,15")).oracle is None  # 2^15 > 2^13
 
     def caveat_flipped(p, mode=CupMode.GENERATOR_SEARCH):
         res = cup_length(p, mode)
