@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 import click
@@ -143,17 +142,17 @@ def ucharrank_command(ctx: click.Context, space_spec: str) -> None:
 def cohomology(ctx: click.Context, space_spec: str, max_deg: int | None,
                emit_presentation: bool) -> None:
     """Generators, truncation and mod-2 Betti series of SPACE_SPEC."""
+    if max_deg is not None and max_deg < 0:
+        raise InvalidParameters("--max-deg must be nonnegative")
     space = SpaceId.parse(space_spec)
     p = presentation(space)
     result = presentation_to_dict(p)
     if emit_presentation:
         result["space"] = str(space)
     else:
-        series = poincare(p)
+        series = poincare(p, max_deg)
         if max_deg is not None:
-            if max_deg < 0:
-                raise InvalidParameters("--max-deg must be nonnegative")
-            series = [series[d] if d < len(series) else 0 for d in range(max_deg + 1)]
+            series += [0] * (max_deg + 1 - len(series))
         result.update(series=series, top_degree=p.top_degree, dimension=dimension(space))
     payload = {
         "schema": SCHEMA,
@@ -246,6 +245,9 @@ def _map_grid(fn, items: list, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool pulls in multiprocessing, which a query never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

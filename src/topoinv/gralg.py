@@ -224,6 +224,10 @@ class AlgebraPresentation:
     def _mask_degree_cache(self) -> dict[int, int]:
         return {0: 0}
 
+    @cached_property
+    def _factor_options_cache(self) -> dict[int, tuple[int, list, range]]:
+        return {}
+
     def monomial_name(self, code: int) -> str:
         y_exp, labels = self.unpack(code)
         parts = []
@@ -383,16 +387,17 @@ class Element:
 # -- ring operations ---------------------------------------------------------
 
 
-def poincare(p: AlgebraPresentation) -> list[int]:
-    """Dimension of each graded piece, indexed by degree up to the top."""
-    coeffs = [0] * (p.top_degree + 1)
-    if p.trunc is not None:
-        for e in range(p.order):
-            coeffs[e * p.trunc.degree] = 1
-    else:
-        coeffs[0] = 1
+def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
+    """Dimension of each graded piece, indexed by degree up to the top
+    degree, or up to max_deg when that is lower."""
+    top = p.top_degree if max_deg is None else min(max_deg, p.top_degree)
+    coeffs = [0] * (top + 1)
+    for e in range(p.order):
+        if e * p.y_degree > top:
+            break
+        coeffs[e * p.y_degree] = 1
     for g in p.simple_gens:
-        for d in range(len(coeffs) - 1, g.degree - 1, -1):
+        for d in range(top, g.degree - 1, -1):
             coeffs[d] += coeffs[d - g.degree]
     return coeffs
 
@@ -400,116 +405,101 @@ def poincare(p: AlgebraPresentation) -> list[int]:
 # -- Steenrod squares --------------------------------------------------------
 
 
-def _factor_options(
-    p: AlgebraPresentation, kind: str, value: int, budget: int
-) -> tuple[list[tuple[int, int]], range]:
-    """Determined Steenrod options (t, resulting code) for a single factor.
+def _factor_options(p: AlgebraPresentation, factor: int) -> tuple[int, list, range]:
+    """(degree, determined options (t, Sq^t code) sorted by t, undetermined t
+    range) of one factor code, y^e or a single generator; cached on p."""
+    got = p._factor_options_cache.get(factor)
+    if got is not None:
+        return got
+    mask = factor >> _Y_BITS
+    undetermined = range(0)
+    if not mask:
+        e, d = factor & _Y_MASK, p.y_degree
+        options = [(s * d, p.pack(e + s, 0)) for s in range(e + 1)
+                   if (e & s) == s and e + s < p.order]
+    elif p.steenrod_rule == "borel":
+        q = p.labels[mask.bit_length() - 1]
+        targets = ((t, p._bit_of_label.get(q + t)) for t in range(q + 1) if (q & t) == t)
+        options = [(t, p.pack(0, 1 << bit)) for t, bit in targets if bit is not None]
+    else:
+        # endpoints rule: only Sq^0 and the top square are defined on a generator
+        bit = mask.bit_length() - 1
+        deg, rule = p._degree_of_bit[bit], p._rule_of_bit[bit]
+        options = [(0, factor)] + ([(deg, p.pack(0, 1 << rule))] if rule >= 0 else [])
+        undetermined = range(1, deg)
+    got = p._factor_options_cache[factor] = (p.monomial_degree(factor), options, undetermined)
+    return got
 
-    Returns the option list sorted by t and the range of t values whose
-    action on this factor is undetermined.
-    """
-    if kind == "y":
-        e = value
-        d = p.trunc.degree
-        options = []
-        for s in range(0, budget // d + 1):
-            if s and not ((e & s) == s):
+
+def _cartan_step(track: dict[int, set[int]], options, lo: int, hi: int, mul_codes,
+                 cancel: bool) -> dict[int, set[int]]:
+    """Every state {budget b: codes} times every option (t, piece) with
+    lo <= b + t <= hi; mod 2 when cancel, a plain union otherwise."""
+    out: dict[int, set[int]] = {}
+    for b, codes in track.items():
+        for t, piece in options:
+            if b + t > hi:
+                break
+            if b + t < lo:
                 continue
-            if e + s >= p.order:
-                continue
-            options.append((s * d, p.pack(e + s, 0)))
-        return options, range(0)
-    bit = value
-    deg = p._degree_of_bit[bit]
-    if p.steenrod_rule == "borel":
-        q = p.labels[bit]
-        options = [(0, p.pack(0, 1 << bit))]
-        bit_of = p._bit_of_label
-        for t in range(1, min(budget, q) + 1):
-            if (q & t) != t:
-                continue
-            target = bit_of.get(q + t)
-            if target is not None:
-                options.append((t, p.pack(0, 1 << target)))
-        return options, range(0)
-    # endpoints rule: only Sq^0 and the top square are defined on a generator
-    options = [(0, p.pack(0, 1 << bit))]
-    rule = p._rule_of_bit[bit]
-    if deg <= budget and rule >= 0:
-        options.append((deg, p.pack(0, 1 << rule)))
-    return options, range(1, min(budget, deg - 1) + 1)
+            acc = out.setdefault(b + t, set())
+            for pc in codes:
+                prod = mul_codes(pc, piece)
+                if prod is not None:
+                    if cancel and prod in acc:
+                        acc.discard(prod)
+                    else:
+                        acc.add(prod)
+    return out
 
 
 def _sq_monomial_cartan(p: AlgebraPresentation, i: int, code: int) -> set[int]:
     """Cartan expansion of Sq^i over the factors of one monomial, 0 < i < deg.
 
-    dp tracks mod-2 sums over fully determined splittings.  live_clean and
-    live_undet track (without cancellation) the nonzero products of the
-    determined factors along splittings that are respectively fully
-    determined and tainted by an undetermined factor; a tainted splitting
-    surviving to the full budget makes the answer undetermined.
+    One sparse pass over the factors (y^e, then the generators); each track
+    maps the budget b spent so far to a set of codes, and a budget from
+    which the factors left cannot reach i (Sq^t vanishes above the degree)
+    is dropped.  `done` is the mod-2 sum over fully determined splittings.
+    Only an endpoint-rule generator of degree >= 2 has an undetermined
+    range; while one is ahead, `clean` carries the nonzero products of
+    determined splittings without cancellation, for it to taint.  `tainted`
+    carries the products along splittings through an undetermined action,
+    and one reaching the full budget makes the answer undetermined.  On
+    Borel-rule rings and y-powers only `done` runs.
     """
-    y_exp = code & _Y_MASK
-    mask = code >> _Y_BITS
-    factors: list[tuple[str, int]] = []
-    if y_exp:
-        factors.append(("y", y_exp))
-    m = mask
+    factors = [code & _Y_MASK] if code & _Y_MASK else []
+    m = code >> _Y_BITS
     while m:
-        low = m & -m
-        factors.append(("g", low.bit_length() - 1))
-        m ^= low
-
-    dp: list[set[int]] = [set() for _ in range(i + 1)]
-    live_clean: list[set[int]] = [set() for _ in range(i + 1)]
-    live_undet: list[set[int]] = [set() for _ in range(i + 1)]
-    dp[0].add(0)
-    live_clean[0].add(0)
+        factors.append((m & -m) << _Y_BITS)
+        m &= m - 1
+    rest = p.monomial_degree(code)
+    steps, last_undetermined = [], -1
+    for f in factors:
+        deg, options, undetermined = _factor_options(p, f)
+        rest -= deg
+        if undetermined:
+            last_undetermined = len(steps)
+        steps.append((options, undetermined, i - rest))
 
     mul_codes = p.mul_codes
-    for kind, value in factors:
-        options, undet_ts = _factor_options(p, kind, value, i)
-        ndp: list[set[int]] = [set() for _ in range(i + 1)]
-        nlc: list[set[int]] = [set() for _ in range(i + 1)]
-        nlu: list[set[int]] = [set() for _ in range(i + 1)]
-        for b in range(i + 1):
-            cur, lc, lu = dp[b], live_clean[b], live_undet[b]
-            if not (cur or lc or lu):
-                continue
-            for t, piece in options:
-                nb = b + t
-                if nb > i:
-                    break
-                out = ndp[nb]
-                for pc in cur:
-                    prod = mul_codes(pc, piece)
-                    if prod is not None:
-                        if prod in out:
-                            out.discard(prod)
-                        else:
-                            out.add(prod)
-                for pc in lc:
-                    prod = mul_codes(pc, piece)
-                    if prod is not None:
-                        nlc[nb].add(prod)
-                for pc in lu:
-                    prod = mul_codes(pc, piece)
-                    if prod is not None:
-                        nlu[nb].add(prod)
-            if lc or lu:
-                for t in undet_ts:
-                    nb = b + t
-                    if nb > i:
-                        break
-                    nlu[nb] |= lc
-                    nlu[nb] |= lu
-        dp, live_clean, live_undet = ndp, nlc, nlu
-
-    if live_undet[i]:
+    done: dict[int, set[int]] = {0: {0}}
+    clean: dict[int, set[int]] = {0: {0}}
+    tainted: dict[int, set[int]] = {}
+    for k, (options, undetermined, lo) in enumerate(steps):
+        next_tainted = _cartan_step(tainted, options, lo, i, mul_codes, False)
+        for track in (clean, tainted) if undetermined else ():
+            for b, codes in track.items():
+                for nb in range(max(lo, b + undetermined.start), min(i + 1, b + undetermined.stop)):
+                    next_tainted.setdefault(nb, set()).update(codes)
+        if k < last_undetermined:
+            clean = _cartan_step(clean, options, lo, i, mul_codes, False)
+        done = _cartan_step(done, options, lo, i, mul_codes, True)
+        tainted = next_tainted
+    if tainted.get(i):
         raise UnsupportedPresentation(
             f"Sq^{i} on {p.monomial_name(code)} involves an undetermined generator action"
         )
-    return dp[i]
+    return done.get(i, set())
 
 
 def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:

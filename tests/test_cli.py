@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import topoinv
 from topoinv.cli import main
 from topoinv.spaces import catalog
 
@@ -64,6 +69,14 @@ def test_cohomology_max_deg_truncates_and_pads():
     assert data["result"]["series"] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     wide = payload(run("cohomology", "RX:5,2", "--max-deg", "9"))
     assert wide["result"]["series"] == [1] * 8 + [0, 0]
+
+
+def test_cohomology_max_deg_builds_only_the_printed_degrees():
+    # CV:600,600 has top degree 360000; the series is cut before it is built
+    data = payload(run("cohomology", "CV:600,600", "--max-deg", "3"))
+    assert data["result"]["series"] == [1, 1, 0, 1]
+    assert data["result"]["top_degree"] == 360000
+    assert run("cohomology", "CV:600,600", "--max-deg", "-1").exit_code == 2
 
 
 def test_cohomology_emit_presentation():
@@ -195,11 +208,17 @@ def test_table_cuplength_runs_no_oracle(monkeypatch):
     assert calls == []
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    code = ("import sys, topoinv.cli; print([m for m in sys.modules "
+            "if m in ('multiprocessing', 'concurrent.futures.process')])")
+    src = str(Path(topoinv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_jobs_clamped_to_cpu_count_and_grid(monkeypatch):
-    import os
-
-    import topoinv.cli
-
     pools = []
 
     class SerialPool:
@@ -215,7 +234,7 @@ def test_jobs_clamped_to_cpu_count_and_grid(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(topoinv.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     args = ("table", "ucharrank", "RX", "--n", "3..10", "--format", "csv")
     assert run(*args, "--jobs", "100000").output == run(*args).output

@@ -318,6 +318,8 @@ def test_poincare_matches_basis_degree_histogram(p):
     for code in p.basis_codes():
         histogram[p.monomial_degree(code)] += 1
     assert series == histogram
+    for max_deg in (0, p.top_degree // 2, p.top_degree + 3):
+        assert poincare(p, max_deg) == series[: max_deg + 1]
 
 
 # -- undetermined squares --------------------------------------------------------

@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
+from test_gralg import random_presentations
 from topoinv.errors import MixedPresentations, UnsupportedPresentation
-from topoinv.gralg import Element, steenrod_sq
+from topoinv.gralg import AlgebraPresentation, Element, SimpleGenerator, steenrod_sq
 from topoinv.parity import binom_parity
 from topoinv.spaces import Family, SpaceId, catalog, presentation
 
@@ -143,8 +146,6 @@ def test_steenrod_checks_presentation_membership():
 
 def test_endpoint_rule_with_square_target():
     # custom ring: c of degree 1, a of degree 2 with a^2 = b, b of degree 4
-    from topoinv.gralg import AlgebraPresentation, SimpleGenerator
-
     p = AlgebraPresentation(
         None,
         (
@@ -176,3 +177,129 @@ def test_generator_rule_equals_parity_formula():
                 assert got == p.gen(g.label)
             else:
                 assert got.is_zero()
+
+
+# -- differential check of the Cartan pass ---------------------------------------
+
+_UNDETERMINED = object()
+
+
+def _factor_sq(p, factor, t):
+    """Sq^t of one factor, ("y", e) or ("g", label), straight from the
+    rules: a monomial code, None when it vanishes, or _UNDETERMINED."""
+    kind, value = factor
+    if kind == "y":
+        s, rem = divmod(t, p.y_degree)
+        if rem or math.comb(value, s) % 2 == 0 or value + s >= p.order:
+            return None
+        return p.pack(value + s, 0)
+    bit = p.labels.index(value)
+    degree = p.simple_gens[bit].degree
+    if t == 0:
+        return p.pack(0, 1 << bit)
+    if t > degree:
+        return None
+    if p.steenrod_rule == "borel":
+        if math.comb(value, t) % 2 == 0 or value + t not in p.labels:
+            return None
+        return p.pack(0, 1 << p.labels.index(value + t))
+    if t < degree:
+        return _UNDETERMINED
+    return p.mul_codes(p.pack(0, 1 << bit), p.pack(0, 1 << bit))  # Sq^deg x = x^2
+
+
+def _cartan_brute_force(p, i, code):
+    """Sq^i of one monomial as the mod-2 sum over every splitting
+    t_1 + ... + t_m = i across its factors; refuses when a splitting whose
+    determined factors have a nonzero product goes through an undetermined
+    action."""
+    e, labels = p.unpack(code)
+    if p.trunc is not None and labels:
+        raise UnsupportedPresentation("generators in a truncated presentation")
+    factors = ([("y", e)] if e else []) + [("g", j) for j in labels]
+    degrees = [value * p.y_degree if kind == "y" else p.simple_gens[p.labels.index(value)].degree
+               for kind, value in factors]
+    # rest[k]: the largest t the factors from k on can take, since Sq^t
+    # vanishes above the degree
+    rest = [sum(degrees[k:]) for k in range(len(factors) + 1)]
+    sq = [[_factor_sq(p, f, t) for t in range(d + 1)] for f, d in zip(factors, degrees)]
+    total = set()
+
+    def walk(k, budget, product, tainted):
+        if k == len(factors):
+            if tainted:
+                raise UnsupportedPresentation("undetermined splitting")
+            total.symmetric_difference_update({product})
+            return
+        for t in range(max(0, budget - rest[k + 1]), min(budget, degrees[k]) + 1):
+            value = sq[k][t]
+            if value is _UNDETERMINED:
+                walk(k + 1, budget - t, product, True)
+            elif value is not None:
+                nxt = p.mul_codes(product, value)
+                if nxt is not None:
+                    walk(k + 1, budget - t, nxt, tainted)
+
+    walk(0, i, 0, False)
+    return Element(p, frozenset(total))
+
+
+def _outcome(p, i, code, sq):
+    try:
+        return sq(p, i, code)
+    except UnsupportedPresentation:
+        return "refused"
+
+
+def _sq_monomial(p, i, code):
+    return steenrod_sq(p, i, Element(p, frozenset((code,))))
+
+
+def _assert_cartan_matches_brute_force(p):
+    for code in p.basis_codes():
+        for i in range(1, p.monomial_degree(code)):
+            want = _outcome(p, i, code, _cartan_brute_force)
+            assert _outcome(p, i, code, _sq_monomial) == want, (p.monomial_name(code), i)
+
+
+def test_cartan_pass_matches_brute_force_on_catalog():
+    for s in catalog(list(Family), range(1, 8)):
+        p = presentation(s)
+        if p.total_dimension <= 4096:
+            _assert_cartan_matches_brute_force(p)
+
+
+@given(random_presentations())
+# g6^2 = g12: Sq^i(g6 g12) for 12 <= i <= 17 pairs Sq^6 g6 = g12 with an
+# undetermined Sq^(i-6) g12, so the clean track must reach the last factor
+@example(AlgebraPresentation(None, (SimpleGenerator(6, 6, 12), SimpleGenerator(12, 12, "zero"))))
+@settings(max_examples=80, deadline=None)
+def test_cartan_pass_matches_brute_force_on_random_presentations(p):
+    _assert_cartan_matches_brute_force(p)
+
+
+def test_cartan_products_on_borel_rings(monkeypatch):
+    # a Borel-rule ring has no undetermined action, so Sq runs only the
+    # cancelling track, over the budgets the factors left can still fill
+    # (148,497 products here); a second, non-cancelling track over every
+    # budget makes 531,623
+    calls = []
+    mul_codes = AlgebraPresentation.mul_codes
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul_codes(self, a, b)
+
+    monkeypatch.setattr(AlgebraPresentation, "mul_codes", counted)
+    rng = random.Random(5)
+    for k in range(2, 12):
+        p = P(f"RV:12,{k}")
+        for _ in range(6):
+            a = _random_element(p, rng, 2)
+            b = _random_element(p, rng, 2)
+            i = rng.randrange(1, p.top_degree)
+            rhs = p.zero()
+            for t in range(i + 1):
+                rhs = rhs + steenrod_sq(p, t, a) * steenrod_sq(p, i - t, b)
+            assert steenrod_sq(p, i, a * b) == rhs
+    assert len(calls) <= 0.55 * 531623
