@@ -10,11 +10,9 @@ ideals.
 """
 
 from .errors import (
-    DegreeMismatch,
     DimensionCapExceeded,
     InvalidParameters,
     MixedPresentations,
-    NoIndex,
     TopoinvError,
     UndeterminedSquare,
     UnsupportedPresentation,
@@ -22,8 +20,6 @@ from .errors import (
 )
 from .parity import (
     IndexFamily,
-    NIndex,
-    ParityRow,
     binom_divides,
     binom_parity,
     n_index,
@@ -39,10 +35,7 @@ from .gralg import (
     SimpleGenerator,
     Trunc,
     cup_length,
-    element_from_dict,
-    element_to_dict,
     poincare,
-    presentation_from_dict,
     presentation_to_dict,
     steenrod_sq,
 )
@@ -59,14 +52,12 @@ from .equivariant import (
     FeasibilityVerdict,
     GSpace,
     IndexIdeal,
-    IntegralIndexComponent,
     Sphere,
     StiefelH,
     SymplecticGroup,
     feasibility,
     ideal_contains,
     index_sphere,
-    index_stiefel_integral_component,
     index_stiefel_mod2,
     parse_gspace,
 )

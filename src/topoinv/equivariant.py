@@ -1,34 +1,32 @@
 """Index ideals for unit-quaternion actions and map-feasibility verdicts.
 
-The mod-2 index of each space here is a principal ideal in a polynomial
-ring on one degree-4 generator, so it is stored as the exponent alone;
-containment of ideals is then a single integer comparison.  Exponents are
-in units of the generator: the sphere S^{4n-1} has exponent n (total
-degree 4n).  Verdicts distinguish exact characterizations ("possible" /
-"impossible") from necessary-condition screens ("not-ruled-out").
+The mod-2 index of each space here is a principal ideal in the polynomial
+ring on the one degree-4 class alpha, so it is stored as the exponent
+alone; containment of ideals is then a single integer comparison.  The
+sphere S^{4n-1} has exponent n (total degree 4n), and the k-frame space
+HV:n,k has the truncation index N of the CQ family.  Verdicts distinguish
+exact characterizations ("possible" / "impossible") from
+necessary-condition screens ("not-ruled-out").
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DegreeMismatch, InvalidParameters
+from .errors import InvalidParameters
 from .parity import IndexFamily, binom_divides, n_index
 
 __all__ = [
     "FeasibilityVerdict",
     "GSpace",
     "IndexIdeal",
-    "IntegralIndexComponent",
     "Sphere",
     "StiefelH",
     "SymplecticGroup",
     "feasibility",
     "ideal_contains",
     "index_sphere",
-    "index_stiefel_integral_component",
     "index_stiefel_mod2",
     "parse_gspace",
 ]
@@ -36,26 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IndexIdeal:
-    """Principal ideal <alpha^exponent>, |alpha| = generator_degree."""
+    """Principal ideal <alpha^exponent>, |alpha| = 4."""
 
-    generator_degree: int
     exponent: int
 
     def __post_init__(self):
-        if self.exponent < 1 or self.generator_degree < 1:
+        if self.exponent < 1:
             raise InvalidParameters(f"bad index ideal {self}")
-
-    @property
-    def total_degree(self) -> int:
-        return self.generator_degree * self.exponent
-
-
-@dataclass(frozen=True)
-class IntegralIndexComponent:
-    """The single computed integral degree: Z * multiplier * k^(degree/4)."""
-
-    degree: int
-    multiplier: int
 
 
 @dataclass(frozen=True)
@@ -122,30 +107,18 @@ def index_sphere(n: int) -> IndexIdeal:
     """Index of the free action on S^{4n-1}: <alpha^n> in units of |alpha| = 4."""
     if n < 1:
         raise InvalidParameters(f"needs n >= 1, got {n}")
-    return IndexIdeal(4, n)
+    return IndexIdeal(n)
 
 
 def index_stiefel_mod2(n: int, k: int) -> IndexIdeal:
     """Mod-2 index of the k-frame space: exponent is the truncation index N."""
     if not 1 <= k <= n:
         raise InvalidParameters(f"needs 1 <= k <= n, got ({n}, {k})")
-    return IndexIdeal(4, n_index(IndexFamily.CQ, n, k).value)
-
-
-def index_stiefel_integral_component(n: int, k: int) -> IntegralIndexComponent:
-    """Integral index in degree 4(n-k+1): the bottom fiber class transgresses
-    onto binom(n, n-k+1) times the corresponding power of the generator."""
-    if not 1 <= k <= n:
-        raise InvalidParameters(f"needs 1 <= k <= n, got ({n}, {k})")
-    return IntegralIndexComponent(4 * (n - k + 1), math.comb(n, n - k + 1))
+    return IndexIdeal(n_index(IndexFamily.CQ, n, k))
 
 
 def ideal_contains(a: IndexIdeal, b: IndexIdeal) -> bool:
     """Whether <alpha^a> contains <alpha^b> (true iff a.exponent <= b.exponent)."""
-    if a.generator_degree != b.generator_degree:
-        raise DegreeMismatch(
-            f"generator degrees differ: {a.generator_degree} vs {b.generator_degree}"
-        )
     return a.exponent <= b.exponent
 
 

@@ -11,10 +11,6 @@ class InvalidParameters(TopoinvError, ValueError):
     """Parameters outside the domain of the requested operation."""
 
 
-class NoIndex(TopoinvError):
-    """No qualifying index exists in the search range."""
-
-
 class MixedPresentations(TopoinvError):
     """Elements of different presentations were combined."""
 
@@ -36,8 +32,4 @@ class DimensionCapExceeded(TopoinvError):
 
 
 class WorkCapExceeded(TopoinvError):
-    """Estimated spectral-sequence work exceeds its fixed cap."""
-
-
-class DegreeMismatch(TopoinvError):
-    """Index ideals over generators of different degrees were compared."""
+    """Estimated work of a spectral check or a Poincare series exceeds its fixed cap."""

@@ -9,7 +9,8 @@ chains j -> 2j -> 4j -> ... and the cup length has a closed form over
 them; an oracle re-derives it over generator words in (g+1)*N*2^g
 products.  Monomials are packed into single ints (a generator bitmask
 shifted over the y-exponent), so products, the oracle and Steenrod
-squares all run on machine words.
+squares all run on machine words.  The y-exponent field of a code is
+sized per ring, to the bits of its truncation order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappush, heappop
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DimensionCapExceeded,
@@ -26,6 +27,7 @@ from .errors import (
     MixedPresentations,
     UndeterminedSquare,
     UnsupportedPresentation,
+    WorkCapExceeded,
 )
 
 __all__ = [
@@ -38,10 +40,7 @@ __all__ = [
     "SimpleGenerator",
     "Trunc",
     "cup_length",
-    "element_from_dict",
-    "element_to_dict",
     "poincare",
-    "presentation_from_dict",
     "presentation_to_dict",
     "steenrod_sq",
 ]
@@ -49,9 +48,11 @@ __all__ = [
 SQ_ZERO = "zero"
 SQ_UNDETERMINED = "undetermined"
 
-# Monomial code layout: (generator bitmask << _Y_BITS) | y_exponent.
-_Y_BITS = 9
-_Y_MASK = (1 << _Y_BITS) - 1
+# Largest total Z2-dimension the exhaustive cup-length oracle accepts.
+ORACLE_DIMENSION_CAP = 1 << 14
+# Largest (generators + 1) * (series length) poincare accepts: one pass per
+# generator, and the CLI prints one JSON entry per degree.
+SERIES_WORK_CAP = 1 << 20
 
 # Internal square-rule encoding per generator bit.
 _RULE_ZERO = -1
@@ -102,8 +103,11 @@ class AlgebraPresentation:
         if self.trunc is not None:
             if self.trunc.degree < 1 or self.trunc.order < 1:
                 raise InvalidParameters(f"bad truncation {self.trunc}")
-            if self.trunc.order > _Y_MASK:
-                raise InvalidParameters(f"truncation order {self.trunc.order} too large")
+        order = self.trunc.order if self.trunc is not None else 1
+        width = order.bit_length()
+        # Monomial code layout: (generator bitmask << width) | y_exponent, with
+        # y_exponent < order.  A plain attribute: mul_codes reads it per call.
+        object.__setattr__(self, "_y_field", (width, (1 << width) - 1, order))
         labels = [g.label for g in self.simple_gens]
         if labels != sorted(set(labels)):
             raise InvalidParameters("generator labels must be strictly increasing")
@@ -140,12 +144,18 @@ class AlgebraPresentation:
             for g in self.simple_gens:
                 if g.degree != g.label:
                     raise InvalidParameters("borel rule requires degree == label")
+                # Sq^q z_q = z_2q (zero without z_2q) must be the square
+                if g.square != (2 * g.label if 2 * g.label in degree_of else SQ_ZERO):
+                    raise InvalidParameters(
+                        f"borel rule needs the square of generator {g.label} to be "
+                        f"Sq^{g.label} of it"
+                    )
 
     # -- structure ---------------------------------------------------------
 
     @cached_property
     def order(self) -> int:
-        return self.trunc.order if self.trunc is not None else 1
+        return self._y_field[2]
 
     @cached_property
     def y_degree(self) -> int:
@@ -191,12 +201,13 @@ class AlgebraPresentation:
     # -- monomials ---------------------------------------------------------
 
     def pack(self, y_exp: int, mask: int) -> int:
-        return (mask << _Y_BITS) | y_exp
+        return (mask << self._y_field[0]) | y_exp
 
     def unpack(self, code: int) -> tuple[int, tuple[int, ...]]:
         """Return (y_exp, generator labels) of a monomial code."""
-        y_exp = code & _Y_MASK
-        mask = code >> _Y_BITS
+        width, y_mask, _ = self._y_field
+        y_exp = code & y_mask
+        mask = code >> width
         labels = []
         while mask:
             low = mask & -mask
@@ -205,8 +216,9 @@ class AlgebraPresentation:
         return y_exp, tuple(labels)
 
     def monomial_degree(self, code: int) -> int:
-        deg = (code & _Y_MASK) * self.y_degree
-        mask = code >> _Y_BITS
+        width, y_mask, _ = self._y_field
+        deg = (code & y_mask) * self.y_degree
+        mask = code >> width
         cache = self._mask_degree_cache
         got = cache.get(mask)
         if got is None:
@@ -245,11 +257,12 @@ class AlgebraPresentation:
         until the result is square-free again; y-exponents at or above the
         truncation order kill the monomial.
         """
-        y = (a & _Y_MASK) + (b & _Y_MASK)
-        if self.trunc is not None and y >= self.order:
+        width, y_mask, order = self._y_field
+        y = (a & y_mask) + (b & y_mask)
+        if y >= order:
             return None
-        ma = a >> _Y_BITS
-        mb = b >> _Y_BITS
+        ma = a >> width
+        mb = b >> width
         mask = ma ^ mb
         dup = ma & mb
         if dup:
@@ -273,11 +286,12 @@ class AlgebraPresentation:
                     heappush(queue, rule)
                 else:
                     mask |= bit
-        return (mask << _Y_BITS) | y
+        return (mask << width) | y
 
     def basis_codes(self) -> Iterator[int]:
+        width = self._y_field[0]
         for mask in range(1 << self.num_gens):
-            base = mask << _Y_BITS
+            base = mask << width
             for e in range(self.order):
                 yield base | e
 
@@ -389,7 +403,19 @@ class Element:
 
 def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     """Dimension of each graded piece, indexed by degree up to the top
-    degree, or up to max_deg when that is lower."""
+    degree, or up to max_deg when that is lower.
+
+    The requested length is max_deg + 1, or the top degree + 1 without
+    max_deg, so it also bounds a caller's zero padding up to max_deg.  When
+    (generators + 1) times that length exceeds SERIES_WORK_CAP it raises
+    WorkCapExceeded before anything is built.
+    """
+    length = (p.top_degree if max_deg is None else max_deg) + 1
+    work = (p.num_gens + 1) * length
+    if work > SERIES_WORK_CAP:
+        raise WorkCapExceeded(
+            f"series of {length} degrees: work {work} exceeds cap {SERIES_WORK_CAP}"
+        )
     top = p.top_degree if max_deg is None else min(max_deg, p.top_degree)
     coeffs = [0] * (top + 1)
     for e in range(p.order):
@@ -411,10 +437,11 @@ def _factor_options(p: AlgebraPresentation, factor: int) -> tuple[int, list, ran
     got = p._factor_options_cache.get(factor)
     if got is not None:
         return got
-    mask = factor >> _Y_BITS
+    width, y_mask, _ = p._y_field
+    mask = factor >> width
     undetermined = range(0)
     if not mask:
-        e, d = factor & _Y_MASK, p.y_degree
+        e, d = factor & y_mask, p.y_degree
         options = [(s * d, p.pack(e + s, 0)) for s in range(e + 1)
                    if (e & s) == s and e + s < p.order]
     elif p.steenrod_rule == "borel":
@@ -454,7 +481,7 @@ def _cartan_step(track: dict[int, set[int]], options, lo: int, hi: int, mul_code
 
 
 def _sq_monomial_cartan(p: AlgebraPresentation, i: int, code: int) -> set[int]:
-    """Cartan expansion of Sq^i over the factors of one monomial, 0 < i < deg.
+    """Cartan expansion of Sq^i over the factors of one monomial, 0 < i <= deg.
 
     One sparse pass over the factors (y^e, then the generators); each track
     maps the budget b spent so far to a set of codes, and a budget from
@@ -465,12 +492,14 @@ def _sq_monomial_cartan(p: AlgebraPresentation, i: int, code: int) -> set[int]:
     determined splittings without cancellation, for it to taint.  `tainted`
     carries the products along splittings through an undetermined action,
     and one reaching the full budget makes the answer undetermined.  On
-    Borel-rule rings and y-powers only `done` runs.
+    Borel-rule rings and y-powers only `done` runs.  At i = deg every factor
+    takes its top square, so the pass gives the monomial's square.
     """
-    factors = [code & _Y_MASK] if code & _Y_MASK else []
-    m = code >> _Y_BITS
+    width, y_mask, _ = p._y_field
+    factors = [code & y_mask] if code & y_mask else []
+    m = code >> width
     while m:
-        factors.append((m & -m) << _Y_BITS)
+        factors.append((m & -m) << width)
         m &= m - 1
     rest = p.monomial_degree(code)
     steps, last_undetermined = [], -1
@@ -503,9 +532,12 @@ def _sq_monomial_cartan(p: AlgebraPresentation, i: int, code: int) -> set[int]:
 
 
 def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
-    """Sq^i on an element: Sq^0 = id, vanishing above the degree, squaring
-    at the degree, and the Cartan formula across monomial factors.
+    """Sq^i on an element: Sq^0 = id, vanishing above the degree, and the
+    Cartan formula across monomial factors for every 0 < i <= deg.
 
+    Sq^deg needs no branch of its own: at the degree each factor takes its
+    top square, which is its square in the ring (on "borel" rings the
+    presentation checks z_q^2 = Sq^q z_q), so the pass computes x*x.
     Full generator action is available on presentations carrying the
     "borel" rule; elsewhere only the degreewise-forced values exist and
     anything touching an undetermined intermediate action is refused.
@@ -517,21 +549,15 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
         raise InvalidParameters("Sq index must be nonnegative")
     if i == 0:
         return a
+    width = p._y_field[0]
     acc: set[int] = set()
     for code in sorted(a.codes):
-        if p.trunc is not None and (code >> _Y_BITS):
+        if p.trunc is not None and (code >> width):
             raise UnsupportedPresentation(
                 "Steenrod squares on truncated presentations are only defined on pure powers of y"
             )
-        deg = p.monomial_degree(code)
-        if i > deg:
-            continue
-        if i == deg:
-            prod = p.mul_codes(code, code)
-            pieces = set() if prod is None else {prod}
-        else:
-            pieces = _sq_monomial_cartan(p, i, code)
-        acc ^= pieces
+        if i <= p.monomial_degree(code):
+            acc ^= _sq_monomial_cartan(p, i, code)
     return Element(p, frozenset(acc))
 
 
@@ -569,10 +595,6 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
             caveat = True
         witness += [f"{p.symbol}{g.label}"] * ((1 << length) - 1)
     return CupResult(len(witness), tuple(witness), caveat)
-
-
-# Largest total Z2-dimension the exhaustive cup-length oracle accepts.
-ORACLE_DIMENSION_CAP = 1 << 14
 
 
 def _cup_oracle(p: AlgebraPresentation) -> CupResult:
@@ -659,25 +681,3 @@ def presentation_to_dict(p: AlgebraPresentation) -> dict:
             {"j": g.label, "deg": g.degree, "square": g.square} for g in p.simple_gens
         ],
     }
-
-
-def presentation_from_dict(data: dict, **kwargs: Any) -> AlgebraPresentation:
-    trunc = data.get("trunc")
-    return AlgebraPresentation(
-        trunc=Trunc(trunc["deg"], trunc["N"]) if trunc else None,
-        simple_gens=tuple(
-            SimpleGenerator(g["j"], g["deg"], g["square"]) for g in data["gens"]
-        ),
-        **kwargs,
-    )
-
-
-def element_to_dict(e: Element) -> dict:
-    return {"monomials": [[y, list(labels)] for y, labels in e.monomials()]}
-
-
-def element_from_dict(p: AlgebraPresentation, data: dict) -> Element:
-    acc = p.zero()
-    for y_exp, labels in data["monomials"]:
-        acc = acc + p.monomial(y_exp, labels)
-    return acc

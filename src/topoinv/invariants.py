@@ -122,7 +122,7 @@ def ucharrank_projective_real(space: SpaceId) -> RankResult:
     c = 1 if family is Family.RX else 2
     idx_family = IndexFamily.REAL if family is Family.RX else IndexFamily.FLIP
     m = n - c * k
-    N = n_index(idx_family, n, k).value
+    N = n_index(idx_family, n, k)
     dim = dimension(space)
 
     if m not in (1, 2, 4, 8):
@@ -164,7 +164,7 @@ def ucharrank_projective_CH(space: SpaceId) -> RankResult:
     """Closed formulas for the complex (CX) and quaternionic (HX) projective
     quotients, selected by the parity of binom(n, n-k+1)."""
     n, k = space.n, space.k
-    N = n_index(IndexFamily.CQ, n, k).value
+    N = n_index(IndexFamily.CQ, n, k)
     odd = binom_parity(n, n - k + 1)
     if space.family is Family.CX:
         if odd:

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .errors import InvalidParameters, NoIndex
+from .errors import InvalidParameters
 
 __all__ = [
     "IndexFamily",
-    "NIndex",
-    "ParityRow",
     "binom_divides",
     "binom_parity",
     "n_index",
@@ -33,21 +30,11 @@ def binom_parity(n: int, j: int) -> int:
     return 1 if (n & j) == j else 0
 
 
-@dataclass(frozen=True)
-class ParityRow:
+def parity_row(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle mod 2, i.e. the coefficients of (1+w)^n."""
-
-    n: int
-    bits: tuple[int, ...]
-
-    def ones(self) -> int:
-        return sum(self.bits)
-
-
-def parity_row(n: int) -> ParityRow:
     if n < 0:
         raise InvalidParameters(f"parity_row needs n >= 0, got {n}")
-    return ParityRow(n, tuple(binom_parity(n, j) for j in range(n + 1)))
+    return tuple(binom_parity(n, j) for j in range(n + 1))
 
 
 class IndexFamily(enum.Enum):
@@ -62,51 +49,36 @@ class IndexFamily(enum.Enum):
     CQ = "cq"
 
 
-@dataclass(frozen=True)
-class NIndex:
-    family: IndexFamily
-    n: int
-    k: int
-    value: int
-
-
-def _search(lo: int, hi: int, odd) -> int | None:
-    for j in range(lo, hi + 1):
-        if odd(j):
-            return j
-    return None
-
-
-def n_index(family: IndexFamily, n: int, k: int) -> NIndex:
+def n_index(family: IndexFamily, n: int, k: int) -> int:
     """Least j in the family's range with an odd governing binomial.
 
     REAL: j in [n-k+1, n] with binom(n, j) odd, for 1 < k < n.
     FLIP: j in [n-2k+1, n] with binom(k+j-1, j) odd, for k >= 1, 2k < n.
     CQ:   j in [n-k+1, n] with binom(n, j) odd, for 1 <= k <= n.
 
-    The upper end of every range is j = n.  For REAL and CQ this makes the
-    search total (binom(n, n) = 1); the convention "j <= n" is used even
-    where a strict "j < n" also appears in the literature, since the strict
-    version can fail to produce an index at all.
+    Every search finds an index.  For REAL and CQ the range ends at j = n
+    and binom(n, n) = 1; the convention "j <= n" is used even where a strict
+    "j < n" also appears in the literature, since the strict version can
+    fail to produce an index at all.  For FLIP the range holds 2k
+    consecutive integers, so it contains a multiple j of 2^r, the least
+    power of two with 2^r >= k.  Then k - 1 < 2^r shares no bit with j, so
+    (k - 1) + j adds without carries and, by Lucas, binom(k+j-1, j) is odd.
     """
     if family is IndexFamily.REAL:
         if not 1 < k < n:
             raise InvalidParameters(f"real index needs 1 < k < n, got (n, k) = ({n}, {k})")
-        j = _search(n - k + 1, n, lambda j: binom_parity(n, j))
+        lo, odd = n - k + 1, lambda j: binom_parity(n, j)
     elif family is IndexFamily.FLIP:
         if not (k >= 1 and 2 * k < n):
             raise InvalidParameters(f"flip index needs k >= 1 and 2k < n, got (n, k) = ({n}, {k})")
-        j = _search(n - 2 * k + 1, n, lambda j: binom_parity(k + j - 1, j))
+        lo, odd = n - 2 * k + 1, lambda j: binom_parity(k + j - 1, j)
     elif family is IndexFamily.CQ:
         if not 1 <= k <= n:
             raise InvalidParameters(f"index needs 1 <= k <= n, got (n, k) = ({n}, {k})")
-        j = _search(n - k + 1, n, lambda j: binom_parity(n, j))
+        lo, odd = n - k + 1, lambda j: binom_parity(n, j)
     else:
         raise InvalidParameters(f"unknown index family {family!r}")
-    if j is None:
-        # Unreachable for REAL/CQ; kept for FLIP rather than fabricating a value.
-        raise NoIndex(f"no odd binomial in range for {family.value} (n, k) = ({n}, {k})")
-    return NIndex(family, n, k, j)
+    return next(j for j in range(lo, n + 1) if odd(j))
 
 
 def binom_divides(n: int, k: int, m: int, l: int) -> bool:

@@ -162,7 +162,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
     if fam in (Family.RX, Family.FV):
         c = 1 if fam is Family.RX else 2
         idx_family = IndexFamily.REAL if fam is Family.RX else IndexFamily.FLIP
-        order = n_index(idx_family, n, k).value
+        order = n_index(idx_family, n, k)
         omitted = order - 1
         gens = tuple(
             SimpleGenerator(j, j, _real_square(j, n - 1, omitted))
@@ -171,7 +171,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
         )
         return AlgebraPresentation(Trunc(1, order), gens, symbol=symbol, y_symbol=y_symbol)
 
-    order = n_index(IndexFamily.CQ, n, k).value
+    order = n_index(IndexFamily.CQ, n, k)
     d = 2 if fam is Family.CX else 4
     gens = tuple(
         SimpleGenerator(j, d * j - 1)
@@ -289,8 +289,8 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     # t * m = d + 1, so every generator left in `odd` is visible
     first_page = min((t * m for _, m in odd), default=0)
 
-    series = poincare(presentation(space))
-    pres = tuple(series[d] if d < len(series) else 0 for d in range(w + 1))
+    series = poincare(presentation(space), w)
+    pres = tuple(series) + (0,) * (w + 1 - len(series))
 
     return SSReport(
         space=space,

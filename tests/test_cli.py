@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -77,6 +78,32 @@ def test_cohomology_max_deg_builds_only_the_printed_degrees():
     assert data["result"]["series"] == [1, 1, 0, 1]
     assert data["result"]["top_degree"] == 360000
     assert run("cohomology", "CV:600,600", "--max-deg", "-1").exit_code == 2
+
+
+def test_cohomology_of_a_large_truncation_order():
+    # y^599 needs ten bits of a monomial code
+    data = payload(run("cohomology", "RX:600,2", "--max-deg", "3"))
+    assert data["result"]["series"] == [1, 1, 1, 1]
+
+
+def _assert_refused_at_once(args, message):
+    start = time.perf_counter()
+    res = run(*args)
+    assert time.perf_counter() - start < 1, args
+    assert res.exit_code == 2, args
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], args
+    assert res.stdout == "", args
+
+
+def test_series_over_its_cap_exits_2_with_one_error_line():
+    _assert_refused_at_once(("cohomology", "RX:5,2", "--max-deg", "300000000"), "cap 1048576")
+    _assert_refused_at_once(("cohomology", "CV:1200,1200"), "cap 1048576")
+
+
+def test_verify_max_n_is_bounded():
+    for max_n in ("17", "100000"):
+        _assert_refused_at_once(("verify", "--max-n", max_n), "x<=16")
 
 
 def test_cohomology_emit_presentation():
@@ -402,6 +429,13 @@ def space_specs(draw):
 
 
 @st.composite
+def large_space_specs(draw):
+    """Valid or out-of-range specs with n up to a few thousand."""
+    fam = draw(st.sampled_from(_FAMILIES))
+    return f"{fam}:{draw(st.integers(41, 3000))},{draw(st.integers(1, 40))}"
+
+
+@st.composite
 def range_specs(draw):
     """lo..hi ranges of at most two values, well formed about two times in three."""
     lo = draw(_bound)
@@ -413,20 +447,30 @@ def range_specs(draw):
 
 @st.composite
 def cli_queries(draw):
-    command = draw(st.sampled_from(["ucharrank", "cohomology", "cuplength", "bounds", "table"]))
+    command = draw(st.sampled_from(["ucharrank", "cohomology", "cuplength", "bounds", "table",
+                                    "max-deg", "verify"]))
     if command == "table":
         invariant = draw(st.sampled_from(["ucharrank", "cuplength", "", "cup", "UCHARRANK"]))
         return ["table", invariant, draw(st.sampled_from(_FAMILIES + _JUNK_FAMILIES)),
                 "--n", draw(range_specs()), "--k", draw(range_specs()), "--format", "csv"]
+    if command == "verify":
+        # only above the bound: a legal grid may take many seconds
+        suite = draw(st.sampled_from(["all", "palindrome", "spectral", "steenrod"]))
+        return ["verify", "--suite", suite, "--max-n", str(draw(st.integers(17, 10**9)))]
+    spec = draw(st.one_of(space_specs(), large_space_specs()))
+    if command == "max-deg":
+        return ["cohomology", "--max-deg", str(draw(st.integers(-3, 10**9))), "--", spec]
     if command == "bounds":
-        return ["cuplength", "--with-bounds", "--", draw(space_specs())]
-    return [command, "--", draw(space_specs())]
+        return ["cuplength", "--with-bounds", "--", spec]
+    return [command, "--", spec]
 
 
 @given(cli_queries())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_cli_error_contract_on_generated_inputs(args):
+    start = time.perf_counter()
     res = run(*args)
+    assert time.perf_counter() - start < 2, args
     assert res.exit_code in (0, 2, 3), (args, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), args
     assert len(res.stderr.splitlines()) <= 1, (args, res.stderr)

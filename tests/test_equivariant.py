@@ -1,8 +1,6 @@
-import math
-
 import pytest
 
-from topoinv.errors import DegreeMismatch, InvalidParameters
+from topoinv.errors import InvalidParameters
 from topoinv.equivariant import (
     FeasibilityVerdict,
     IndexIdeal,
@@ -12,17 +10,15 @@ from topoinv.equivariant import (
     feasibility,
     ideal_contains,
     index_sphere,
-    index_stiefel_integral_component,
     index_stiefel_mod2,
     parse_gspace,
 )
 
 
 def test_index_sphere_examples():
-    assert index_sphere(1) == IndexIdeal(4, 1)
-    assert index_sphere(2) == IndexIdeal(4, 2)
-    assert index_sphere(5) == IndexIdeal(4, 5)
-    assert index_sphere(5).total_degree == 20
+    assert index_sphere(1) == IndexIdeal(1)
+    assert index_sphere(2) == IndexIdeal(2)
+    assert index_sphere(5) == IndexIdeal(5)
     with pytest.raises(InvalidParameters):
         index_sphere(0)
 
@@ -34,25 +30,10 @@ def test_index_stiefel_examples():
         assert index_stiefel_mod2(n, 1) == index_sphere(n)
 
 
-def test_integral_component_examples():
-    comp = index_stiefel_integral_component(5, 2)
-    assert (comp.degree, comp.multiplier) == (16, 5)
-    for n in (2, 5, 9):
-        comp = index_stiefel_integral_component(n, n)
-        assert (comp.degree, comp.multiplier) == (4, n)
-    comp = index_stiefel_integral_component(6, 3)
-    assert (comp.degree, comp.multiplier) == (16, 15)
-    # multipliers are exact integers, not floats or residues
-    big = index_stiefel_integral_component(64, 32)
-    assert big.multiplier == math.comb(64, 33)
-
-
 def test_ideal_contains():
-    assert ideal_contains(IndexIdeal(4, 2), IndexIdeal(4, 5))
-    assert not ideal_contains(IndexIdeal(4, 5), IndexIdeal(4, 2))
-    assert ideal_contains(IndexIdeal(4, 3), IndexIdeal(4, 3))
-    with pytest.raises(DegreeMismatch):
-        ideal_contains(IndexIdeal(4, 2), IndexIdeal(2, 2))
+    assert ideal_contains(IndexIdeal(2), IndexIdeal(5))
+    assert not ideal_contains(IndexIdeal(5), IndexIdeal(2))
+    assert ideal_contains(IndexIdeal(3), IndexIdeal(3))
 
 
 def test_parse_gspace():

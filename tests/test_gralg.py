@@ -9,8 +9,10 @@ from topoinv.errors import (
     InvalidParameters,
     MixedPresentations,
     UndeterminedSquare,
+    WorkCapExceeded,
 )
 from topoinv.gralg import (
+    SERIES_WORK_CAP,
     SQ_UNDETERMINED,
     SQ_ZERO,
     AlgebraPresentation,
@@ -19,11 +21,7 @@ from topoinv.gralg import (
     SimpleGenerator,
     Trunc,
     cup_length,
-    element_from_dict,
-    element_to_dict,
     poincare,
-    presentation_from_dict,
-    presentation_to_dict,
 )
 from topoinv.spaces import SpaceId, presentation
 
@@ -128,6 +126,15 @@ def test_poincare_examples():
     assert series == expect
 
 
+def test_poincare_work_cap():
+    p = P("RX:5,2")  # one generator: two steps per degree
+    assert len(poincare(p, SERIES_WORK_CAP // 2 - 1)) == p.top_degree + 1
+    with pytest.raises(WorkCapExceeded):
+        poincare(p, SERIES_WORK_CAP // 2)
+    with pytest.raises(WorkCapExceeded):
+        poincare(P("CV:1200,1200"))  # top degree 1440000
+
+
 def test_poincare_total_is_algebra_dimension():
     for spec in _CATALOG:
         p = P(spec)
@@ -195,6 +202,17 @@ def test_cup_leaves_recursion_limit_alone():
     before = sys.getrecursionlimit()
     assert cup_length(p).value == 511
     assert sys.getrecursionlimit() == before
+
+
+def test_truncation_order_sizes_the_y_field():
+    # y^999 needs ten bits of the code
+    p = AlgebraPresentation(Trunc(1, 1000), (SimpleGenerator(3, 3, SQ_ZERO),
+                                             SimpleGenerator(5, 5, SQ_UNDETERMINED)))
+    assert p.y_power(999) * p.gen(3) == p.monomial(999, (3,))
+    assert (p.y_power(500) * p.y_power(500)).is_zero()
+    a = cup_length(p, CupMode.GENERATOR_SEARCH)
+    b = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+    assert (a.value, a.caveat) == (b.value, b.caveat) == (1001, True)
 
 
 def test_cup_oracle_dimension_cap():
@@ -370,6 +388,12 @@ def test_presentation_rejects_bad_square_targets():
             None,
             (SimpleGenerator(1, 1, 3), SimpleGenerator(2, 1, 3), SimpleGenerator(3, 2, SQ_ZERO)),
         )
+    # a Borel-rule square must be Sq^2 z2 = z4, the top square of the Cartan pass
+    with pytest.raises(InvalidParameters, match="borel rule"):
+        AlgebraPresentation(
+            None, (SimpleGenerator(2, 2, SQ_ZERO), SimpleGenerator(4, 4, SQ_ZERO)),
+            steenrod_rule="borel",
+        )
 
 
 def test_presentation_rejects_unsorted_labels():
@@ -379,27 +403,7 @@ def test_presentation_rejects_unsorted_labels():
         )
 
 
-# -- serialization ----------------------------------------------------------------
-
-
-def test_presentation_round_trip():
-    for spec in _CATALOG:
-        p = P(spec)
-        data = presentation_to_dict(p)
-        q = presentation_from_dict(
-            data, symbol=p.symbol, y_symbol=p.y_symbol, steenrod_rule=p.steenrod_rule
-        )
-        assert q == p
-
-
 def test_presentation_identity_is_the_ring():
     p = P("RX:5,2")
-    assert p == presentation_from_dict(presentation_to_dict(p), symbol="y", y_symbol="y")
-
-
-def test_element_round_trip():
-    p = P("RX:5,3")
-    e = p.y_power(2) + p.monomial(1, (2, 4)) + p.gen(2)
-    data = element_to_dict(e)
-    assert data == {"monomials": [[0, [2]], [1, [2, 4]], [2, []]]}
-    assert element_from_dict(p, data) == e
+    assert p == AlgebraPresentation(Trunc(1, 4), (SimpleGenerator(4, 4, SQ_ZERO),),
+                                    symbol="y", y_symbol="y")

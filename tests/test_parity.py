@@ -44,28 +44,28 @@ def test_lucas_agrees_with_exact_binomials_random(n, j):
 
 
 def test_parity_row_examples():
-    assert parity_row(2).bits == (1, 0, 1)
-    assert parity_row(0).bits == (1,)
-    assert parity_row(5).bits == (1, 1, 0, 0, 1, 1)
+    assert parity_row(2) == (1, 0, 1)
+    assert parity_row(0) == (1,)
+    assert parity_row(5) == (1, 1, 0, 0, 1, 1)
 
 
 def test_parity_row_weight_is_power_of_two_of_popcount():
     for n in range(65):
         row = parity_row(n)
-        assert row.bits[0] == 1 and row.bits[n] == 1
-        assert row.ones() == 1 << bin(n).count("1")
+        assert row[0] == 1 and row[n] == 1
+        assert sum(row) == 1 << bin(n).count("1")
 
 
 def test_n_index_examples():
-    assert n_index(IndexFamily.REAL, 5, 2).value == 4
-    assert n_index(IndexFamily.REAL, 8, 3).value == 8
-    assert n_index(IndexFamily.FLIP, 8, 2).value == 6
+    assert n_index(IndexFamily.REAL, 5, 2) == 4
+    assert n_index(IndexFamily.REAL, 8, 3) == 8
+    assert n_index(IndexFamily.FLIP, 8, 2) == 6
 
 
 def test_n_index_cq_always_exists():
     for n in range(1, 40):
         for k in range(1, n + 1):
-            v = n_index(IndexFamily.CQ, n, k).value
+            v = n_index(IndexFamily.CQ, n, k)
             assert n - k + 1 <= v <= n
             assert binom_parity(n, v) == 1
             for j in range(n - k + 1, v):
@@ -75,17 +75,26 @@ def test_n_index_cq_always_exists():
 def test_n_index_real_bottom_iff_odd_binomial():
     for n in range(3, 33):
         for k in range(2, n):
-            v = n_index(IndexFamily.REAL, n, k).value
+            v = n_index(IndexFamily.REAL, n, k)
             assert (v == n - k + 1) == (binom_parity(n, n - k + 1) == 1)
 
 
 def test_n_index_flip_matches_definition():
     for n in range(3, 33):
         for k in range(1, (n - 1) // 2 + 1):
-            v = n_index(IndexFamily.FLIP, n, k).value
+            v = n_index(IndexFamily.FLIP, n, k)
             assert math.comb(k + v - 1, v) % 2 == 1
             for j in range(n - 2 * k + 1, v):
                 assert math.comb(k + j - 1, j) % 2 == 0
+
+
+def test_n_index_flip_always_exists():
+    # the 2k-wide range holds a multiple of the least power of two >= k
+    for n in range(3, 513):
+        for k in range(1, (n - 1) // 2 + 1):
+            v = n_index(IndexFamily.FLIP, n, k)
+            assert n - 2 * k + 1 <= v <= n
+            assert binom_parity(k + v - 1, v) == 1
 
 
 def test_n_index_parameter_validation():

@@ -99,11 +99,11 @@ def test_omitted_generator_bookkeeping():
     for s in spaces:
         p = presentation(s)
         if s.family is Family.RX:
-            fiber_count, omitted = s.k, n_index(IndexFamily.REAL, s.n, s.k).value - 1
+            fiber_count, omitted = s.k, n_index(IndexFamily.REAL, s.n, s.k) - 1
         elif s.family is Family.FV:
-            fiber_count, omitted = 2 * s.k, n_index(IndexFamily.FLIP, s.n, s.k).value - 1
+            fiber_count, omitted = 2 * s.k, n_index(IndexFamily.FLIP, s.n, s.k) - 1
         else:
-            fiber_count, omitted = s.k, n_index(IndexFamily.CQ, s.n, s.k).value
+            fiber_count, omitted = s.k, n_index(IndexFamily.CQ, s.n, s.k)
         assert p.num_gens == fiber_count - 1, str(s)
         assert omitted not in p.labels, str(s)
         assert p.trunc.order == (omitted + 1 if s.family in (Family.RX, Family.FV) else omitted)

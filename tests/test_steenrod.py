@@ -257,7 +257,7 @@ def _sq_monomial(p, i, code):
 
 def _assert_cartan_matches_brute_force(p):
     for code in p.basis_codes():
-        for i in range(1, p.monomial_degree(code)):
+        for i in range(1, p.monomial_degree(code) + 1):
             want = _outcome(p, i, code, _cartan_brute_force)
             assert _outcome(p, i, code, _sq_monomial) == want, (p.monomial_name(code), i)
 
