@@ -338,13 +338,19 @@ class AlgebraPresentation:
 
 
 class Element:
-    """Z2-linear combination of basis monomials of one presentation."""
+    """Z2-linear combination of basis monomials of one presentation.
 
-    __slots__ = ("presentation", "codes")
+    ``_squares`` is the element's table of Steenrod squares, filled by
+    steenrod_sq: index i -> frozenset of codes, or the message of the
+    refusal when Sq^i is undetermined.  It lives and dies with the element.
+    """
+
+    __slots__ = ("presentation", "codes", "_squares")
 
     def __init__(self, presentation: AlgebraPresentation, codes: frozenset[int]):
         self.presentation = presentation
         self.codes = codes
+        self._squares: dict[int, frozenset[int] | str] | None = None
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -358,7 +364,7 @@ class Element:
         return sorted(p.unpack(c) for c in self.codes)
 
     def _check(self, other: "Element") -> None:
-        if self.presentation != other.presentation:
+        if self.presentation is not other.presentation and self.presentation != other.presentation:
             raise MixedPresentations("elements belong to different presentations")
 
     def __add__(self, other: "Element") -> "Element":
@@ -383,7 +389,8 @@ class Element:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Element)
-            and self.presentation == other.presentation
+            and (self.presentation is other.presentation
+                 or self.presentation == other.presentation)
             and self.codes == other.codes
         )
 
@@ -480,20 +487,26 @@ def _cartan_step(track: dict[int, set[int]], options, lo: int, hi: int, mul_code
     return out
 
 
-def _sq_monomial_cartan(p: AlgebraPresentation, i: int, code: int) -> set[int]:
-    """Cartan expansion of Sq^i over the factors of one monomial, 0 < i <= deg.
+def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
+                        code: int) -> dict[int, set[int] | None]:
+    """Cartan expansion of Sq^b over the factors of one monomial, for every
+    budget b in [lo, hi] from one pass: {b: set of codes, or None when Sq^b
+    is undetermined}, a budget left out being zero.  lo = hi = i gives Sq^i
+    alone.
 
     One sparse pass over the factors (y^e, then the generators); each track
-    maps the budget b spent so far to a set of codes, and a budget from
-    which the factors left cannot reach i (Sq^t vanishes above the degree)
-    is dropped.  `done` is the mod-2 sum over fully determined splittings.
-    Only an endpoint-rule generator of degree >= 2 has an undetermined
-    range; while one is ahead, `clean` carries the nonzero products of
-    determined splittings without cancellation, for it to taint.  `tainted`
-    carries the products along splittings through an undetermined action,
-    and one reaching the full budget makes the answer undetermined.  On
-    Borel-rule rings and y-powers only `done` runs.  At i = deg every factor
-    takes its top square, so the pass gives the monomial's square.
+    maps the budget b spent so far to a set of codes, and a budget that
+    cannot reach lo with the factors left (Sq^t vanishes above the degree),
+    or that is above hi, is dropped.  Budgets never mix, so each one sees
+    the splittings its own one-budget pass would.  `done` is the mod-2 sum
+    over fully determined splittings.  Only an endpoint-rule generator of
+    degree >= 2 has an undetermined range; while one is ahead, `clean`
+    carries the nonzero products of determined splittings without
+    cancellation, for it to taint.  `tainted` carries the products along
+    splittings through an undetermined action, and one reaching a final
+    budget makes that budget undetermined.  On Borel-rule rings and
+    y-powers only `done` runs.  At b = deg every factor takes its top
+    square, so the pass gives the monomial's square.
     """
     width, y_mask, _ = p._y_field
     factors = [code & y_mask] if code & y_mask else []
@@ -508,27 +521,78 @@ def _sq_monomial_cartan(p: AlgebraPresentation, i: int, code: int) -> set[int]:
         rest -= deg
         if undetermined:
             last_undetermined = len(steps)
-        steps.append((options, undetermined, i - rest))
+        steps.append((options, undetermined, lo - rest))
 
     mul_codes = p.mul_codes
     done: dict[int, set[int]] = {0: {0}}
     clean: dict[int, set[int]] = {0: {0}}
     tainted: dict[int, set[int]] = {}
-    for k, (options, undetermined, lo) in enumerate(steps):
-        next_tainted = _cartan_step(tainted, options, lo, i, mul_codes, False)
+    for k, (options, undetermined, least) in enumerate(steps):
+        next_tainted = _cartan_step(tainted, options, least, hi, mul_codes, False)
         for track in (clean, tainted) if undetermined else ():
             for b, codes in track.items():
-                for nb in range(max(lo, b + undetermined.start), min(i + 1, b + undetermined.stop)):
+                for nb in range(max(least, b + undetermined.start),
+                                min(hi + 1, b + undetermined.stop)):
                     next_tainted.setdefault(nb, set()).update(codes)
         if k < last_undetermined:
-            clean = _cartan_step(clean, options, lo, i, mul_codes, False)
-        done = _cartan_step(done, options, lo, i, mul_codes, True)
+            clean = _cartan_step(clean, options, least, hi, mul_codes, False)
+        done = _cartan_step(done, options, least, hi, mul_codes, True)
         tainted = next_tainted
-    if tainted.get(i):
+    for b, codes in tainted.items():
+        if codes:
+            done[b] = None
+    return done
+
+
+def _fill_squares(p: AlgebraPresentation, i: int, a: Element) -> frozenset[int] | str:
+    """Compute Sq^i of a into a's squares table and return its entry.
+
+    The first index runs the one-budget pass.  A later index missing from
+    the table fills every budget up to H in one pass per monomial: H is the
+    larger of i and the index already held the first time, then the larger
+    of i and twice the previous H, and a table that already holds 1..H_prev
+    runs only (H_prev, H].  So Sq^1 then Sq^2 stays two small passes, while
+    an increasing or decreasing walk over the indices makes O(log) passes.
+    H never exceeds the element's degree, above which Sq^i vanishes, so the
+    table holds at most that many entries.
+    """
+    width = p._y_field[0]
+    codes = sorted(a.codes)
+    if p.trunc is not None and any(c >> width for c in codes):
         raise UnsupportedPresentation(
-            f"Sq^{i} on {p.monomial_name(code)} involves an undetermined generator action"
+            "Steenrod squares on truncated presentations are only defined on pure powers of y"
         )
-    return done.get(i, set())
+    degrees = list(map(p.monomial_degree, codes))
+    top = max(degrees, default=0)
+    if i > top:
+        return frozenset()
+    table = a._squares
+    if table is None:
+        lo = hi = i
+        table = a._squares = {}
+    else:
+        held = max(table)
+        if len(table) == held:  # the table holds 1..held: extend it
+            lo, hi = held + 1, min(top, max(i, 2 * held))
+        else:  # it holds the first index alone
+            lo, hi = 1, min(top, max(i, held))
+    sums: dict[int, set[int]] = {}
+    refused: dict[int, int] = {}
+    for code, deg in zip(codes, degrees):
+        if deg < lo:
+            continue
+        for b, got in _sq_monomial_cartan(p, lo, min(hi, deg), code).items():
+            if got is None:
+                refused.setdefault(b, code)
+            elif b in sums:
+                sums[b] ^= got
+            else:
+                sums[b] = got
+    for b in range(lo, hi + 1):
+        table[b] = frozenset(sums.get(b, ()))
+    for b, code in refused.items():
+        table[b] = f"Sq^{b} on {p.monomial_name(code)} involves an undetermined generator action"
+    return table[i]
 
 
 def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
@@ -542,23 +606,26 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     "borel" rule; elsewhere only the degreewise-forced values exist and
     anything touching an undetermined intermediate action is refused.
     Elements of truncated presentations must be pure y-powers.
+
+    Answers are kept in the element's squares table (see _fill_squares for
+    the window of budgets one pass fills), so the Cartan sum
+    sum_s Sq^s a * Sq^(i-s) b reads most of its terms from the tables of a
+    and b.  A refusal is kept per index: Sq^i raises UnsupportedPresentation
+    only when Sq^i itself is undetermined, whatever else the table holds.
     """
-    if a.presentation != p:
+    if a.presentation is not p and a.presentation != p:
         raise MixedPresentations("element does not belong to the given presentation")
     if i < 0:
         raise InvalidParameters("Sq index must be nonnegative")
     if i == 0:
         return a
-    width = p._y_field[0]
-    acc: set[int] = set()
-    for code in sorted(a.codes):
-        if p.trunc is not None and (code >> width):
-            raise UnsupportedPresentation(
-                "Steenrod squares on truncated presentations are only defined on pure powers of y"
-            )
-        if i <= p.monomial_degree(code):
-            acc ^= _sq_monomial_cartan(p, i, code)
-    return Element(p, frozenset(acc))
+    table = a._squares
+    got = table.get(i) if table is not None else None
+    if got is None:
+        got = _fill_squares(p, i, a)
+    if isinstance(got, str):
+        raise UnsupportedPresentation(got)
+    return Element(p, got)
 
 
 # -- cup length --------------------------------------------------------------
