@@ -22,7 +22,8 @@ import click
 
 from . import __version__
 from .errors import DimensionCapExceeded, InvalidParameters, TopoinvError, WorkCapExceeded
-from .gralg import CupMode, Element, cup_length, poincare, presentation_to_dict, steenrod_sq
+from .gralg import (AlgebraPresentation, CupMode, Element, cup_length, poincare,
+                    presentation_to_dict, steenrod_sq)
 from .invariants import ORACLE_CROSS_CHECK_MAX_DIMENSION, RankResult, cup_report, ucharrank
 from .equivariant import feasibility, index_sphere, index_stiefel_mod2, parse_gspace
 from .parity import binom_parity, parity_row
@@ -310,23 +311,37 @@ def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
             f"!= presentation series {report.presentation_series}"), []
 
 
+def _adem_failure(p: AlgebraPresentation, x: Element) -> str | None:
+    """The first (a, b) with 0 < a < 2b and a + b <= 8 where Sq^a Sq^b x is
+    not sum_c binom(b-c-1, a-2c) Sq^(a+b-c) Sq^c x, as a message."""
+    sq_of = [x] + [steenrod_sq(p, c, x) for c in range(1, 8)]
+    for b in range(1, 8):
+        for a in range(1, min(2 * b, 9 - b)):
+            rhs = p.zero()
+            for c in range(a // 2 + 1):
+                if binom_parity(b - c - 1, a - 2 * c):
+                    rhs = rhs + steenrod_sq(p, a + b - c, sq_of[c])
+            if steenrod_sq(p, a, sq_of[b]) != rhs:
+                return f"Adem relation fails at Sq^{a} Sq^{b}"
+    return None
+
+
 def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
     p = presentation(space)
     rng = random.Random(hash((space.n, space.k)) & 0xFFFF)
+    label_of_degree = {g.degree: g.label for g in p.simple_gens}
     for g in p.simple_gens:
         z = p.gen(g.label)
         if steenrod_sq(p, g.degree, z) != z * z:
             return f"{space}: top square rule fails on generator {g.label}", []
         for i in range(0, g.degree + 2):
-            got = steenrod_sq(p, i, z)
-            expect_label = g.label + i
-            if i == 0:
-                ok = got == z
-            elif i <= g.degree and binom_parity(g.degree, i) and expect_label in p.labels:
-                ok = got == p.gen(expect_label)
+            # Borel's rule: binom(deg, i) times the generator of degree deg + i
+            target = label_of_degree.get(g.degree + i)
+            if binom_parity(g.degree, i) and target is not None:
+                want = p.gen(target)
             else:
-                ok = got.is_zero()
-            if not ok:
+                want = p.zero()
+            if steenrod_sq(p, i, z) != want:
                 return f"{space}: generator rule fails at Sq^{i} on {g.label}", []
     for _ in range(4):
         # sums of random monomials, drawn as generator bit masks so that the
@@ -345,6 +360,9 @@ def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
             rhs = rhs + steenrod_sq(p, s, a) * steenrod_sq(p, i - s, b)
         if lhs != rhs:
             return f"{space}: Cartan formula fails at Sq^{i}", []
+        failure = _adem_failure(p, a) or _adem_failure(p, b)
+        if failure:
+            return f"{space}: {failure}", []
     return None, []
 
 
@@ -437,7 +455,7 @@ def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
         projective = [Family.RX, Family.FV, Family.CX, Family.HX]
         run_grid("spectral", _grid(projective, max_n), _check_spectral)
     if suite in ("steenrod", "all"):
-        run_grid("steenrod", _grid([Family.RV], max_n), _check_steenrod)
+        run_grid("steenrod", _grid([Family.RV, Family.CV, Family.HV], max_n), _check_steenrod)
     if suite == "all":
         cup_items = []
         for space in _grid(list(Family), max_n):

@@ -11,6 +11,12 @@ products.  Monomials are packed into single ints (a generator bitmask
 shifted over the y-exponent), so products, the oracle and Steenrod
 squares all run on machine words.  The y-exponent field of a code is
 sized per ring, to the bits of its truncation order.
+
+Steenrod squares follow one rule.  On an untruncated ring (RV, CV, HV)
+Borel's action Sq^t z = binom(deg z, t) * (the generator of degree
+deg z + t), keyed by degree, holds on every generator; the presentation
+checks that its top square is z^2.  On a truncated ring only the pure
+y-powers have squares.
 """
 
 from __future__ import annotations
@@ -94,10 +100,6 @@ class AlgebraPresentation:
     simple_gens: tuple[SimpleGenerator, ...]
     symbol: str = "g"
     y_symbol: str = "y"
-    # "borel": the full generator rule Sq^i(z_q) = binom(q, i) z_{q+i} applies
-    # (labels equal degrees).  "endpoints": only Sq^0, the top square and the
-    # vanishing range are defined on generators.
-    steenrod_rule: str = "endpoints"
 
     def __post_init__(self):
         if self.trunc is not None:
@@ -138,17 +140,17 @@ class AlgebraPresentation:
                     )
             elif g.square != SQ_ZERO:
                 raise InvalidParameters(f"bad square rule {g.square!r}")
-        if self.steenrod_rule not in ("borel", "endpoints"):
-            raise InvalidParameters(f"unknown steenrod rule {self.steenrod_rule!r}")
-        if self.steenrod_rule == "borel":
+        if self.trunc is None:
+            # Borel's rule is keyed by degree, and its top square Sq^deg z must
+            # be z^2: the generator of twice the degree, or zero without one
+            label_of_degree = {g.degree: g.label for g in self.simple_gens}
+            if len(label_of_degree) != len(self.simple_gens):
+                raise InvalidParameters("generator degrees of an untruncated ring must be distinct")
             for g in self.simple_gens:
-                if g.degree != g.label:
-                    raise InvalidParameters("borel rule requires degree == label")
-                # Sq^q z_q = z_2q (zero without z_2q) must be the square
-                if g.square != (2 * g.label if 2 * g.label in degree_of else SQ_ZERO):
+                if g.square != label_of_degree.get(2 * g.degree, SQ_ZERO):
                     raise InvalidParameters(
-                        f"borel rule needs the square of generator {g.label} to be "
-                        f"Sq^{g.label} of it"
+                        f"Borel's rule needs the square of generator {g.label} to be "
+                        f"Sq^{g.degree} of it"
                     )
 
     # -- structure ---------------------------------------------------------
@@ -172,6 +174,10 @@ class AlgebraPresentation:
     @cached_property
     def _bit_of_label(self) -> dict[int, int]:
         return {g.label: i for i, g in enumerate(self.simple_gens)}
+
+    @cached_property
+    def _bit_of_degree(self) -> dict[int, int]:
+        return {g.degree: i for i, g in enumerate(self.simple_gens)}
 
     @cached_property
     def _degree_of_bit(self) -> tuple[int, ...]:
@@ -237,7 +243,7 @@ class AlgebraPresentation:
         return {0: 0}
 
     @cached_property
-    def _factor_options_cache(self) -> dict[int, tuple[int, list, range]]:
+    def _factor_options_cache(self) -> dict[int, tuple[int, list]]:
         return {}
 
     def monomial_name(self, code: int) -> str:
@@ -300,9 +306,6 @@ class AlgebraPresentation:
     def zero(self) -> "Element":
         return Element(self, frozenset())
 
-    def one(self) -> "Element":
-        return Element(self, frozenset((0,)))
-
     def y_power(self, e: int) -> "Element":
         if self.trunc is None:
             raise InvalidParameters("presentation has no truncated polynomial generator")
@@ -341,8 +344,8 @@ class Element:
     """Z2-linear combination of basis monomials of one presentation.
 
     ``_squares`` is the element's table of Steenrod squares, filled by
-    steenrod_sq: index i -> frozenset of codes, or the message of the
-    refusal when Sq^i is undetermined.  It lives and dies with the element.
+    steenrod_sq: index i -> frozenset of codes.  It lives and dies with the
+    element.
     """
 
     __slots__ = ("presentation", "codes", "_squares")
@@ -350,18 +353,10 @@ class Element:
     def __init__(self, presentation: AlgebraPresentation, codes: frozenset[int]):
         self.presentation = presentation
         self.codes = codes
-        self._squares: dict[int, frozenset[int] | str] | None = None
+        self._squares: dict[int, frozenset[int]] | None = None
 
     def is_zero(self) -> bool:
         return not self.codes
-
-    def degrees(self) -> tuple[int, ...]:
-        p = self.presentation
-        return tuple(sorted({p.monomial_degree(c) for c in self.codes}))
-
-    def monomials(self) -> list[tuple[int, tuple[int, ...]]]:
-        p = self.presentation
-        return sorted(p.unpack(c) for c in self.codes)
 
     def _check(self, other: "Element") -> None:
         if self.presentation is not other.presentation and self.presentation != other.presentation:
@@ -438,75 +433,40 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
 # -- Steenrod squares --------------------------------------------------------
 
 
-def _factor_options(p: AlgebraPresentation, factor: int) -> tuple[int, list, range]:
-    """(degree, determined options (t, Sq^t code) sorted by t, undetermined t
-    range) of one factor code, y^e or a single generator; cached on p."""
+def _factor_options(p: AlgebraPresentation, factor: int) -> tuple[int, list]:
+    """(degree, options (t, Sq^t code) sorted by t) of one factor code, y^e
+    or a single generator; cached on p.  A generator z takes Borel's rule
+    Sq^t z = binom(deg z, t) * (the generator of degree deg z + t)."""
     got = p._factor_options_cache.get(factor)
     if got is not None:
         return got
     width, y_mask, _ = p._y_field
     mask = factor >> width
-    undetermined = range(0)
     if not mask:
         e, d = factor & y_mask, p.y_degree
         options = [(s * d, p.pack(e + s, 0)) for s in range(e + 1)
                    if (e & s) == s and e + s < p.order]
-    elif p.steenrod_rule == "borel":
-        q = p.labels[mask.bit_length() - 1]
-        targets = ((t, p._bit_of_label.get(q + t)) for t in range(q + 1) if (q & t) == t)
-        options = [(t, p.pack(0, 1 << bit)) for t, bit in targets if bit is not None]
     else:
-        # endpoints rule: only Sq^0 and the top square are defined on a generator
-        bit = mask.bit_length() - 1
-        deg, rule = p._degree_of_bit[bit], p._rule_of_bit[bit]
-        options = [(0, factor)] + ([(deg, p.pack(0, 1 << rule))] if rule >= 0 else [])
-        undetermined = range(1, deg)
-    got = p._factor_options_cache[factor] = (p.monomial_degree(factor), options, undetermined)
+        q = p._degree_of_bit[mask.bit_length() - 1]
+        targets = ((t, p._bit_of_degree.get(q + t)) for t in range(q + 1) if (q & t) == t)
+        options = [(t, p.pack(0, 1 << bit)) for t, bit in targets if bit is not None]
+    got = p._factor_options_cache[factor] = (p.monomial_degree(factor), options)
     return got
 
 
-def _cartan_step(track: dict[int, set[int]], options, lo: int, hi: int, mul_codes,
-                 cancel: bool) -> dict[int, set[int]]:
-    """Every state {budget b: codes} times every option (t, piece) with
-    lo <= b + t <= hi; mod 2 when cancel, a plain union otherwise."""
-    out: dict[int, set[int]] = {}
-    for b, codes in track.items():
-        for t, piece in options:
-            if b + t > hi:
-                break
-            if b + t < lo:
-                continue
-            acc = out.setdefault(b + t, set())
-            for pc in codes:
-                prod = mul_codes(pc, piece)
-                if prod is not None:
-                    if cancel and prod in acc:
-                        acc.discard(prod)
-                    else:
-                        acc.add(prod)
-    return out
-
-
 def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
-                        code: int) -> dict[int, set[int] | None]:
+                        code: int) -> dict[int, set[int]]:
     """Cartan expansion of Sq^b over the factors of one monomial, for every
-    budget b in [lo, hi] from one pass: {b: set of codes, or None when Sq^b
-    is undetermined}, a budget left out being zero.  lo = hi = i gives Sq^i
-    alone.
+    budget b in [lo, hi] from one pass: {b: set of codes}, a budget left out
+    being zero.  lo = hi = i gives Sq^i alone.
 
-    One sparse pass over the factors (y^e, then the generators); each track
-    maps the budget b spent so far to a set of codes, and a budget that
-    cannot reach lo with the factors left (Sq^t vanishes above the degree),
-    or that is above hi, is dropped.  Budgets never mix, so each one sees
-    the splittings its own one-budget pass would.  `done` is the mod-2 sum
-    over fully determined splittings.  Only an endpoint-rule generator of
-    degree >= 2 has an undetermined range; while one is ahead, `clean`
-    carries the nonzero products of determined splittings without
-    cancellation, for it to taint.  `tainted` carries the products along
-    splittings through an undetermined action, and one reaching a final
-    budget makes that budget undetermined.  On Borel-rule rings and
-    y-powers only `done` runs.  At b = deg every factor takes its top
-    square, so the pass gives the monomial's square.
+    One sparse pass over the factors (y^e, then the generators); the track
+    maps the budget b spent so far to the mod-2 sum of the products of its
+    splittings, and a budget that cannot reach lo with the factors left
+    (Sq^t vanishes above the degree), or that is above hi, is dropped.
+    Budgets never mix, so each one sees the splittings its own one-budget
+    pass would.  At b = deg every factor takes its top square, so the pass
+    gives the monomial's square.
     """
     width, y_mask, _ = p._y_field
     factors = [code & y_mask] if code & y_mask else []
@@ -515,36 +475,32 @@ def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
         factors.append((m & -m) << width)
         m &= m - 1
     rest = p.monomial_degree(code)
-    steps, last_undetermined = [], -1
-    for f in factors:
-        deg, options, undetermined = _factor_options(p, f)
-        rest -= deg
-        if undetermined:
-            last_undetermined = len(steps)
-        steps.append((options, undetermined, lo - rest))
-
     mul_codes = p.mul_codes
-    done: dict[int, set[int]] = {0: {0}}
-    clean: dict[int, set[int]] = {0: {0}}
-    tainted: dict[int, set[int]] = {}
-    for k, (options, undetermined, least) in enumerate(steps):
-        next_tainted = _cartan_step(tainted, options, least, hi, mul_codes, False)
-        for track in (clean, tainted) if undetermined else ():
-            for b, codes in track.items():
-                for nb in range(max(least, b + undetermined.start),
-                                min(hi + 1, b + undetermined.stop)):
-                    next_tainted.setdefault(nb, set()).update(codes)
-        if k < last_undetermined:
-            clean = _cartan_step(clean, options, least, hi, mul_codes, False)
-        done = _cartan_step(done, options, least, hi, mul_codes, True)
-        tainted = next_tainted
-    for b, codes in tainted.items():
-        if codes:
-            done[b] = None
-    return done
+    track: dict[int, set[int]] = {0: {0}}
+    for f in factors:
+        deg, options = _factor_options(p, f)
+        rest -= deg
+        least = lo - rest
+        out: dict[int, set[int]] = {}
+        for b, codes in track.items():
+            for t, piece in options:
+                if b + t > hi:
+                    break
+                if b + t < least:
+                    continue
+                acc = out.setdefault(b + t, set())
+                for pc in codes:
+                    prod = mul_codes(pc, piece)
+                    if prod is not None:
+                        if prod in acc:
+                            acc.discard(prod)
+                        else:
+                            acc.add(prod)
+        track = out
+    return track
 
 
-def _fill_squares(p: AlgebraPresentation, i: int, a: Element) -> frozenset[int] | str:
+def _fill_squares(p: AlgebraPresentation, i: int, a: Element) -> frozenset[int]:
     """Compute Sq^i of a into a's squares table and return its entry.
 
     The first index runs the one-budget pass.  A later index missing from
@@ -577,21 +533,16 @@ def _fill_squares(p: AlgebraPresentation, i: int, a: Element) -> frozenset[int] 
         else:  # it holds the first index alone
             lo, hi = 1, min(top, max(i, held))
     sums: dict[int, set[int]] = {}
-    refused: dict[int, int] = {}
     for code, deg in zip(codes, degrees):
         if deg < lo:
             continue
         for b, got in _sq_monomial_cartan(p, lo, min(hi, deg), code).items():
-            if got is None:
-                refused.setdefault(b, code)
-            elif b in sums:
+            if b in sums:
                 sums[b] ^= got
             else:
                 sums[b] = got
     for b in range(lo, hi + 1):
         table[b] = frozenset(sums.get(b, ()))
-    for b, code in refused.items():
-        table[b] = f"Sq^{b} on {p.monomial_name(code)} involves an undetermined generator action"
     return table[i]
 
 
@@ -599,19 +550,18 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     """Sq^i on an element: Sq^0 = id, vanishing above the degree, and the
     Cartan formula across monomial factors for every 0 < i <= deg.
 
-    Sq^deg needs no branch of its own: at the degree each factor takes its
-    top square, which is its square in the ring (on "borel" rings the
-    presentation checks z_q^2 = Sq^q z_q), so the pass computes x*x.
-    Full generator action is available on presentations carrying the
-    "borel" rule; elsewhere only the degreewise-forced values exist and
-    anything touching an undetermined intermediate action is refused.
-    Elements of truncated presentations must be pure y-powers.
+    Generators take Borel's rule, keyed by degree (see _factor_options); it
+    holds on every untruncated ring, RV, CV and HV alike.  Sq^deg needs no
+    branch of its own: at the degree each factor takes its top square,
+    which the presentation checks is its square in the ring, so the pass
+    computes x*x.  On a truncated presentation only pure y-powers have
+    squares: Sq^i, i > 0, of any other element raises
+    UnsupportedPresentation before any pass.
 
     Answers are kept in the element's squares table (see _fill_squares for
     the window of budgets one pass fills), so the Cartan sum
     sum_s Sq^s a * Sq^(i-s) b reads most of its terms from the tables of a
-    and b.  A refusal is kept per index: Sq^i raises UnsupportedPresentation
-    only when Sq^i itself is undetermined, whatever else the table holds.
+    and b.
     """
     if a.presentation is not p and a.presentation != p:
         raise MixedPresentations("element does not belong to the given presentation")
@@ -623,8 +573,6 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     got = table.get(i) if table is not None else None
     if got is None:
         got = _fill_squares(p, i, a)
-    if isinstance(got, str):
-        raise UnsupportedPresentation(got)
     return Element(p, got)
 
 

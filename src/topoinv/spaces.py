@@ -149,9 +149,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
         gens = tuple(
             SimpleGenerator(j, j, _real_square(j, n - 1, None)) for j in range(n - k, n)
         )
-        return AlgebraPresentation(
-            None, gens, symbol=symbol, y_symbol=y_symbol, steenrod_rule="borel"
-        )
+        return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)
     if fam is Family.CV:
         gens = tuple(SimpleGenerator(j, 2 * j - 1) for j in range(n - k + 1, n + 1))
         return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)

@@ -162,8 +162,8 @@ def test_criterion_06_steenrod_consistency():
             a, b = rand_elem(), rand_elem()
             assert steenrod_sq(p, 0, a) == a
             if not a.is_zero():
-                assert steenrod_sq(p, max(a.degrees()) + 1 + rng.randrange(4), a).is_zero()
-                d = max(a.degrees())
+                d = max(map(p.monomial_degree, a.codes))
+                assert steenrod_sq(p, d + 1 + rng.randrange(4), a).is_zero()
                 hom = Element(p, frozenset(c for c in a.codes if p.monomial_degree(c) == d))
                 assert steenrod_sq(p, d, hom) == hom * hom
             i = rng.randrange(0, 14)

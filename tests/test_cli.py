@@ -407,6 +407,8 @@ def test_verify_steenrod_never_lists_the_basis(monkeypatch):
     res = run("verify", "--suite", "steenrod", "--max-n", "6")
     assert res.exit_code == 0, res.output
     assert "verify: PASS" in res.output
+    # RV:n,k with 1 <= k < n, CV and HV with 1 <= k <= n, for 2 <= n <= 6
+    assert "steenrod: 55 spaces, 0 failures" in res.output  # 15 + 20 + 20
 
 
 _FAMILIES = ["RV", "CV", "HV", "RX", "FV", "CX", "HX"]

@@ -36,7 +36,7 @@ def P(spec):
 def test_squaring_rule_in_range():
     p = P("RV:8,5")
     z3 = p.gen(3)
-    assert (z3 * z3).monomials() == [(0, (6,))]
+    assert z3 * z3 == p.monomial(0, (6,))
 
 
 def test_squaring_rule_out_of_range():
@@ -49,12 +49,12 @@ def test_cascading_squares():
     p = P("RV:12,11")
     z1, z2 = p.gen(1), p.gen(2)
     m = z1 * z2
-    assert (m * m).monomials() == [(0, (2, 4))]
+    assert m * m == p.monomial(0, (2, 4))
     # z1^8 collapses through three rewrites
-    acc = p.one()
+    acc = p.monomial()
     for _ in range(8):
         acc = acc * z1
-    assert acc.monomials() == [(0, (8,))]
+    assert acc == p.monomial(0, (8,))
     for _ in range(8):
         acc = acc * z1
     assert acc.is_zero()  # z1^16 needs z16, outside the ambient bound
@@ -63,13 +63,13 @@ def test_cascading_squares():
 def test_truncation_kills_high_powers():
     p = P("RX:5,2")
     y = p.y_power(1)
-    assert (y * y * y).monomials() == [(3, ())]
+    assert y * y * y == p.monomial(3)
     assert (y * y * y * y).is_zero()
 
 
 def test_unit_law_and_distribution():
     p = P("RV:6,3")
-    one = p.one()
+    one = p.monomial()
     a = p.gen(3) + p.gen(4) + p.monomial(0, (3, 5))
     assert one * a == a
     assert a * one == a
@@ -260,18 +260,22 @@ def test_cup_against_elementwise_enumeration():
 
 @st.composite
 def random_presentations(draw):
-    """Custom rings: optional truncation, random degrees, optional doubling
-    chains, and undetermined squares when truncated."""
+    """Custom rings: optional truncation and random degrees.  Untruncated
+    rings take Borel's square (the generator of twice the degree, or zero);
+    truncated ones choose among zero, undetermined and that generator."""
     if draw(st.booleans()):
         trunc = Trunc(draw(st.integers(1, 3)), draw(st.integers(1, 9)))
     else:
         trunc = None
     degrees = draw(st.lists(st.integers(1, 12), min_size=0, max_size=8))
     labels = sorted(set(degrees))
-    rules = [SQ_ZERO] + ([SQ_UNDETERMINED] if trunc is not None else [])
     gens = []
     for d in labels:
-        square = draw(st.sampled_from(rules + ([2 * d] if 2 * d in labels else [])))
+        doubled = [2 * d] if 2 * d in labels else []
+        if trunc is None:
+            square = 2 * d if doubled else SQ_ZERO
+        else:
+            square = draw(st.sampled_from([SQ_ZERO, SQ_UNDETERMINED] + doubled))
         gens.append(SimpleGenerator(d, d, square))
     return AlgebraPresentation(trunc, tuple(gens))
 
@@ -294,7 +298,7 @@ def _assert_witness_word_is_nonzero(p):
     factor_of = {f"{p.symbol}{j}": p.gen(j) for j in p.labels}
     if p.order > 1:
         factor_of[p.y_symbol] = p.y_power(1)
-    product = p.one()
+    product = p.monomial()
     for name in res.witness:
         product = product * factor_of[name]
     assert len(res.witness) == res.value
@@ -388,11 +392,16 @@ def test_presentation_rejects_bad_square_targets():
             None,
             (SimpleGenerator(1, 1, 3), SimpleGenerator(2, 1, 3), SimpleGenerator(3, 2, SQ_ZERO)),
         )
-    # a Borel-rule square must be Sq^2 z2 = z4, the top square of the Cartan pass
-    with pytest.raises(InvalidParameters, match="borel rule"):
+    # on an untruncated ring the square must be Sq^2 z2 = z4, the top square
+    # of the Cartan pass under Borel's rule
+    with pytest.raises(InvalidParameters, match="Borel's rule"):
         AlgebraPresentation(
             None, (SimpleGenerator(2, 2, SQ_ZERO), SimpleGenerator(4, 4, SQ_ZERO)),
-            steenrod_rule="borel",
+        )
+    # that rule is keyed by degree, so degrees must be distinct
+    with pytest.raises(InvalidParameters, match="degrees .* must be distinct"):
+        AlgebraPresentation(
+            None, (SimpleGenerator(1, 3, SQ_ZERO), SimpleGenerator(2, 3, SQ_ZERO)),
         )
 
 

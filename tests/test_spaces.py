@@ -1,7 +1,7 @@
 import pytest
 
 from topoinv.errors import InvalidParameters, WorkCapExceeded
-from topoinv.gralg import SQ_ZERO, poincare
+from topoinv.gralg import SQ_ZERO, poincare, steenrod_sq
 from topoinv.parity import IndexFamily, n_index
 from topoinv.spaces import (
     Family,
@@ -35,7 +35,7 @@ def test_presentation_real_stiefel():
     assert [(g.label, g.degree) for g in p.simple_gens] == [(j, j) for j in range(3, 8)]
     squares = {g.label: g.square for g in p.simple_gens}
     assert squares == {3: 6, 4: SQ_ZERO, 5: SQ_ZERO, 6: SQ_ZERO, 7: SQ_ZERO}
-    assert p.steenrod_rule == "borel"
+    assert steenrod_sq(p, 1, p.gen(3)) == p.gen(4)  # Borel's rule: binom(3, 1) odd
 
 
 def test_presentation_real_projective_example():
