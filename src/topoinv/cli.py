@@ -11,14 +11,15 @@ is one `error:` line on stderr.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import functools
 import json
 import os
 import random
+import re
 import sys
 from datetime import datetime, timezone
-
-import click
 
 from . import __version__
 from .errors import DimensionCapExceeded, InvalidParameters, TopoinvError, WorkCapExceeded
@@ -32,143 +33,55 @@ from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_ver
 SCHEMA = "topoinv/1"
 
 
-class _Cli(click.Group):
-    """The command group; its `main` is the CLI's one error boundary.
-
-    Every error ends in one `error:` line on stderr and an exit code: 2 for
-    a usage error, invalid parameters or a cap hit, 1 for an interrupt or
-    any other TopoinvError (such as a cross-check disagreement).  A bare
-    `topoinv` prints the help on stderr and exits 2.
-    """
-
-    def invoke(self, ctx: click.Context):
-        # click's own handler would print a blank line before the error line
-        try:
-            return super().invoke(ctx)
-        except KeyboardInterrupt:
-            raise click.Abort() from None
-
-    def main(self, *args, **kwargs):
-        try:
-            return super().main(*args, standalone_mode=False, **kwargs)
-        except click.exceptions.NoArgsIsHelpError as exc:
-            exc.show()  # a bare `topoinv` prints the help on stderr
-            sys.exit(exc.exit_code)
-        except click.ClickException as exc:
-            message, code = exc.format_message(), exc.exit_code
-        except click.Abort:
-            message, code = "aborted", 1
-        except (InvalidParameters, DimensionCapExceeded, WorkCapExceeded) as exc:
-            message, code = str(exc), 2
-        except TopoinvError as exc:
-            message, code = str(exc), 1
-        click.echo("error: " + " ".join(message.split()), err=True)
-        sys.exit(code)
-
-
-def _emit(ctx: click.Context, payload: dict) -> None:
-    if ctx.obj and ctx.obj.get("meta"):
-        payload = {
-            "meta": {
-                "generated_at": datetime.now(timezone.utc).isoformat(),
-                "version": __version__,
-            },
-            "payload": payload,
-        }
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args: argparse.Namespace, query: dict, result: dict, provenance: list,
+          warnings: list) -> None:
+    """Print a query's one JSON document; --meta wraps it in a timestamped envelope."""
+    doc = {"schema": SCHEMA, "query": {"command": args.command, **query}, "result": result,
+           "provenance": provenance, "warnings": warnings}
+    if args.meta:
+        meta = {"generated_at": datetime.now(timezone.utc).isoformat(), "version": __version__}
+        doc = {"meta": meta, "payload": doc}
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _rank_to_dict(r: RankResult) -> dict:
-    out: dict = {"kind": r.kind, "case": r.case_label}
-    if r.value is not None:
-        out["value"] = r.value
-    if r.lo is not None:
-        out["lo"] = r.lo
-        out["hi"] = r.hi
-    if r.n_index_used is not None:
-        out["N"] = r.n_index_used
-    if r.advisory:
-        out["advisory"] = r.advisory
-    if r.reason:
-        out["reason"] = r.reason
-    return out
+    fields = {"kind": r.kind, "case": r.case_label, "value": r.value, "lo": r.lo, "hi": r.hi,
+              "N": r.n_index_used, "advisory": r.advisory, "reason": r.reason}
+    return {key: value for key, value in fields.items() if value not in (None, "")}
 
 
-@click.group(cls=_Cli)
-@click.version_option(version=__version__, prog_name="topoinv")
-@click.option("--meta", is_flag=True, help="Wrap output with a timestamped meta envelope.")
-@click.pass_context
-def main(ctx: click.Context, meta: bool) -> None:
-    """Cohomology rings and rank/cup/index invariants of Stiefel-type manifolds.
-
-    Space specs are FAMILY:n,k with families RV, CV, HV (Stiefel), RX, CX,
-    HX (projective quotients) and FV (flip; k is the half-width).  G-space
-    specs for s3map are S4n-1:n (the sphere S^{4n-1}), HV:n,k and Sp:n.
-    """
-    ctx.ensure_object(dict)
-    ctx.obj["meta"] = meta
-
-
-@main.command("ucharrank")
-@click.argument("space_spec")
-@click.pass_context
-def ucharrank_command(ctx: click.Context, space_spec: str) -> None:
+def ucharrank_command(args: argparse.Namespace) -> int | None:
     """Upper characteristic rank of SPACE_SPEC (exact or interval)."""
-    space = SpaceId.parse(space_spec)
+    space = SpaceId.parse(args.space_spec)
     result = ucharrank(space)
-    payload = {
-        "schema": SCHEMA,
-        "query": {"command": "ucharrank", "space": str(space)},
-        "result": _rank_to_dict(result),
-        "provenance": [result.case_label],
-        "warnings": [result.advisory] if result.advisory else [],
-    }
-    _emit(ctx, payload)
-    if result.kind == "uncovered":
-        sys.exit(3)
+    _emit(args, {"space": str(space)}, _rank_to_dict(result), [result.case_label],
+          [result.advisory] if result.advisory else [])
+    return 3 if result.kind == "uncovered" else None
 
 
-@main.command()
-@click.argument("space_spec")
-@click.option("--max-deg", type=int, default=None, help="Truncate/pad the series at this degree.")
-@click.option("--emit-presentation", is_flag=True,
-              help="Dump the ring in its canonical serialization instead of a summary.")
-@click.pass_context
-def cohomology(ctx: click.Context, space_spec: str, max_deg: int | None,
-               emit_presentation: bool) -> None:
+def cohomology(args: argparse.Namespace) -> None:
     """Generators, truncation and mod-2 Betti series of SPACE_SPEC."""
+    max_deg = args.max_deg
     if max_deg is not None and max_deg < 0:
         raise InvalidParameters("--max-deg must be nonnegative")
-    space = SpaceId.parse(space_spec)
+    space = SpaceId.parse(args.space_spec)
     p = presentation(space)
     result = presentation_to_dict(p)
-    if emit_presentation:
+    if args.emit_presentation:
         result["space"] = str(space)
     else:
         series = poincare(p, max_deg)
         if max_deg is not None:
             series += [0] * (max_deg + 1 - len(series))
         result.update(series=series, top_degree=p.top_degree, dimension=dimension(space))
-    payload = {
-        "schema": SCHEMA,
-        "query": {"command": "cohomology", "space": str(space), "max_deg": max_deg},
-        "result": result,
-        "provenance": [],
-        "warnings": [],
-    }
-    _emit(ctx, payload)
+    _emit(args, {"space": str(space), "max_deg": max_deg}, result, [], [])
 
 
-@main.command()
-@click.argument("space_spec")
-@click.option("--mode", type=click.Choice(["generators", "oracle"]), default="generators")
-@click.option("--with-bounds", is_flag=True, help="Include catalog bounds and violations.")
-@click.pass_context
-def cuplength(ctx: click.Context, space_spec: str, mode: str, with_bounds: bool) -> None:
+def cuplength(args: argparse.Namespace) -> None:
     """Exact mod-2 cup length of SPACE_SPEC from its square chains."""
-    space = SpaceId.parse(space_spec)
-    cup_mode = CupMode(mode)
-    report = cup_report(space) if with_bounds else None
+    space = SpaceId.parse(args.space_spec)
+    cup_mode = CupMode(args.mode)
+    report = cup_report(space) if args.with_bounds else None
     res = None
     if report is not None:
         res = report.exact if cup_mode is CupMode.GENERATOR_SEARCH else report.oracle
@@ -184,33 +97,16 @@ def cuplength(ctx: click.Context, space_spec: str, mode: str, with_bounds: bool)
         for name in report.violations:
             bound = dict(report.bounds)[name]
             warnings.append(f"bound {name}={bound} exceeded by exact value {report.exact.value}")
-    payload = {
-        "schema": SCHEMA,
-        "query": {"command": "cuplength", "space": str(space), "mode": mode},
-        "result": result,
-        "provenance": [],
-        "warnings": warnings,
-    }
-    _emit(ctx, payload)
+    _emit(args, {"space": str(space), "mode": args.mode}, result, [], warnings)
 
 
-@main.command()
-@click.option("--from", "source_spec", required=True, help="Source G-space spec.")
-@click.option("--to", "target_spec", required=True, help="Target G-space spec.")
-@click.pass_context
-def s3map(ctx: click.Context, source_spec: str, target_spec: str) -> None:
+def s3map(args: argparse.Namespace) -> None:
     """Feasibility of an equivariant map between unit-quaternion spaces."""
-    source = parse_gspace(source_spec)
-    target = parse_gspace(target_spec)
+    source = parse_gspace(args.source_spec)
+    target = parse_gspace(args.target_spec)
     verdict = feasibility(source, target)
-    payload = {
-        "schema": SCHEMA,
-        "query": {"command": "s3map", "from": str(source), "to": str(target)},
-        "result": {"status": verdict.status, "detail": verdict.detail},
-        "provenance": [verdict.rule],
-        "warnings": [],
-    }
-    _emit(ctx, payload)
+    _emit(args, {"from": str(source), "to": str(target)},
+          {"status": verdict.status, "detail": verdict.detail}, [verdict.rule], [])
 
 
 _MAX_GRID_N = 128
@@ -259,27 +155,18 @@ def _table_row(invariant: str, space: SpaceId) -> dict:
     return {column: row.get(column, "") for column in _TABLE_COLUMNS}
 
 
-@main.command()
-@click.argument("invariant", type=click.Choice(["ucharrank", "cuplength"]))
-@click.argument("family", type=click.Choice([f.value for f in Family]))
-@click.option("--n", "n_spec", required=True, help="Range of n, e.g. 3..16 or 7.")
-@click.option("--k", "k_spec", default=None, help="Range of k (default: all valid).")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--jobs", type=int, default=1, help="Parallel workers for the grid.")
-@click.pass_context
-def table(ctx: click.Context, invariant: str, family: str, n_spec: str,
-          k_spec: str | None, fmt: str, jobs: int) -> None:
+def table(args: argparse.Namespace) -> None:
     """One row per valid (n, k) of FAMILY, in deterministic order."""
-    n_values = _parse_range("n", n_spec)
-    k_values = _parse_range("k", k_spec) if k_spec is not None else None
-    spaces = catalog([family], n_values, k_values)
-    rows = _map_grid(functools.partial(_table_row, invariant), spaces, jobs)
-    if fmt == "csv":
+    n_values = _parse_range("n", args.n_spec)
+    k_values = _parse_range("k", args.k_spec) if args.k_spec is not None else None
+    spaces = catalog([args.family], n_values, k_values)
+    rows = _map_grid(functools.partial(_table_row, args.invariant), spaces, args.jobs)
+    if args.fmt == "csv":
         lines = [",".join(_TABLE_COLUMNS)]
         lines += [",".join(str(row[c]) for c in _TABLE_COLUMNS) for row in rows]
-        click.echo("\n".join(lines))
+        print("\n".join(lines))
     else:
-        click.echo(json.dumps(rows, indent=2, sort_keys=True))
+        print(json.dumps(rows, indent=2, sort_keys=True))
 
 
 # -- verification suites -------------------------------------------------------
@@ -305,10 +192,18 @@ def _check_palindrome(space: SpaceId) -> tuple[str | None, list[str]]:
 
 def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
     report = serre_verify(space)
-    if report.match:
-        return None, []
-    return (f"{space}: spectral series {report.e_infinity_series} "
-            f"!= presentation series {report.presentation_series}"), []
+    if not report.match:
+        return (f"{space}: spectral series {report.e_infinity_series} "
+                f"!= presentation series {report.presentation_series}"), []
+    if space.family is Family.HX and space.k >= 2:
+        # second route for the mod-2 index <alpha^N>: the first nonzero
+        # differential kills alpha^N, |alpha| = 4, so it lies on page 4N (at
+        # k = 1 the transgressing generator is above the window)
+        index = index_stiefel_mod2(space.n, space.k).exponent
+        if report.first_nonzero_differential_page != 4 * index:
+            return (f"{space}: first differential on page "
+                    f"{report.first_nonzero_differential_page} != 4 * index {index}"), []
+    return None, []
 
 
 def _adem_failure(p: AlgebraPresentation, x: Element) -> str | None:
@@ -420,20 +315,16 @@ def _check_equivariant() -> str | None:
     return None
 
 
-@main.command()
-@click.option("--suite", type=click.Choice(["spectral", "palindrome", "steenrod", "all"]),
-              default="all")
-@click.option("--max-n", type=click.IntRange(max=_MAX_VERIFY_N), default=8,
-              help=f"Largest n in the verification grids (at most {_MAX_VERIFY_N}).")
-@click.option("--jobs", type=int, default=1, help="Parallel workers for grid suites.")
-@click.pass_context
-def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
+def verify(args: argparse.Namespace) -> int | None:
     """Run consistency suites; exit 1 on any unexpected failure.
 
     Documented discrepancies (the dimension-minus-index cup bound falling
     below the exact cup length) are listed as expected warnings and do not
     fail the run.
     """
+    suite, max_n, jobs = args.suite, args.max_n, args.jobs
+    if max_n > _MAX_VERIFY_N:
+        raise InvalidParameters(f"--max-n must be at most {_MAX_VERIFY_N}")
     failures: list[str] = []
     warnings: list[str] = []
     checks = 0
@@ -447,7 +338,7 @@ def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
             warnings.extend(found)
         checks += len(items)
         failures.extend(bad)
-        click.echo(f"{name}: {len(items)} spaces, {len(bad)} failures")
+        print(f"{name}: {len(items)} spaces, {len(bad)} failures")
 
     if suite in ("palindrome", "all"):
         run_grid("palindrome", _grid(list(Family), max_n), _check_palindrome)
@@ -469,16 +360,117 @@ def verify(ctx: click.Context, suite: str, max_n: int, jobs: int) -> None:
             failure = check()
             if failure:
                 failures.append(failure)
-            click.echo(f"{name}: {'ok' if not failure else 'FAILED'}")
+            print(f"{name}: {'ok' if not failure else 'FAILED'}")
 
     for w in warnings:
-        click.echo(f"expected warning: {w}")
+        print(f"expected warning: {w}")
     for f in failures:
-        click.echo(f"FAIL: {f}", err=True)
+        print(f"FAIL: {f}", file=sys.stderr)
     if failures:
-        click.echo(f"verify: FAIL ({checks} checks, {len(failures)} failures)")
-        sys.exit(1)
-    click.echo(f"verify: PASS ({checks} checks, {len(warnings)} expected warnings)")
+        print(f"verify: FAIL ({checks} checks, {len(failures)} failures)")
+        return 1
+    print(f"verify: PASS ({checks} checks, {len(warnings)} expected warnings)")
+    return None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse held to the CLI's contract: no option prefixes and no `-h`,
+    `--n -3..4` reads -3..4 as a value, and a usage error raises
+    InvalidParameters for `main` to print."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # the Python 3.13 rule
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise InvalidParameters(message)
+
+
+@functools.cache
+def _parser(prog: str) -> _Parser:
+    """The CLI's parser, built once per process and reused by every `main` call."""
+    parser = _Parser(prog=prog, description=(
+        "Cohomology rings and rank/cup/index invariants of Stiefel-type manifolds.  "
+        "Space specs are FAMILY:n,k with families RV, CV, HV (Stiefel), RX, CX, HX "
+        "(projective quotients) and FV (flip; k is the half-width).  G-space specs for "
+        "s3map are S4n-1:n (the sphere S^{4n-1}), HV:n,k and Sp:n."))
+    parser.add_argument("--version", action="version", version=f"topoinv, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--meta", action="store_true",
+                        help="Wrap output with a timestamped meta envelope.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name: str, run) -> _Parser:
+        sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command("ucharrank", ucharrank_command)
+    sub.add_argument("space_spec", metavar="SPACE_SPEC")
+    sub = command("cohomology", cohomology)
+    sub.add_argument("space_spec", metavar="SPACE_SPEC")
+    sub.add_argument("--max-deg", type=int, help="Truncate/pad the series at this degree.")
+    sub.add_argument("--emit-presentation", action="store_true",
+                     help="Dump the ring in its canonical serialization instead of a summary.")
+    sub = command("cuplength", cuplength)
+    sub.add_argument("space_spec", metavar="SPACE_SPEC")
+    sub.add_argument("--mode", choices=["generators", "oracle"], default="generators")
+    sub.add_argument("--with-bounds", action="store_true",
+                     help="Include catalog bounds and violations.")
+    sub = command("s3map", s3map)
+    sub.add_argument("--from", dest="source_spec", required=True, help="Source G-space spec.")
+    sub.add_argument("--to", dest="target_spec", required=True, help="Target G-space spec.")
+    sub = command("table", table)
+    sub.add_argument("invariant", choices=["ucharrank", "cuplength"])
+    sub.add_argument("family", choices=[f.value for f in Family])
+    sub.add_argument("--n", dest="n_spec", required=True, help="Range of n, e.g. 3..16 or 7.")
+    sub.add_argument("--k", dest="k_spec", help="Range of k (default: all valid).")
+    sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+    sub.add_argument("--jobs", type=int, default=1, help="Parallel workers for the grid.")
+    sub = command("verify", verify)
+    sub.add_argument("--suite", choices=["spectral", "palindrome", "steenrod", "all"],
+                     default="all")
+    sub.add_argument("--max-n", type=int, default=8,
+                     help=f"Largest n in the verification grids (at most {_MAX_VERIFY_N}).")
+    sub.add_argument("--jobs", type=int, default=1, help="Parallel workers for grid suites.")
+    return parser
+
+
+def main(argv: list[str] | None = None, prog_name: str = "topoinv") -> None:
+    """Run one command line; the CLI's one error boundary.
+
+    Returns on success and otherwise exits with the command's code, or
+    with one `error:` line on stderr and 2 for a usage error, invalid
+    parameters or a cap hit, 1 for an interrupt or any other TopoinvError.
+    A bare call prints the help on stderr and exits 2, and a reader that
+    closes stdout early gets exit 1 with nothing on stderr.
+    """
+    parser = _parser(prog_name)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        parser.print_help(sys.stderr)
+        sys.exit(2)
+    message = None
+    try:
+        args = parser.parse_args(argv)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # closing drops what stdout still buffers, so the exit flush stays quiet
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        code = 1
+    except KeyboardInterrupt:
+        message, code = "aborted", 1
+    except (InvalidParameters, DimensionCapExceeded, WorkCapExceeded) as exc:
+        message, code = str(exc), 2
+    except TopoinvError as exc:
+        message, code = str(exc), 1
+    if message is not None:
+        print("error: " + " ".join(message.split()), file=sys.stderr)
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

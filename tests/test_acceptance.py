@@ -9,9 +9,6 @@ elementwise enumeration).
 import math
 import random
 
-from click.testing import CliRunner
-
-from topoinv.cli import main as cli_main
 from topoinv.gralg import CupMode, Element, cup_length, poincare, steenrod_sq
 from topoinv.invariants import DIM_MINUS_INDEX_BOUND, cup_report, ucharrank
 from topoinv.equivariant import (
@@ -24,6 +21,8 @@ from topoinv.equivariant import (
 )
 from topoinv.parity import binom_parity, parity_row
 from topoinv.spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
+
+from cli_runner import run
 
 
 def _report(num: int, desc: str) -> None:
@@ -229,8 +228,8 @@ def test_criterion_09_parity_oracle():
 
 def test_criterion_10_cli_determinism():
     args = ["table", "ucharrank", "RX", "--n", "3..16", "--k", "2..15", "--format", "csv"]
-    first = CliRunner().invoke(cli_main, args)
-    second = CliRunner().invoke(cli_main, args)
+    first = run(*args)
+    second = run(*args)
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     assert first.output.splitlines()[0] == "family,n,k,kind,value,lo,hi,case,N"

@@ -5,16 +5,12 @@ import sys
 import time
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import topoinv
-from topoinv.cli import main
 from topoinv.spaces import catalog
 
-
-def run(*args):
-    return CliRunner().invoke(main, args)
+from cli_runner import run
 
 
 def payload(result):
@@ -103,7 +99,7 @@ def test_series_over_its_cap_exits_2_with_one_error_line():
 
 def test_verify_max_n_is_bounded():
     for max_n in ("17", "100000"):
-        _assert_refused_at_once(("verify", "--max-n", max_n), "x<=16")
+        _assert_refused_at_once(("verify", "--max-n", max_n), "at most 16")
 
 
 def test_cohomology_emit_presentation():
@@ -191,19 +187,21 @@ def test_out_of_range_spec_says_so():
 
 
 def test_usage_errors_print_one_error_line():
+    # an option's prefix is no option: `--with` is not `--with-bounds`
     for args in (("table", "ucharrank", "XX", "--n", "3"), ("table",), ("nosuch",),
-                 ("verify", "--mx-n", "3")):
+                 ("verify", "--mx-n", "3"), ("cuplength", "RX:5,2", "--with")):
         res = run(*args)
         assert res.exit_code == 2, args
         assert isinstance(res.exception, SystemExit), args
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, args
-    assert "'XX' is not one of" in run("table", "ucharrank", "XX", "--n", "3").stderr
+    assert "invalid choice: 'XX'" in run("table", "ucharrank", "XX", "--n", "3").stderr
     help_text = run("table", "--help")
-    assert help_text.exit_code == 0 and help_text.output.startswith("Usage:")
+    assert help_text.exit_code == 0 and help_text.output.startswith("usage:")
     version = run("--version")
     assert version.exit_code == 0 and "version" in version.output
     bare = run()
-    assert bare.exit_code == 2 and bare.stderr.startswith("Usage:") and "Commands:" in bare.stderr
+    assert bare.exit_code == 2 and bare.stderr.startswith("usage:")
+    assert all(name in bare.stderr for name in ("ucharrank", "cohomology", "table", "verify"))
 
 
 def test_interrupt_prints_one_error_line(monkeypatch):
@@ -235,14 +233,33 @@ def test_table_cuplength_runs_no_oracle(monkeypatch):
     assert calls == []
 
 
+def _subprocess_env() -> dict:
+    src = str(Path(topoinv.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_import_leaves_the_process_pool_unloaded():
     code = ("import sys, topoinv.cli; print([m for m in sys.modules "
-            "if m in ('multiprocessing', 'concurrent.futures.process')])")
-    src = str(Path(topoinv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+            "if m in ('multiprocessing', 'concurrent.futures.process', 'click')])")
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # the pipe's reader is gone before the query starts, so writing stdout
+    # raises BrokenPipeError: at the final flush for a short document, mid-run
+    # for the grid.  stdout to a pipe is block-buffered unless PYTHONUNBUFFERED.
+    env = {key: value for key, value in _subprocess_env().items() if key != "PYTHONUNBUFFERED"}
+    for args in (("ucharrank", "RX:7,2"), ("table", "ucharrank", "RX", "--n", "3..128")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run([sys.executable, "-m", "topoinv.cli", *args], stdout=write_end,
+                                 stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (1, ""), args
 
 
 def test_jobs_clamped_to_cpu_count_and_grid(monkeypatch):
@@ -298,6 +315,23 @@ def test_verify_all_small_reports_expected_warnings():
     assert res.exit_code == 0
     assert "expected warning" in res.output
     assert "RX:5,2" in res.output
+
+
+def test_spectral_check_reads_the_index_on_hx(monkeypatch):
+    # the first nonzero differential of HX:n,k, k >= 2, lies on page 4N for
+    # the mod-2 index <alpha^N>; an index off by one must fail the check
+    import topoinv.cli
+    from topoinv.equivariant import IndexIdeal, index_stiefel_mod2
+    from topoinv.spaces import SpaceId
+
+    hx = [space for space in catalog(["HX"], range(2, 13)) if space.k >= 2]
+    assert len(hx) == 55
+    for space in hx:
+        assert topoinv.cli._check_spectral(space) == (None, []), space
+    monkeypatch.setattr(topoinv.cli, "index_stiefel_mod2",
+                        lambda n, k: IndexIdeal(index_stiefel_mod2(n, k).exponent + 1))
+    failure, _ = topoinv.cli._check_spectral(SpaceId.parse("HX:5,2"))
+    assert failure == "HX:5,2: first differential on page 16 != 4 * index 5"
 
 
 def test_verify_parallel_matches_serial():

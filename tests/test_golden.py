@@ -9,11 +9,10 @@ import hashlib
 import json
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from topoinv.cli import main
 from topoinv.invariants import cup_report
 from topoinv.spaces import SpaceId, serre_verify
+
+from cli_runner import run
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -23,11 +22,10 @@ def _golden(name: str) -> dict:
 
 
 def test_cli_queries_match_golden():
-    runner = CliRunner()
     mismatches = []
     for line, want in _golden("cli-queries").items():
-        res = runner.invoke(main, line.split(" "))
-        got = [res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest()[:16]]
+        res = run(*line.split(" "))
+        got = [res.exit_code, hashlib.sha256(res.stdout.encode()).hexdigest()[:16]]
         if got != want:
             mismatches.append((line, got, want))
     assert not mismatches, mismatches[:5]
