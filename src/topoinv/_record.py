@@ -1,0 +1,46 @@
+"""Frozen value records over __slots__, without the dataclasses module.
+
+Importing `dataclasses` pulls in `inspect` (with `ast`, `dis` and
+`tokenize`), and each decorated class has its methods compiled by `exec`
+at import time.  For the package's records that was most of the import
+cost of a one-shot CLI query, so they derive from Record instead.
+"""
+
+# stores a field from a record's __init__, past the blocked __setattr__
+setfield = object.__setattr__
+
+
+class Record:
+    """Base of an immutable value type.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` stores them with ``setfield``; slots whose names start
+    with an underscore are not fields.  The subclass also writes out
+    ``__eq__`` (true only against its own class) and ``__hash__`` over the
+    fields: inline attribute reads keep them as fast as the dataclass
+    methods they replace, where reading the fields through an
+    ``operator.attrgetter`` costs a call with an argument tuple each time.
+    The base blocks assignment and deletion with AttributeError, pickles
+    through the constructor, and gives the repr ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle would restore the slots through the blocked __setattr__, so
+        # an instance is rebuilt, and validated again, by its constructor
+        return type(self), tuple(getattr(self, name) for name in self._fields)

@@ -16,10 +16,8 @@ import contextlib
 import functools
 import json
 import os
-import random
 import re
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .errors import DimensionCapExceeded, InvalidParameters, TopoinvError, WorkCapExceeded
@@ -39,6 +37,8 @@ def _emit(args: argparse.Namespace, query: dict, result: dict, provenance: list,
     doc = {"schema": SCHEMA, "query": {"command": args.command, **query}, "result": result,
            "provenance": provenance, "warnings": warnings}
     if args.meta:
+        from datetime import datetime, timezone  # only the envelope reads the clock
+
         meta = {"generated_at": datetime.now(timezone.utc).isoformat(), "version": __version__}
         doc = {"meta": meta, "payload": doc}
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -222,6 +222,8 @@ def _adem_failure(p: AlgebraPresentation, x: Element) -> str | None:
 
 
 def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
+    import random
+
     p = presentation(space)
     rng = random.Random(hash((space.n, space.k)) & 0xFFFF)
     label_of_degree = {g.degree: g.label for g in p.simple_gens}
@@ -323,6 +325,9 @@ def verify(args: argparse.Namespace) -> int | None:
     fail the run.
     """
     suite, max_n, jobs = args.suite, args.max_n, args.jobs
+    if max_n < 2:
+        # the grids start at n = 2, so a smaller bound would check nothing
+        raise InvalidParameters("--max-n must be at least 2")
     if max_n > _MAX_VERIFY_N:
         raise InvalidParameters(f"--max-n must be at most {_MAX_VERIFY_N}")
     failures: list[str] = []
@@ -432,7 +437,7 @@ def _parser(prog: str) -> _Parser:
     sub.add_argument("--suite", choices=["spectral", "palindrome", "steenrod", "all"],
                      default="all")
     sub.add_argument("--max-n", type=int, default=8,
-                     help=f"Largest n in the verification grids (at most {_MAX_VERIFY_N}).")
+                     help=f"Largest n in the verification grids (2 to {_MAX_VERIFY_N}).")
     sub.add_argument("--jobs", type=int, default=1, help="Parallel workers for grid suites.")
     return parser
 

@@ -11,9 +11,7 @@ necessary-condition screens ("not-ruled-out").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
+from ._record import Record, setfield
 from .errors import InvalidParameters
 from .parity import IndexFamily, binom_divides, n_index
 
@@ -32,59 +30,91 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndexIdeal:
+class IndexIdeal(Record):
     """Principal ideal <alpha^exponent>, |alpha| = 4."""
 
-    exponent: int
+    __slots__ = ("exponent",)
 
-    def __post_init__(self):
-        if self.exponent < 1:
+    def __init__(self, exponent: int):
+        setfield(self, "exponent", exponent)
+        if exponent < 1:
             raise InvalidParameters(f"bad index ideal {self}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponent == other.exponent
+        return NotImplemented
 
-@dataclass(frozen=True)
-class Sphere:
+    def __hash__(self):
+        return hash(self.exponent)
+
+
+class Sphere(Record):
     """S^{4n-1} with the unit-quaternion action; written S4n-1:n."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameters(f"sphere parameter must be positive, got {self.n}")
+    def __init__(self, n: int):
+        setfield(self, "n", n)
+        if n < 1:
+            raise InvalidParameters(f"sphere parameter must be positive, got {n}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.n)
 
     def __str__(self) -> str:
         return f"S4n-1:{self.n}"
 
 
-@dataclass(frozen=True)
-class StiefelH:
+class StiefelH(Record):
     """Quaternionic Stiefel manifold of k-frames in H^n."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise InvalidParameters(f"needs 1 <= k <= n, got ({self.n}, {self.k})")
+    def __init__(self, n: int, k: int):
+        setfield(self, "n", n)
+        setfield(self, "k", k)
+        if not 1 <= k <= n:
+            raise InvalidParameters(f"needs 1 <= k <= n, got ({n}, {k})")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.k) == (other.n, other.k)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.k))
 
     def __str__(self) -> str:
         return f"HV:{self.n},{self.k}"
 
 
-@dataclass(frozen=True)
-class SymplecticGroup:
-    n: int
+class SymplecticGroup(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameters(f"group parameter must be positive, got {self.n}")
+    def __init__(self, n: int):
+        setfield(self, "n", n)
+        if n < 1:
+            raise InvalidParameters(f"group parameter must be positive, got {n}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.n)
 
     def __str__(self) -> str:
         return f"Sp:{self.n}"
 
 
-GSpace = Union[Sphere, StiefelH, SymplecticGroup]
+GSpace = Sphere | StiefelH | SymplecticGroup
 
 
 def parse_gspace(spec: str) -> GSpace:
@@ -122,8 +152,7 @@ def ideal_contains(a: IndexIdeal, b: IndexIdeal) -> bool:
     return a.exponent <= b.exponent
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(Record):
     """Verdict on the existence of an equivariant map.
 
     status is one of "possible", "possible-iff", "not-ruled-out",
@@ -131,15 +160,25 @@ class FeasibilityVerdict:
     condition in detail.
     """
 
-    status: str
-    rule: str
-    detail: str = ""
+    __slots__ = ("status", "rule", "detail")
 
-    def __post_init__(self):
-        if self.status not in ("possible", "possible-iff", "not-ruled-out", "impossible"):
-            raise InvalidParameters(f"bad verdict status {self.status!r}")
-        if self.status == "impossible" and not self.detail:
+    def __init__(self, status: str, rule: str, detail: str = ""):
+        setfield(self, "status", status)
+        setfield(self, "rule", rule)
+        setfield(self, "detail", detail)
+        if status not in ("possible", "possible-iff", "not-ruled-out", "impossible"):
+            raise InvalidParameters(f"bad verdict status {status!r}")
+        if status == "impossible" and not detail:
             raise InvalidParameters("impossible verdicts must state the violated condition")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.status, self.rule, self.detail)
+                    == (other.status, other.rule, other.detail))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.status, self.rule, self.detail))
 
 
 def feasibility(source: GSpace, target: GSpace) -> FeasibilityVerdict:

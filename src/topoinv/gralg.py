@@ -22,11 +22,11 @@ y-powers have squares.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from heapq import heappush, heappop
-from typing import Iterable, Iterator
 
+from ._record import Record, setfield
 from .errors import (
     DimensionCapExceeded,
     InvalidParameters,
@@ -65,8 +65,7 @@ _RULE_ZERO = -1
 _RULE_UNDET = -2
 
 
-@dataclass(frozen=True)
-class SimpleGenerator:
+class SimpleGenerator(Record):
     """One simple-system generator: label j, its degree, and its square.
 
     ``square`` is the label of the generator equal to the square, or
@@ -75,47 +74,72 @@ class SimpleGenerator:
     projective presentation).
     """
 
-    label: int
-    degree: int
-    square: int | str = SQ_ZERO
+    __slots__ = ("label", "degree", "square")
+
+    def __init__(self, label: int, degree: int, square: int | str = SQ_ZERO):
+        setfield(self, "label", label)
+        setfield(self, "degree", degree)
+        setfield(self, "square", square)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.label, self.degree, self.square)
+                    == (other.label, other.degree, other.square))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.label, self.degree, self.square))
 
 
-@dataclass(frozen=True)
-class Trunc:
+class Trunc(Record):
     """Truncated polynomial part: one generator y with y**order = 0."""
 
-    degree: int
-    order: int
+    __slots__ = ("degree", "order")
+
+    def __init__(self, degree: int, order: int):
+        setfield(self, "degree", degree)
+        setfield(self, "order", order)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.degree, self.order) == (other.degree, other.order)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.degree, self.order))
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """A ring: an optional truncated generator tensored with a simple system.
 
-    Equality and hashing see only these fields, so two identical rings
-    built from different spaces compare equal.
+    Equality and hashing see only the four fields, so two identical rings
+    built from different spaces compare equal.  The ``__dict__`` slot holds
+    the cached properties.
     """
 
-    trunc: Trunc | None
-    simple_gens: tuple[SimpleGenerator, ...]
-    symbol: str = "g"
-    y_symbol: str = "y"
+    __slots__ = ("trunc", "simple_gens", "symbol", "y_symbol", "_y_field", "__dict__")
 
-    def __post_init__(self):
-        if self.trunc is not None:
-            if self.trunc.degree < 1 or self.trunc.order < 1:
-                raise InvalidParameters(f"bad truncation {self.trunc}")
-        order = self.trunc.order if self.trunc is not None else 1
+    def __init__(self, trunc: Trunc | None, simple_gens: tuple[SimpleGenerator, ...],
+                 symbol: str = "g", y_symbol: str = "y"):
+        setfield(self, "trunc", trunc)
+        setfield(self, "simple_gens", simple_gens)
+        setfield(self, "symbol", symbol)
+        setfield(self, "y_symbol", y_symbol)
+        if trunc is not None:
+            if trunc.degree < 1 or trunc.order < 1:
+                raise InvalidParameters(f"bad truncation {trunc}")
+        order = trunc.order if trunc is not None else 1
         width = order.bit_length()
         # Monomial code layout: (generator bitmask << width) | y_exponent, with
-        # y_exponent < order.  A plain attribute: mul_codes reads it per call.
-        object.__setattr__(self, "_y_field", (width, (1 << width) - 1, order))
-        labels = [g.label for g in self.simple_gens]
+        # y_exponent < order.  A slot, not a cached property: mul_codes reads it
+        # per call.
+        setfield(self, "_y_field", (width, (1 << width) - 1, order))
+        labels = [g.label for g in simple_gens]
         if labels != sorted(set(labels)):
             raise InvalidParameters("generator labels must be strictly increasing")
-        degree_of = {g.label: g.degree for g in self.simple_gens}
+        degree_of = {g.label: g.degree for g in simple_gens}
         squared_onto: dict[int, int] = {}
-        for g in self.simple_gens:
+        for g in simple_gens:
             if g.degree < 1:
                 raise InvalidParameters(f"generator {g.label} must have positive degree")
             if isinstance(g.square, int):
@@ -134,24 +158,33 @@ class AlgebraPresentation:
                         f"square of generator {g.label} must double the degree"
                     )
             elif g.square == SQ_UNDETERMINED:
-                if self.trunc is None:
+                if trunc is None:
                     raise InvalidParameters(
                         "undetermined squares only occur in truncated (projective) presentations"
                     )
             elif g.square != SQ_ZERO:
                 raise InvalidParameters(f"bad square rule {g.square!r}")
-        if self.trunc is None:
+        if trunc is None:
             # Borel's rule is keyed by degree, and its top square Sq^deg z must
             # be z^2: the generator of twice the degree, or zero without one
-            label_of_degree = {g.degree: g.label for g in self.simple_gens}
-            if len(label_of_degree) != len(self.simple_gens):
+            label_of_degree = {g.degree: g.label for g in simple_gens}
+            if len(label_of_degree) != len(simple_gens):
                 raise InvalidParameters("generator degrees of an untruncated ring must be distinct")
-            for g in self.simple_gens:
+            for g in simple_gens:
                 if g.square != label_of_degree.get(2 * g.degree, SQ_ZERO):
                     raise InvalidParameters(
                         f"Borel's rule needs the square of generator {g.label} to be "
                         f"Sq^{g.degree} of it"
                     )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.trunc, self.simple_gens, self.symbol, self.y_symbol)
+                    == (other.trunc, other.simple_gens, other.symbol, other.y_symbol))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.trunc, self.simple_gens, self.symbol, self.y_symbol))
 
     # -- structure ---------------------------------------------------------
 
@@ -584,11 +617,22 @@ class CupMode(enum.Enum):
     EXHAUSTIVE_ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class CupResult:
-    value: int
-    witness: tuple[str, ...]
-    caveat: bool = False
+class CupResult(Record):
+    __slots__ = ("value", "witness", "caveat")
+
+    def __init__(self, value: int, witness: tuple[str, ...], caveat: bool = False):
+        setfield(self, "value", value)
+        setfield(self, "witness", witness)
+        setfield(self, "caveat", caveat)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.value, self.witness, self.caveat)
+                    == (other.value, other.witness, other.caveat))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.witness, self.caveat))
 
 
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:

@@ -9,8 +9,7 @@ ladder are reported as "uncovered" rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
 from .gralg import CupMode, CupResult, cup_length
 from .parity import IndexFamily, binom_parity, n_index
@@ -26,18 +25,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RankResult:
-    """Exact value, interval, or uncovered verdict for an upper rank."""
+class RankResult(Record):
+    """Exact value, interval, or uncovered verdict for an upper rank.
 
-    kind: str  # "exact" | "interval" | "uncovered"
-    case_label: str
-    value: int | None = None
-    lo: int | None = None
-    hi: int | None = None
-    n_index_used: int | None = None
-    advisory: str | None = None
-    reason: str | None = None
+    kind is "exact", "interval" or "uncovered".
+    """
+
+    __slots__ = ("kind", "case_label", "value", "lo", "hi", "n_index_used", "advisory", "reason")
+
+    def __init__(self, kind: str, case_label: str, value: int | None = None,
+                 lo: int | None = None, hi: int | None = None, n_index_used: int | None = None,
+                 advisory: str | None = None, reason: str | None = None):
+        setfield(self, "kind", kind)
+        setfield(self, "case_label", case_label)
+        setfield(self, "value", value)
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
+        setfield(self, "n_index_used", n_index_used)
+        setfield(self, "advisory", advisory)
+        setfield(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.case_label, self.value, self.lo, self.hi, self.n_index_used,
+                     self.advisory, self.reason)
+                    == (other.kind, other.case_label, other.value, other.lo, other.hi,
+                        other.n_index_used, other.advisory, other.reason))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.case_label, self.value, self.lo, self.hi, self.n_index_used,
+                     self.advisory, self.reason))
 
     @staticmethod
     def exact(value: int, case: str, n_index_used: int | None = None,
@@ -205,13 +223,27 @@ def cup_bound_dim_minus_index(space: SpaceId) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class CupReport:
-    space: SpaceId
-    exact: CupResult
-    oracle: CupResult | None  # None above ORACLE_CROSS_CHECK_MAX_DIMENSION
-    bounds: tuple[tuple[str, int], ...]
-    violations: tuple[str, ...]
+class CupReport(Record):
+    """What cup_report found; ``oracle`` is None above ORACLE_CROSS_CHECK_MAX_DIMENSION."""
+
+    __slots__ = ("space", "exact", "oracle", "bounds", "violations")
+
+    def __init__(self, space: SpaceId, exact: CupResult, oracle: CupResult | None,
+                 bounds: tuple[tuple[str, int], ...], violations: tuple[str, ...]):
+        setfield(self, "space", space)
+        setfield(self, "exact", exact)
+        setfield(self, "oracle", oracle)
+        setfield(self, "bounds", bounds)
+        setfield(self, "violations", violations)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.space, self.exact, self.oracle, self.bounds, self.violations)
+                    == (other.space, other.exact, other.oracle, other.bounds, other.violations))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.space, self.exact, self.oracle, self.bounds, self.violations))
 
 
 # Largest total dimension on which cup_report re-derives the cup length

@@ -19,9 +19,9 @@ differentials of the Borel fibration and compares graded dimensions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import Record, setfield
 from .errors import InvalidParameters, WorkCapExceeded
 from .gralg import (
     SQ_UNDETERMINED,
@@ -74,23 +74,21 @@ _SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
-class SpaceId:
+class SpaceId(Record):
     """One manifold: family plus parameters (n, k).
 
     For FV, k is the half-width: SpaceId(FV, n, k) is the flip quotient of
-    RV_{n,2k} and requires 2k < n.
+    RV_{n,2k} and requires 2k < n.  A family given by its value, such as
+    "RV", is coerced to the Family member.
     """
 
-    family: Family
-    n: int
-    k: int
+    __slots__ = ("family", "n", "k")
 
-    def __post_init__(self):
-        fam, n, k = self.family, self.n, self.k
-        if not isinstance(fam, Family):
-            object.__setattr__(self, "family", Family(fam))
-            fam = self.family
+    def __init__(self, family: Family | str, n: int, k: int):
+        fam = family if isinstance(family, Family) else Family(family)
+        setfield(self, "family", fam)
+        setfield(self, "n", n)
+        setfield(self, "k", k)
         if n < 1 or k < 1:
             raise InvalidParameters(f"{self}: n and k must be positive")
         ok = {
@@ -104,6 +102,14 @@ class SpaceId:
         }[fam]
         if not ok:
             raise InvalidParameters(f"parameters out of range for {self}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.n, self.k) == (other.family, other.n, other.k)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.n, self.k))
 
     def __str__(self) -> str:
         return f"{self.family.value}:{self.n},{self.k}"
@@ -182,14 +188,31 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
 # -- spectral-sequence verification -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SSReport:
-    space: SpaceId
-    window: int
-    first_nonzero_differential_page: int
-    e_infinity_series: tuple[int, ...]
-    presentation_series: tuple[int, ...]
-    match: bool
+class SSReport(Record):
+    __slots__ = ("space", "window", "first_nonzero_differential_page", "e_infinity_series",
+                 "presentation_series", "match")
+
+    def __init__(self, space: SpaceId, window: int, first_nonzero_differential_page: int,
+                 e_infinity_series: tuple[int, ...], presentation_series: tuple[int, ...],
+                 match: bool):
+        setfield(self, "space", space)
+        setfield(self, "window", window)
+        setfield(self, "first_nonzero_differential_page", first_nonzero_differential_page)
+        setfield(self, "e_infinity_series", e_infinity_series)
+        setfield(self, "presentation_series", presentation_series)
+        setfield(self, "match", match)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.space, self.window, self.first_nonzero_differential_page,
+                     self.e_infinity_series, self.presentation_series, self.match)
+                    == (other.space, other.window, other.first_nonzero_differential_page,
+                        other.e_infinity_series, other.presentation_series, other.match))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.space, self.window, self.first_nonzero_differential_page,
+                     self.e_infinity_series, self.presentation_series, self.match))
 
 
 def _fiber_data(space: SpaceId) -> list[tuple[int, int, int]]:

@@ -100,6 +100,10 @@ def test_series_over_its_cap_exits_2_with_one_error_line():
 def test_verify_max_n_is_bounded():
     for max_n in ("17", "100000"):
         _assert_refused_at_once(("verify", "--max-n", max_n), "at most 16")
+    # the grids start at n = 2: a smaller bound would check nothing and pass
+    for max_n in ("1", "0", "-3"):
+        _assert_refused_at_once(("verify", "--suite", "palindrome", "--max-n", max_n),
+                                "--max-n must be at least 2")
 
 
 def test_cohomology_emit_presentation():
@@ -239,8 +243,11 @@ def _subprocess_env() -> dict:
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    code = ("import sys, topoinv.cli; print([m for m in sys.modules "
-            "if m in ('multiprocessing', 'concurrent.futures.process', 'click')])")
+    # a query pays for none of these; modules loaded before the import (some
+    # hosts' site preloads) do not count
+    code = ("import sys; before = set(sys.modules); import topoinv.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if m in ('dataclasses', "
+            "'inspect', 'datetime', 'multiprocessing', 'concurrent.futures.process', 'click')))")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
