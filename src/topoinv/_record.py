@@ -3,8 +3,11 @@
 Importing `dataclasses` pulls in `inspect` (with `ast`, `dis` and
 `tokenize`), and each decorated class has its methods compiled by `exec`
 at import time.  For the package's records that was most of the import
-cost of a one-shot CLI query, so they derive from Record instead.
+cost of a one-shot CLI query, so they derive from Record instead, which
+holds the one equality and hash all of them share.
 """
+
+from operator import attrgetter
 
 # stores a field from a record's __init__, past the blocked __setattr__
 setfield = object.__setattr__
@@ -15,13 +18,12 @@ class Record:
 
     A subclass names its fields in ``__slots__``, in constructor order, and
     its ``__init__`` stores them with ``setfield``; slots whose names start
-    with an underscore are not fields.  The subclass also writes out
-    ``__eq__`` (true only against its own class) and ``__hash__`` over the
-    fields: inline attribute reads keep them as fast as the dataclass
-    methods they replace, where reading the fields through an
-    ``operator.attrgetter`` costs a call with an argument tuple each time.
-    The base blocks assignment and deletion with AttributeError, pickles
-    through the constructor, and gives the repr ``Name(field=value, ...)``.
+    with an underscore are not fields.  The base gives every subclass the
+    same equality, true only against its own class and comparing the
+    fields in order, and a hash over the fields (the bare value for a
+    one-field record).  It blocks assignment and deletion with
+    AttributeError, pickles through the constructor, and gives the repr
+    ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -29,6 +31,16 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # the field values: the bare value for one field, else a tuple
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -40,14 +40,6 @@ class IndexIdeal(Record):
         if exponent < 1:
             raise InvalidParameters(f"bad index ideal {self}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.exponent == other.exponent
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.exponent)
-
 
 class Sphere(Record):
     """S^{4n-1} with the unit-quaternion action; written S4n-1:n."""
@@ -58,14 +50,6 @@ class Sphere(Record):
         setfield(self, "n", n)
         if n < 1:
             raise InvalidParameters(f"sphere parameter must be positive, got {n}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.n)
 
     def __str__(self) -> str:
         return f"S4n-1:{self.n}"
@@ -82,14 +66,6 @@ class StiefelH(Record):
         if not 1 <= k <= n:
             raise InvalidParameters(f"needs 1 <= k <= n, got ({n}, {k})")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.k) == (other.n, other.k)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.k))
-
     def __str__(self) -> str:
         return f"HV:{self.n},{self.k}"
 
@@ -102,14 +78,6 @@ class SymplecticGroup(Record):
         if n < 1:
             raise InvalidParameters(f"group parameter must be positive, got {n}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.n)
-
     def __str__(self) -> str:
         return f"Sp:{self.n}"
 
@@ -118,19 +86,20 @@ GSpace = Sphere | StiefelH | SymplecticGroup
 
 
 def parse_gspace(spec: str) -> GSpace:
+    # only the text is parsed inside the try, so a range error keeps its message
     try:
         head, rest = spec.split(":", 1)
-        head = head.strip()
-        if head == "S4n-1":
-            return Sphere(int(rest))
-        if head == "Sp":
-            return SymplecticGroup(int(rest))
-        if head == "HV":
+        kind = {"S4n-1": Sphere, "Sp": SymplecticGroup, "HV": StiefelH}.get(head.strip())
+        if kind is StiefelH:
             n, k = rest.split(",", 1)
-            return StiefelH(int(n), int(k))
-    except (ValueError, InvalidParameters) as exc:
+            params = int(n), int(k)
+        elif kind is not None:
+            params = (int(rest),)
+    except ValueError as exc:
         raise InvalidParameters(f"cannot parse G-space spec {spec!r}") from exc
-    raise InvalidParameters(f"unknown G-space kind in {spec!r} (use S4n-1:, HV:, Sp:)")
+    if kind is None:
+        raise InvalidParameters(f"unknown G-space kind in {spec!r} (use S4n-1:, HV:, Sp:)")
+    return kind(*params)
 
 
 def index_sphere(n: int) -> IndexIdeal:
@@ -170,15 +139,6 @@ class FeasibilityVerdict(Record):
             raise InvalidParameters(f"bad verdict status {status!r}")
         if status == "impossible" and not detail:
             raise InvalidParameters("impossible verdicts must state the violated condition")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.status, self.rule, self.detail)
-                    == (other.status, other.rule, other.detail))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.status, self.rule, self.detail))
 
 
 def feasibility(source: GSpace, target: GSpace) -> FeasibilityVerdict:

@@ -81,15 +81,6 @@ class SimpleGenerator(Record):
         setfield(self, "degree", degree)
         setfield(self, "square", square)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.label, self.degree, self.square)
-                    == (other.label, other.degree, other.square))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.label, self.degree, self.square))
-
 
 class Trunc(Record):
     """Truncated polynomial part: one generator y with y**order = 0."""
@@ -99,14 +90,6 @@ class Trunc(Record):
     def __init__(self, degree: int, order: int):
         setfield(self, "degree", degree)
         setfield(self, "order", order)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.degree, self.order) == (other.degree, other.order)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.degree, self.order))
 
 
 class AlgebraPresentation(Record):
@@ -176,15 +159,6 @@ class AlgebraPresentation(Record):
                         f"Borel's rule needs the square of generator {g.label} to be "
                         f"Sq^{g.degree} of it"
                     )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.trunc, self.simple_gens, self.symbol, self.y_symbol)
-                    == (other.trunc, other.simple_gens, other.symbol, other.y_symbol))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.trunc, self.simple_gens, self.symbol, self.y_symbol))
 
     # -- structure ---------------------------------------------------------
 
@@ -624,15 +598,6 @@ class CupResult(Record):
         setfield(self, "value", value)
         setfield(self, "witness", witness)
         setfield(self, "caveat", caveat)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.value, self.witness, self.caveat)
-                    == (other.value, other.witness, other.caveat))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.witness, self.caveat))
 
 
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:

@@ -45,18 +45,6 @@ class RankResult(Record):
         setfield(self, "advisory", advisory)
         setfield(self, "reason", reason)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.case_label, self.value, self.lo, self.hi, self.n_index_used,
-                     self.advisory, self.reason)
-                    == (other.kind, other.case_label, other.value, other.lo, other.hi,
-                        other.n_index_used, other.advisory, other.reason))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.case_label, self.value, self.lo, self.hi, self.n_index_used,
-                     self.advisory, self.reason))
-
     @staticmethod
     def exact(value: int, case: str, n_index_used: int | None = None,
               advisory: str | None = None) -> "RankResult":
@@ -235,15 +223,6 @@ class CupReport(Record):
         setfield(self, "oracle", oracle)
         setfield(self, "bounds", bounds)
         setfield(self, "violations", violations)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.space, self.exact, self.oracle, self.bounds, self.violations)
-                    == (other.space, other.exact, other.oracle, other.bounds, other.violations))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.space, self.exact, self.oracle, self.bounds, self.violations))
 
 
 # Largest total dimension on which cup_report re-derives the cup length

@@ -60,8 +60,10 @@ class Family(enum.Enum):
     @property
     def base_degree(self) -> int:
         """Degree of the polynomial generator of the quotient's classifying space."""
-        return {Family.RX: 1, Family.FV: 1, Family.CX: 2, Family.HX: 4}[self]
+        return _BASE_DEGREE[self]
 
+
+_BASE_DEGREE = {Family.RX: 1, Family.FV: 1, Family.CX: 2, Family.HX: 4}
 
 _SYMBOLS = {
     Family.RV: ("z", "y"),
@@ -71,6 +73,18 @@ _SYMBOLS = {
     Family.FV: ("y", "y"),
     Family.CX: ("y'", "y'"),
     Family.HX: ("y''", "y''"),
+}
+
+
+# the (n, k) each family admits, for positive n and k
+_IN_RANGE = {
+    Family.RV: lambda n, k: k < n,
+    Family.CV: lambda n, k: k <= n,
+    Family.HV: lambda n, k: k <= n,
+    Family.RX: lambda n, k: 1 < k < n,
+    Family.FV: lambda n, k: 2 * k < n,
+    Family.CX: lambda n, k: k < n,
+    Family.HX: lambda n, k: k < n,
 }
 
 
@@ -91,25 +105,8 @@ class SpaceId(Record):
         setfield(self, "k", k)
         if n < 1 or k < 1:
             raise InvalidParameters(f"{self}: n and k must be positive")
-        ok = {
-            Family.RV: 1 <= k < n,
-            Family.CV: 1 <= k <= n,
-            Family.HV: 1 <= k <= n,
-            Family.RX: 1 < k < n,
-            Family.FV: 2 * k < n,
-            Family.CX: 1 <= k < n,
-            Family.HX: 1 <= k < n,
-        }[fam]
-        if not ok:
+        if not _IN_RANGE[fam](n, k):
             raise InvalidParameters(f"parameters out of range for {self}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.n, self.k) == (other.family, other.n, other.k)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.n, self.k))
 
     def __str__(self) -> str:
         return f"{self.family.value}:{self.n},{self.k}"
@@ -125,17 +122,19 @@ class SpaceId(Record):
         return SpaceId(family, n, k)
 
 
+_DIMENSION = {
+    Family.RV: lambda n, k: n * k - k * (k + 1) // 2,
+    Family.RX: lambda n, k: n * k - k * (k + 1) // 2,
+    Family.FV: lambda n, k: 2 * n * k - k * (2 * k + 1),
+    Family.CV: lambda n, k: 2 * n * k - k * k,
+    Family.CX: lambda n, k: 2 * n * k - k * k - 1,
+    Family.HV: lambda n, k: 4 * n * k - 2 * k * k + k,
+    Family.HX: lambda n, k: 4 * n * k - 2 * k * k + k - 3,
+}
+
+
 def dimension(space: SpaceId) -> int:
-    n, k = space.n, space.k
-    return {
-        Family.RV: n * k - k * (k + 1) // 2,
-        Family.RX: n * k - k * (k + 1) // 2,
-        Family.FV: 2 * n * k - k * (2 * k + 1),
-        Family.CV: 2 * n * k - k * k,
-        Family.CX: 2 * n * k - k * k - 1,
-        Family.HV: 4 * n * k - 2 * k * k + k,
-        Family.HX: 4 * n * k - 2 * k * k + k - 3,
-    }[space.family]
+    return _DIMENSION[space.family](space.n, space.k)
 
 
 def _real_square(j: int, bound: int, omitted: int | None) -> int | str:
@@ -201,18 +200,6 @@ class SSReport(Record):
         setfield(self, "e_infinity_series", e_infinity_series)
         setfield(self, "presentation_series", presentation_series)
         setfield(self, "match", match)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.space, self.window, self.first_nonzero_differential_page,
-                     self.e_infinity_series, self.presentation_series, self.match)
-                    == (other.space, other.window, other.first_nonzero_differential_page,
-                        other.e_infinity_series, other.presentation_series, other.match))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.space, self.window, self.first_nonzero_differential_page,
-                     self.e_infinity_series, self.presentation_series, self.match))
 
 
 def _fiber_data(space: SpaceId) -> list[tuple[int, int, int]]:

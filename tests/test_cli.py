@@ -188,6 +188,17 @@ def test_out_of_range_spec_says_so():
     res = run("ucharrank", "RX:3")
     assert res.exit_code == 2
     assert res.stderr == "error: cannot parse space spec 'RX:3'\n"
+    for source, target, message in (
+        ("HV:2,3", "Sp:2", "needs 1 <= k <= n, got (2, 3)"),
+        ("S4n-1:0", "Sp:2", "sphere parameter must be positive, got 0"),
+        ("Sp:2", "Sp:-1", "group parameter must be positive, got -1"),
+    ):
+        res = run("s3map", "--from", source, "--to", target)
+        assert res.exit_code == 2, (source, target)
+        assert res.stdout == "" and res.stderr == f"error: {message}\n", (source, target)
+    res = run("s3map", "--from", "HV:3", "--to", "Sp:2")
+    assert res.exit_code == 2
+    assert res.stderr == "error: cannot parse G-space spec 'HV:3'\n"
 
 
 def test_usage_errors_print_one_error_line():

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from topoinv._record import Record
 from topoinv.equivariant import (
     FeasibilityVerdict,
     IndexIdeal,
@@ -144,3 +145,11 @@ def test_equality_reads_every_field():
                 value = stand_in if name == changed else getattr(record, name)
                 object.__setattr__(twin, name, value)
             assert twin != record and record != twin, (cls.__name__, changed)
+
+
+def test_record_alone_defines_equality_and_hash():
+    records = [cls for cls in Record.__subclasses__() if cls.__module__.startswith("topoinv.")]
+    assert {type(record) for record in one_of_each()} <= set(records)
+    assert len(records) == 13
+    for cls in records:
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls.__name__
