@@ -351,8 +351,8 @@ class Element:
     """Z2-linear combination of basis monomials of one presentation.
 
     ``_squares`` is the element's table of Steenrod squares, filled by
-    steenrod_sq: index i -> frozenset of codes.  It lives and dies with the
-    element.
+    steenrod_sq: (Sq^1, ..., Sq^H) as frozensets of codes, always
+    contiguous from index 1.  It lives and dies with the element.
     """
 
     __slots__ = ("presentation", "codes", "_squares")
@@ -360,7 +360,7 @@ class Element:
     def __init__(self, presentation: AlgebraPresentation, codes: frozenset[int]):
         self.presentation = presentation
         self.codes = codes
-        self._squares: dict[int, frozenset[int]] | None = None
+        self._squares: tuple[frozenset[int], ...] = ()
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -465,7 +465,8 @@ def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
                         code: int) -> dict[int, set[int]]:
     """Cartan expansion of Sq^b over the factors of one monomial, for every
     budget b in [lo, hi] from one pass: {b: set of codes}, a budget left out
-    being zero.  lo = hi = i gives Sq^i alone.
+    being zero.  lo = hi = i gives Sq^i alone; steenrod_sq runs (H, H'] to
+    extend an element's squares table.
 
     One sparse pass over the factors (y^e, then the generators); the track
     maps the budget b spent so far to the mod-2 sum of the products of its
@@ -507,52 +508,6 @@ def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
     return track
 
 
-def _fill_squares(p: AlgebraPresentation, i: int, a: Element) -> frozenset[int]:
-    """Compute Sq^i of a into a's squares table and return its entry.
-
-    The first index runs the one-budget pass.  A later index missing from
-    the table fills every budget up to H in one pass per monomial: H is the
-    larger of i and the index already held the first time, then the larger
-    of i and twice the previous H, and a table that already holds 1..H_prev
-    runs only (H_prev, H].  So Sq^1 then Sq^2 stays two small passes, while
-    an increasing or decreasing walk over the indices makes O(log) passes.
-    H never exceeds the element's degree, above which Sq^i vanishes, so the
-    table holds at most that many entries.
-    """
-    width = p._y_field[0]
-    codes = sorted(a.codes)
-    if p.trunc is not None and any(c >> width for c in codes):
-        raise UnsupportedPresentation(
-            "Steenrod squares on truncated presentations are only defined on pure powers of y"
-        )
-    degrees = list(map(p.monomial_degree, codes))
-    top = max(degrees, default=0)
-    if i > top:
-        return frozenset()
-    table = a._squares
-    if table is None:
-        lo = hi = i
-        table = a._squares = {}
-    else:
-        held = max(table)
-        if len(table) == held:  # the table holds 1..held: extend it
-            lo, hi = held + 1, min(top, max(i, 2 * held))
-        else:  # it holds the first index alone
-            lo, hi = 1, min(top, max(i, held))
-    sums: dict[int, set[int]] = {}
-    for code, deg in zip(codes, degrees):
-        if deg < lo:
-            continue
-        for b, got in _sq_monomial_cartan(p, lo, min(hi, deg), code).items():
-            if b in sums:
-                sums[b] ^= got
-            else:
-                sums[b] = got
-    for b in range(lo, hi + 1):
-        table[b] = frozenset(sums.get(b, ()))
-    return table[i]
-
-
 def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     """Sq^i on an element: Sq^0 = id, vanishing above the degree, and the
     Cartan formula across monomial factors for every 0 < i <= deg.
@@ -565,8 +520,10 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     squares: Sq^i, i > 0, of any other element raises
     UnsupportedPresentation before any pass.
 
-    Answers are kept in the element's squares table (see _fill_squares for
-    the window of budgets one pass fills), so the Cartan sum
+    Answers are kept in the element's squares table, Sq^1..Sq^H.  An index
+    above H extends it to H' = min(deg, max(i, 2H)) with one pass over the
+    budgets (H, H'] per monomial of degree above H, so a walk over the
+    indices in any order makes O(log deg) passes, and the Cartan sum
     sum_s Sq^s a * Sq^(i-s) b reads most of its terms from the tables of a
     and b.
     """
@@ -577,10 +534,28 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     if i == 0:
         return a
     table = a._squares
-    got = table.get(i) if table is not None else None
-    if got is None:
-        got = _fill_squares(p, i, a)
-    return Element(p, got)
+    held = len(table)
+    if i <= held:
+        return Element(p, table[i - 1])
+    if p.trunc is not None and any(c >> p._y_field[0] for c in a.codes):
+        raise UnsupportedPresentation(
+            "Steenrod squares on truncated presentations are only defined on pure powers of y"
+        )
+    degrees = {c: p.monomial_degree(c) for c in a.codes}
+    top = max(degrees.values(), default=0)
+    if i > top:
+        return p.zero()
+    hi = min(top, max(i, 2 * held))
+    sums: dict[int, set[int]] = {}
+    for code, deg in degrees.items():
+        if deg > held:
+            for b, got in _sq_monomial_cartan(p, held + 1, min(hi, deg), code).items():
+                if b in sums:
+                    sums[b] ^= got
+                else:
+                    sums[b] = got
+    table = a._squares = table + tuple(frozenset(sums.get(b, ())) for b in range(held + 1, hi + 1))
+    return Element(p, table[i - 1])
 
 
 # -- cup length --------------------------------------------------------------

@@ -147,23 +147,12 @@ def ucharrank_projective_real(space: SpaceId) -> RankResult:
             )
             return RankResult.interval(2, dim, "b2", N, advisory=advisory)
         return RankResult.exact(0, "b3", N)
-    if m == 2:
-        if N == 3:
-            return RankResult.exact(2, "c1", N)
-        if N == 4:
-            return RankResult.interval(1, min(4, dim), "c2", N)
-        return RankResult.interval(1, min(2, dim), "c1", N)
-    if m == 4:
-        if N == 5:
-            return RankResult.exact(4, "d1", N)
-        if N == 6:
-            return RankResult.interval(3, min(6, dim), "d2", N)
-        return RankResult.interval(3, min(4, dim), "d1", N)
-    if N == 9:
-        return RankResult.exact(8, "e1", N)
-    if N == 10:
-        return RankResult.interval(7, min(10, dim), "e2", N)
-    return RankResult.interval(7, min(8, dim), "e1", N)
+    rung = {2: "c", 4: "d", 8: "e"}[m]
+    if N == m + 1:
+        return RankResult.exact(m, rung + "1", N)
+    if N == m + 2:
+        return RankResult.interval(m - 1, min(m + 2, dim), rung + "2", N)
+    return RankResult.interval(m - 1, min(m, dim), rung + "1", N)
 
 
 def ucharrank_projective_CH(space: SpaceId) -> RankResult:

@@ -260,7 +260,8 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     in no monomial of the window and is left out.  Before any list is
     built, the monomials ranked are bounded by 2^g * ((window + 1) // base
     degree + 1), g the odd-coefficient generators in the window; a bound
-    above SS_WORK_CAP raises WorkCapExceeded.  A row has at most 2^g bits.
+    above SS_WORK_CAP raises WorkCapExceeded, and so does a window whose
+    presentation series poincare refuses.  A row has at most 2^g bits.
     """
     if not space.family.is_projective:
         raise InvalidParameters(f"serre_verify applies to quotient families, not {space}")
@@ -274,6 +275,9 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     estimate = (1 << len(odd)) * ((w + 1) // t + 1)
     if estimate > SS_WORK_CAP:
         raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {SS_WORK_CAP}")
+    # the presentation's series holds SERIES_WORK_CAP: refuse before any row
+    series = poincare(presentation(space), w)
+    pres = tuple(series) + (0,) * (w + 1 - len(series))
 
     # odd-part monomials per total degree; a mask fixes its base exponent,
     # so the mask is the column and a mask's row is the same in every degree
@@ -296,9 +300,6 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
 
     # t * m = d + 1, so every generator left in `odd` is visible
     first_page = min((t * m for _, m in odd), default=0)
-
-    series = poincare(presentation(space), w)
-    pres = tuple(series) + (0,) * (w + 1 - len(series))
 
     return SSReport(
         space=space,

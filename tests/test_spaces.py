@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from topoinv.errors import InvalidParameters, WorkCapExceeded
@@ -168,6 +170,19 @@ def test_serre_rejects_stiefel_families():
 def test_serre_work_cap():
     with pytest.raises(WorkCapExceeded):
         serre_verify(SpaceId.parse("RX:31,30"))  # 30 odd generators: estimate 2^30 * 467
+
+
+def test_serre_series_cap_refuses_before_any_row():
+    # the estimate, 2 * 2^20, passes SS_WORK_CAP; the series of 2^21 - 2
+    # degrees is over SERIES_WORK_CAP, and must be refused before the rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkCapExceeded):
+            serre_verify(SpaceId.parse("CX:2,1"), 2**21 - 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_serre_small_window_leaves_out_generators_above_it():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from test_gralg import random_presentations
+from topoinv import gralg
 from topoinv.errors import MixedPresentations, UnsupportedPresentation
 from topoinv.gralg import AlgebraPresentation, Element, SimpleGenerator, steenrod_sq
 from topoinv.parity import binom_parity
@@ -331,10 +332,10 @@ def _count_mul_codes(monkeypatch, limit=None):
 
 
 def test_squares_table_window_stays_bounded(monkeypatch):
-    # Sq^1, Sq^2, Sq^3 of a degree-219 monomial with 14 factors: a
-    # one-budget pass, then the budgets [1, 2], then (2, 4], 1,303
-    # products in all.  Filling every budget up to the degree at once
-    # makes 456,701, and a single Sq^109 alone 157,129.
+    # Sq^1, Sq^2, Sq^3 of a degree-219 monomial with 14 factors: the
+    # budgets [1], then [2], then (2, 4], 1,303 products in all.  Filling
+    # every budget up to the degree at once makes 456,701, and a single
+    # Sq^109 alone 157,129.
     p = P("RV:32,31")
     code = p.pack(0, random.Random(0).getrandbits(p.num_gens))
     assert p.monomial_degree(code) == 219
@@ -345,10 +346,32 @@ def test_squares_table_window_stays_bounded(monkeypatch):
     assert got == [_sq_monomial(p, i, code) for i in (1, 2, 3)]
 
 
+def test_squares_table_grows_once_on_a_falling_walk(monkeypatch):
+    # Sq^deg first fills the whole table, Sq^1..Sq^deg, with one pass per
+    # monomial; every later index of the walk is read from it.
+    p = P("RV:12,11")
+    a = _random_element(p, random.Random(0), 2)
+    assert len(a.codes) == 2
+    top = max(map(p.monomial_degree, a.codes))
+    passes = []
+    cartan = gralg._sq_monomial_cartan
+
+    def counted(*args):
+        passes.append(args[-1])
+        return cartan(*args)
+
+    monkeypatch.setattr(gralg, "_sq_monomial_cartan", counted)
+    got = [steenrod_sq(p, i, a) for i in range(top, 0, -1)]
+    monkeypatch.undo()
+    assert sorted(passes) == sorted(a.codes)
+    assert got == [sum((_cartan_brute_force(p, i, c) for c in a.codes), p.zero())
+                   for i in range(top, 0, -1)]
+
+
 def test_cartan_products_on_borel_rings(monkeypatch):
     # Sq runs one cancelling track, over the budgets the factors left can
     # still fill; the rhs asks a for Sq^0..Sq^i and b for Sq^i..Sq^0, which
-    # their squares tables answer from a few windowed passes (23,272
+    # their squares tables answer from a few windowed passes (21,220
     # products here).  One pass per asked index made 148,475
     calls = _count_mul_codes(monkeypatch)
     rng = random.Random(5)
