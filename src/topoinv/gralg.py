@@ -54,8 +54,11 @@ __all__ = [
 SQ_ZERO = "zero"
 SQ_UNDETERMINED = "undetermined"
 
-# Largest total Z2-dimension the exhaustive cup-length oracle accepts.
-ORACLE_DIMENSION_CAP = 1 << 14
+# Largest total Z2-dimension the exhaustive cup-length oracle accepts.  At
+# 2^16 (RV:17,16, HV:16,16) it takes 0.2-0.5 s and under 1 MiB of peak RSS,
+# and its longest word, cap - 1 in Z2[y]/(y^cap), still fits the oracle's
+# 16-bit length array.
+ORACLE_DIMENSION_CAP = 1 << 16
 # Largest (generators + 1) * (series length) poincare accepts: one pass per
 # generator, and the CLI prints one JSON entry per degree.
 SERIES_WORK_CAP = 1 << 20
@@ -601,42 +604,82 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
         raise DimensionCapExceeded(
             f"total dimension {p.total_dimension} exceeds oracle cap {ORACLE_DIMENSION_CAP}"
         )
-    y = [(p.y_degree, p.pack(1, 0))] if p.order > 1 else []
-    gens = sorted(y + [(d, p.pack(0, 1 << i)) for i, d in enumerate(p._degree_of_bit)])
-    if not gens:
+    width, _, order = p._y_field
+    gens = p.num_gens
+    if order == 1 and not gens:
         return CupResult(0, (), False)
+    rules = p._rule_of_bit
+    size = (1 << gens) << width
+    # Indexed by code: the length of the longest generator word with that
+    # product (0 = not reached; 16 bits hold the cap - 1 of Z2[y]/(y^cap)),
+    # the code before its last factor, and that factor (0 for y, bit + 1 for
+    # a generator).  A prefix of a nonzero word is nonzero, so extending each
+    # reached code by each factor sees every word.  A product by y or by one
+    # generator raises the code (a square chain clears lower bits but sets a
+    # higher one), so in increasing code order every code is final before it
+    # is extended.  Typed views of bytearrays, so the sweep imports no module.
+    length = memoryview(bytearray(2 * size)).cast("H")
+    parent = memoryview(bytearray(4 * size)).cast("I")
+    factor = bytearray(size)
+    if order > 1:
+        length[1] = 1
+    for i in range(gens):
+        length[1 << (width + i)] = 1
     top = p.top_degree
     caveat = False
-    mul_codes = p.mul_codes
-    # factors[m] = length of the longest generator word with product m.  A
-    # prefix of a nonzero word is nonzero, so extending each reached
-    # monomial by one generator (degree-ascending sweep) sees every word.
-    factors = {c: 1 for _, c in gens}
-    parent: dict[int, tuple[int, int]] = {}
-    for da, a in sorted((p.monomial_degree(c), c) for c in p.basis_codes()):
-        fa = factors.get(a)
-        if fa is None:
-            continue
-        for db, b in gens:
-            if da + db > top:
-                break
-            try:
-                m = mul_codes(a, b)
-            except UndeterminedSquare:
-                caveat = True
+    for mask in range(1 << gens):
+        base = mask << width
+        # (factor, product's mask << width) of each generator not killing
+        # this mask; the y-exponent rides along unchanged
+        steps = []
+        undetermined = []
+        for i in range(gens):
+            bit = 1 << i
+            if not mask & bit:
+                steps.append((i + 1, (mask | bit) << width))
                 continue
-            if m is not None and factors.get(m, 0) < fa + 1:
-                factors[m] = fa + 1
-                parent[m] = (a, b)
-    best = max(factors.values())
-    tail = min(c for c, f in factors.items() if f == best)
-    word: list[int] = []
-    while tail in parent:
-        tail, factor = parent[tail]
-        word.append(factor)
-    word.append(tail)
-    witness = tuple(p.monomial_name(c) for c in reversed(word))
-    return CupResult(best, witness, caveat)
+            m, j = mask ^ bit, i
+            while rules[j] >= 0:
+                j = rules[j]
+                if not m >> j & 1:
+                    steps.append((i + 1, (m | 1 << j) << width))
+                    break
+                m ^= 1 << j
+            else:
+                if rules[j] == _RULE_UNDET:
+                    undetermined.append(p._degree_of_bit[i])
+        for e in range(order):
+            c = base | e
+            n = length[c]
+            if not n:
+                continue
+            n += 1
+            if e + 1 < order and length[c + 1] < n:
+                length[c + 1] = n
+                parent[c + 1] = c
+                factor[c + 1] = 0
+            for f, m in steps:
+                m |= e
+                if length[m] < n:
+                    length[m] = n
+                    parent[m] = c
+                    factor[m] = f
+        if undetermined and not caveat:
+            # an undetermined square counts only when the product it stands
+            # for, from the least reached code of this mask, is within the
+            # top degree, as in the closed form
+            e = next((e for e in range(order) if length[base | e]), None)
+            caveat = e is not None and (
+                p.monomial_degree(base | e) + min(undetermined) <= top)
+    tail = max(range(size), key=length.__getitem__)  # the least such code
+    best = length[tail]
+    names = [p.y_symbol] + [f"{p.symbol}{j}" for j in p.labels]
+    word = []
+    while length[tail] > 1:
+        word.append(names[factor[tail]])
+        tail = parent[tail]
+    word.append(p.monomial_name(tail))
+    return CupResult(best, tuple(reversed(word)), caveat)
 
 
 def cup_length(
@@ -651,10 +694,12 @@ def cup_length(
     product of elements is nonzero only if some product of support
     monomials is, and a monomial is the product of its generators, so it
     takes the longest nonzero word in y and the g_i, found by extending
-    each monomial reached by each generator in degree order, at most
-    (g+1)*N*2^g products; the witness is that word.  It refuses rings of
-    total dimension above ORACLE_DIMENSION_CAP with DimensionCapExceeded
-    before any product.
+    each monomial reached by each generator in increasing code order, at
+    most (g+1)*N*2^g products worked out inline (no mul_codes call); the
+    witness is that word, ending at the least code of greatest length.
+    Three flat arrays indexed by code hold its state, at most 14 bytes per
+    basis monomial.  It refuses rings of total dimension above
+    ORACLE_DIMENSION_CAP with DimensionCapExceeded before any product.
     cup_report runs both modes on small rings and keeps both results, so
     callers that need the cross-check read it there instead of rerunning.
 

@@ -378,12 +378,12 @@ def test_csv_column_count_is_constant():
 
 
 def test_oracle_over_its_cap_exits_2_with_one_error_line():
-    res = run("cuplength", "RV:16,15", "--mode", "oracle")  # dimension 2^15
+    res = run("cuplength", "RV:18,17", "--mode", "oracle")  # dimension 2^17
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     lines = res.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error:") and "oracle cap 16384" in lines[0]
+    assert lines[0].startswith("error:") and "oracle cap 65536" in lines[0]
 
 
 def test_work_cap_environment_variable_is_ignored(monkeypatch):

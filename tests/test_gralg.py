@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from topoinv.errors import (
     WorkCapExceeded,
 )
 from topoinv.gralg import (
+    ORACLE_DIMENSION_CAP,
     SERIES_WORK_CAP,
     SQ_UNDETERMINED,
     SQ_ZERO,
@@ -216,9 +218,15 @@ def test_truncation_order_sizes_the_y_field():
 
 
 def test_cup_oracle_dimension_cap():
-    p = P("RV:16,15")  # dimension 2^15, over the 2^14 cap
+    assert ORACLE_DIMENSION_CAP == 1 << 16
+    p = P("RV:18,17")  # dimension 2^17, over the cap
     with pytest.raises(DimensionCapExceeded):
         cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+    # a ring at the cap whose longest word, cap - 1 factors of y, is as
+    # long as a ring of that dimension allows
+    p = AlgebraPresentation(Trunc(1, ORACLE_DIMENSION_CAP), ())
+    res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+    assert res.value == len(res.witness) == ORACLE_DIMENSION_CAP - 1
 
 
 def _elementwise_cup(p):
@@ -316,20 +324,46 @@ def test_oracle_witness_is_a_nonzero_generator_word(p):
     _assert_witness_word_is_nonzero(p)
 
 
-def test_oracle_makes_at_most_one_product_per_monomial_and_generator(monkeypatch):
-    calls = []
-    mul_codes = AlgebraPresentation.mul_codes
+def test_oracle_makes_no_mul_codes_call_and_matches_the_closed_form(monkeypatch):
+    """The oracle works its products out inline: at most g+1 per reached
+    code, one by y and one per generator, so at most (g+1)*N*2^g in all."""
 
-    def counted(self, a, b):
-        calls.append(None)
-        return mul_codes(self, a, b)
+    def refused(self, a, b):
+        raise AssertionError("the oracle called mul_codes")
 
-    monkeypatch.setattr(AlgebraPresentation, "mul_codes", counted)
     for spec in ("RX:9,8", "CV:9,9"):
         p = P(spec)
-        calls.clear()
-        assert cup_length(p, CupMode.EXHAUSTIVE_ORACLE).value == cup_length(p).value
-        assert 0 < len(calls) <= (p.num_gens + 1) * p.total_dimension, spec
+        exact = cup_length(p)
+        with monkeypatch.context() as m:
+            m.setattr(AlgebraPresentation, "mul_codes", refused)
+            res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+        assert (res.value, res.caveat) == (exact.value, exact.caveat), spec
+
+
+def test_oracle_witnesses_are_pinned():
+    # the longest word ending at the least code of greatest length; a new
+    # sweep order must not change `cuplength --mode oracle`
+    pinned = {
+        "RX:5,2": "y y y y4",
+        "FV:9,4": "y y y" + " y1" * 15 + " y5 y6 y7",
+        "HX:9,8": "y'' " * 7 + "y''2 y''3 y''4 y''5 y''6 y''7 y''9",
+        "CV:9,9": " ".join(f"z'{j}" for j in range(1, 10)),
+        "RV:11,10": "z1 " * 15 + "z3 z3 z3 z5 z5 z5 z7 z9",
+    }
+    for spec, word in pinned.items():
+        assert cup_length(P(spec), CupMode.EXHAUSTIVE_ORACLE).witness == tuple(word.split()), spec
+
+
+def test_oracle_peak_memory_is_under_one_mib():
+    p = P("FV:15,6")  # 2^14 basis monomials
+    tracemalloc.start()
+    try:
+        res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == cup_length(p).value
+    assert peak <= 1 << 20, peak
 
 
 @given(random_presentations())
