@@ -21,9 +21,9 @@ import sys
 
 from . import __version__
 from .errors import DimensionCapExceeded, InvalidParameters, TopoinvError, WorkCapExceeded
-from .gralg import (AlgebraPresentation, CupMode, Element, cup_length, poincare,
-                    presentation_to_dict, steenrod_sq)
-from .invariants import ORACLE_CROSS_CHECK_MAX_DIMENSION, RankResult, cup_report, ucharrank
+from .gralg import (ORACLE_DIMENSION_CAP, AlgebraPresentation, CupMode, Element, cup_length,
+                    poincare, presentation_to_dict, steenrod_sq)
+from .invariants import RankResult, cup_report, ucharrank
 from .equivariant import feasibility, index_sphere, index_stiefel_mod2, parse_gspace
 from .parity import binom_parity, parity_row
 from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
@@ -264,11 +264,12 @@ def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
 
 
 def _check_cup(item: tuple[SpaceId, int | None]) -> tuple[str | None, list[str]]:
-    """Cross-check one space through cup_report; `item` is the space and the
-    cup-length floor (N-1) + g of a truncated ring, None for the others."""
+    """Cross-check one space through cup_report, with the oracle up to its
+    cap; `item` is the space and the cup-length floor (N-1) + g of a
+    truncated ring, None for the others."""
     space, floor = item
     try:
-        report = cup_report(space)
+        report = cup_report(space, oracle_max_dimension=ORACLE_DIMENSION_CAP)
     except TopoinvError as exc:
         return str(exc), []
     exact = report.exact.value
@@ -356,7 +357,7 @@ def verify(args: argparse.Namespace) -> int | None:
         cup_items = []
         for space in _grid(list(Family), max_n):
             p = presentation(space)
-            if p.total_dimension <= ORACLE_CROSS_CHECK_MAX_DIMENSION:
+            if p.total_dimension <= ORACLE_DIMENSION_CAP:
                 floor = (p.order - 1) + p.num_gens if p.trunc is not None else None
                 cup_items.append((space, floor))
         run_grid("cup", cup_items, _check_cup)

@@ -201,7 +201,7 @@ def cup_bound_dim_minus_index(space: SpaceId) -> int | None:
 
 
 class CupReport(Record):
-    """What cup_report found; ``oracle`` is None above ORACLE_CROSS_CHECK_MAX_DIMENSION."""
+    """What cup_report found; ``oracle`` is None above its cross-check dimension."""
 
     __slots__ = ("space", "exact", "oracle", "bounds", "violations")
 
@@ -215,17 +215,19 @@ class CupReport(Record):
 
 
 # Largest total dimension on which cup_report re-derives the cup length
-# with the exhaustive oracle.
+# with the exhaustive oracle by default.  A query or a grid keeps to it;
+# verify asks for rings up to gralg.ORACLE_DIMENSION_CAP.
 ORACLE_CROSS_CHECK_MAX_DIMENSION = 1 << 13
 
 
-def cup_report(space: SpaceId) -> CupReport:
+def cup_report(space: SpaceId, *,
+               oracle_max_dimension: int = ORACLE_CROSS_CHECK_MAX_DIMENSION) -> CupReport:
     """Exact cup length with its oracle cross-check, the catalog bound and
     any violations.
 
     The exact value comes from the square-chain closed form.  When the total
-    dimension is at most ORACLE_CROSS_CHECK_MAX_DIMENSION the exhaustive
-    oracle re-derives it once, its result is kept in `oracle` for callers
+    dimension is at most oracle_max_dimension the exhaustive oracle
+    re-derives it once, its result is kept in `oracle` for callers
     to read, and a disagreement in value or caveat raises TopoinvError (an
     internal error, not a report); above that dimension `oracle` is None.
     A bound smaller than the exact value is recorded as a violation, never
@@ -235,7 +237,7 @@ def cup_report(space: SpaceId) -> CupReport:
     p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
     oracle = None
-    if p.total_dimension <= ORACLE_CROSS_CHECK_MAX_DIMENSION:
+    if p.total_dimension <= oracle_max_dimension:
         oracle = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
         if (oracle.value, oracle.caveat) != (exact.value, exact.caveat):
             raise TopoinvError(

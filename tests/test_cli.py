@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import topoinv
-from topoinv.spaces import catalog
+from topoinv.spaces import SpaceId, catalog
 
 from cli_runner import run
 
@@ -439,6 +439,20 @@ def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
     assert res.exit_code == 1
     assert "FAIL: RV:3,2: closed form gave" in res.output
     assert isinstance(res.exception, SystemExit)  # clean exit, not an uncaught error
+
+
+def test_verify_cross_checks_cup_length_up_to_the_oracle_cap(monkeypatch):
+    # CX:16,11 has total dimension 2^14: above cup_report's default 2^13,
+    # within the oracle's cap, so only verify's cup check runs its oracle
+    from topoinv.cli import _check_cup
+    from topoinv.invariants import cup_report
+
+    space = SpaceId.parse("CX:16,11")
+    assert cup_report(space).oracle is None
+    assert _check_cup((space, None)) == (None, [])
+    _wrong_oracle(monkeypatch)
+    failure, _ = _check_cup((space, None))
+    assert failure.startswith("CX:16,11: closed form gave")
 
 
 def test_cup_disagreement_in_a_query_exits_1_without_traceback(monkeypatch):

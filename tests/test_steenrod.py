@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from test_gralg import random_presentations
 from topoinv import gralg
 from topoinv.errors import MixedPresentations, UnsupportedPresentation
-from topoinv.gralg import AlgebraPresentation, Element, SimpleGenerator, steenrod_sq
+from topoinv.gralg import AlgebraPresentation, Element, SimpleGenerator, Trunc, steenrod_sq
 from topoinv.parity import binom_parity
 from topoinv.spaces import Family, SpaceId, catalog, presentation
 
@@ -124,6 +124,26 @@ def test_pure_y_powers_in_projective_presentations():
     assert steenrod_sq(r, 4, r.y_power(1)) == r.y_power(2)
     for i in (1, 2, 3):
         assert steenrod_sq(r, i, r.y_power(1)).is_zero()
+
+
+def test_squares_of_y_powers_respect_the_truncation():
+    # Sq^(s*d) y^e = binom(e, s) y^(e+s), zero once e + s reaches the order
+    # N, on fresh elements and on one rising walk.  With N not a power of
+    # two, e and s can have disjoint bits and still add up to N or more:
+    # the pass must drop those pieces, not pack them into a code.
+    for d in (1, 2, 4):
+        for order in (3, 5, 6, 7, 9, 12):
+            p = AlgebraPresentation(Trunc(d, order), ())
+            for e in range(order):
+                walked = p.y_power(e)
+                for i in range(e * d + 2):
+                    s, rem = divmod(i, d)
+                    if rem or math.comb(e, s) % 2 == 0 or e + s >= order:
+                        want = p.zero()
+                    else:
+                        want = p.y_power(e + s)
+                    assert steenrod_sq(p, i, p.y_power(e)) == want, (d, order, e, i)
+                    assert steenrod_sq(p, i, walked) == want, (d, order, e, i)
 
 
 def test_exterior_generators_take_borel_values():
@@ -333,17 +353,24 @@ def _count_mul_codes(monkeypatch, limit=None):
 
 def test_squares_table_window_stays_bounded(monkeypatch):
     # Sq^1, Sq^2, Sq^3 of a degree-219 monomial with 14 factors: the
-    # budgets [1], then [2], then (2, 4], 1,303 products in all.  Filling
-    # every budget up to the degree at once makes 456,701, and a single
-    # Sq^109 alone 157,129.
+    # budgets [1], then [2], then (2, 4].  mul_codes counts only the chain
+    # collisions, products by a generator whose bit is already set; a free
+    # bit is set inline.  With the factors taken from the largest down, the
+    # rising walk makes 76 of them (143 smallest first), and a fresh
+    # Sq^219, which fills every budget up to the degree at once, 16,558
+    # (72,603 smallest first).
     p = P("RV:32,31")
     code = p.pack(0, random.Random(0).getrandbits(p.num_gens))
     assert p.monomial_degree(code) == 219
-    _count_mul_codes(monkeypatch, limit=1303)
+    _count_mul_codes(monkeypatch, limit=76)
     a = Element(p, frozenset((code,)))
     got = [steenrod_sq(p, i, a) for i in (1, 2, 3)]
     monkeypatch.undo()
     assert got == [_sq_monomial(p, i, code) for i in (1, 2, 3)]
+    _count_mul_codes(monkeypatch, limit=16558)
+    top = _sq_monomial(p, 219, code)
+    monkeypatch.undo()
+    assert top == Element(p, frozenset((code,))) * Element(p, frozenset((code,)))
 
 
 def test_squares_table_grows_once_on_a_falling_walk(monkeypatch):
@@ -371,8 +398,10 @@ def test_squares_table_grows_once_on_a_falling_walk(monkeypatch):
 def test_cartan_products_on_borel_rings(monkeypatch):
     # Sq runs one cancelling track, over the budgets the factors left can
     # still fill; the rhs asks a for Sq^0..Sq^i and b for Sq^i..Sq^0, which
-    # their squares tables answer from a few windowed passes (21,220
-    # products here).  One pass per asked index made 148,475
+    # their squares tables answer from a few windowed passes.  mul_codes
+    # counts the element products (436) and the chain collisions of the
+    # passes (1,775); a free bit is set inline.  With the factors taken
+    # smallest first the passes make 5,982 collisions.
     calls = _count_mul_codes(monkeypatch)
     rng = random.Random(5)
     for k in range(2, 12):
@@ -385,4 +414,4 @@ def test_cartan_products_on_borel_rings(monkeypatch):
             for t in range(i + 1):
                 rhs = rhs + steenrod_sq(p, t, a) * steenrod_sq(p, i - t, b)
             assert steenrod_sq(p, i, a * b) == rhs
-    assert len(calls) <= 0.3 * 148475
+    assert len(calls) <= 2211
