@@ -14,7 +14,6 @@ from .errors import (
     InvalidParameters,
     MixedPresentations,
     TopoinvError,
-    UndeterminedSquare,
     UnsupportedPresentation,
     WorkCapExceeded,
 )
@@ -26,7 +25,6 @@ from .parity import (
     parity_row,
 )
 from .gralg import (
-    SQ_UNDETERMINED,
     SQ_ZERO,
     AlgebraPresentation,
     CupMode,

@@ -89,8 +89,6 @@ def cuplength(args: argparse.Namespace) -> None:
         res = cup_length(presentation(space), cup_mode)
     warnings: list[str] = []
     result: dict = {"value": res.value, "witness": list(res.witness), "caveat": res.caveat}
-    if res.caveat:
-        warnings.append("an undetermined square was treated as zero during the search")
     if report is not None:
         result["bounds"] = [{"name": name, "value": value} for name, value in report.bounds]
         result["violations"] = list(report.violations)

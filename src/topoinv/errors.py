@@ -15,14 +15,6 @@ class MixedPresentations(TopoinvError):
     """Elements of different presentations were combined."""
 
 
-class UndeterminedSquare(TopoinvError):
-    """A squaring rule left open by the presentation was exercised."""
-
-    def __init__(self, label: int, message: str | None = None):
-        self.label = label
-        super().__init__(message or f"square of generator {label} is undetermined")
-
-
 class UnsupportedPresentation(TopoinvError):
     """The requested operation is not defined on this presentation/element."""
 

@@ -2,11 +2,10 @@
 
 A presentation is an optional truncated polynomial generator y (y^N = 0)
 tensored with a simple system of generators: a basis of square-free
-products where squaring a generator either vanishes, lands on another
-generator of twice the degree, or is left undetermined by the catalog.
-Distinct generators square onto distinct targets, so the squares form
-chains j -> 2j -> 4j -> ... and the cup length has a closed form over
-them; an oracle re-derives it over generator words in (g+1)*N*2^g
+products where squaring a generator either vanishes or lands on another
+generator of twice the degree.  Distinct generators square onto distinct
+targets, so the squares form chains j -> 2j -> 4j -> ... and the cup
+length has a closed form over them; an oracle re-derives it over generator words in (g+1)*N*2^g
 products.  Monomials are packed into single ints (a generator bitmask
 shifted over the y-exponent), so products, the oracle and Steenrod
 squares all run on machine words.  The y-exponent field of a code is
@@ -33,13 +32,11 @@ from .errors import (
     DimensionCapExceeded,
     InvalidParameters,
     MixedPresentations,
-    UndeterminedSquare,
     UnsupportedPresentation,
     WorkCapExceeded,
 )
 
 __all__ = [
-    "SQ_UNDETERMINED",
     "SQ_ZERO",
     "AlgebraPresentation",
     "CupMode",
@@ -54,7 +51,6 @@ __all__ = [
 ]
 
 SQ_ZERO = "zero"
-SQ_UNDETERMINED = "undetermined"
 
 # Largest total Z2-dimension the exhaustive cup-length oracle accepts.  At
 # 2^16 (RV:17,16, HV:16,16) it takes 0.2-0.5 s and under 1 MiB of peak RSS,
@@ -65,18 +61,16 @@ ORACLE_DIMENSION_CAP = 1 << 16
 # generator, and the CLI prints one JSON entry per degree.
 SERIES_WORK_CAP = 1 << 20
 
-# Internal square-rule encoding per generator bit.
+# Internal square-rule encoding per generator bit: the target's bit, or this.
 _RULE_ZERO = -1
-_RULE_UNDET = -2
 
 
 class SimpleGenerator(Record):
     """One simple-system generator: label j, its degree, and its square.
 
     ``square`` is the label of the generator equal to the square, or
-    SQ_ZERO, or SQ_UNDETERMINED when the catalog leaves the square open
-    (only possible when the squared degree is the omitted index of a
-    projective presentation).
+    SQ_ZERO.  No catalog square is left open: in RX and FV no generator
+    squares onto the omitted index (see spaces._real_square).
     """
 
     __slots__ = ("label", "degree", "square")
@@ -145,11 +139,6 @@ class AlgebraPresentation(Record):
                     raise InvalidParameters(
                         f"square of generator {g.label} must double the degree"
                     )
-            elif g.square == SQ_UNDETERMINED:
-                if trunc is None:
-                    raise InvalidParameters(
-                        "undetermined squares only occur in truncated (projective) presentations"
-                    )
             elif g.square != SQ_ZERO:
                 raise InvalidParameters(f"bad square rule {g.square!r}")
         if trunc is None:
@@ -197,15 +186,8 @@ class AlgebraPresentation(Record):
 
     @cached_property
     def _rule_of_bit(self) -> tuple[int, ...]:
-        rules = []
-        for g in self.simple_gens:
-            if g.square == SQ_ZERO:
-                rules.append(_RULE_ZERO)
-            elif g.square == SQ_UNDETERMINED:
-                rules.append(_RULE_UNDET)
-            else:
-                rules.append(self._bit_of_label[g.square])
-        return tuple(rules)
+        return tuple(_RULE_ZERO if g.square == SQ_ZERO else self._bit_of_label[g.square]
+                     for g in self.simple_gens)
 
     @cached_property
     def total_dimension(self) -> int:
@@ -294,10 +276,8 @@ class AlgebraPresentation(Record):
             while queue:
                 i = heappop(queue)
                 rule = rules[i]
-                if rule == _RULE_ZERO:
+                if rule < 0:
                     return None
-                if rule == _RULE_UNDET:
-                    raise UndeterminedSquare(self.labels[i])
                 bit = 1 << rule
                 if mask & bit:
                     mask ^= bit
@@ -587,12 +567,15 @@ class CupMode(enum.Enum):
 
 
 class CupResult(Record):
-    __slots__ = ("value", "witness", "caveat")
+    __slots__ = ("value", "witness")
 
-    def __init__(self, value: int, witness: tuple[str, ...], caveat: bool = False):
+    # every square is a generator or zero, so the value is never a mere lower
+    # bound; kept because `cuplength` JSON and the cup-grid golden carry it
+    caveat = False
+
+    def __init__(self, value: int, witness: tuple[str, ...]):
         setfield(self, "value", value)
         setfield(self, "witness", witness)
-        setfield(self, "caveat", caveat)
 
 
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
@@ -602,7 +585,6 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     witness = [p.y_symbol] * (p.order - 1)
     rules = p._rule_of_bit
     targets = {r for r in rules if r >= 0}
-    caveat = False
     for bit, g in enumerate(p.simple_gens):
         if bit in targets:
             continue
@@ -610,10 +592,8 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
         while rules[last] >= 0:
             last = rules[last]
             length += 1
-        if rules[last] == _RULE_UNDET and 2 * p._degree_of_bit[last] <= p.top_degree:
-            caveat = True
         witness += [f"{p.symbol}{g.label}"] * ((1 << length) - 1)
-    return CupResult(len(witness), tuple(witness), caveat)
+    return CupResult(len(witness), tuple(witness))
 
 
 def _cup_oracle(p: AlgebraPresentation) -> CupResult:
@@ -624,7 +604,7 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
     width, _, order = p._y_field
     gens = p.num_gens
     if order == 1 and not gens:
-        return CupResult(0, (), False)
+        return CupResult(0, ())
     rules = p._rule_of_bit
     size = (1 << gens) << width
     # Indexed by code: the length of the longest generator word with that
@@ -642,14 +622,11 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
         length[1] = 1
     for i in range(gens):
         length[1 << (width + i)] = 1
-    top = p.top_degree
-    caveat = False
     for mask in range(1 << gens):
         base = mask << width
         # (factor, product's mask << width) of each generator not killing
         # this mask; the y-exponent rides along unchanged
         steps = []
-        undetermined = []
         for i in range(gens):
             bit = 1 << i
             if not mask & bit:
@@ -662,9 +639,6 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
                     steps.append((i + 1, (m | 1 << j) << width))
                     break
                 m ^= 1 << j
-            else:
-                if rules[j] == _RULE_UNDET:
-                    undetermined.append(p._degree_of_bit[i])
         for e in range(order):
             c = base | e
             n = length[c]
@@ -681,13 +655,6 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
                     length[m] = n
                     parent[m] = c
                     factor[m] = f
-        if undetermined and not caveat:
-            # an undetermined square counts only when the product it stands
-            # for, from the least reached code of this mask, is within the
-            # top degree, as in the closed form
-            e = next((e for e in range(order) if length[base | e]), None)
-            caveat = e is not None and (
-                p.monomial_degree(base | e) + min(undetermined) <= top)
     tail = max(range(size), key=length.__getitem__)  # the least such code
     best = length[tail]
     names = [p.y_symbol] + [f"{p.symbol}{j}" for j in p.labels]
@@ -696,7 +663,7 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
         word.append(names[factor[tail]])
         tail = parent[tail]
     word.append(p.monomial_name(tail))
-    return CupResult(best, tuple(reversed(word)), caveat)
+    return CupResult(best, tuple(reversed(word)))
 
 
 def cup_length(
@@ -720,9 +687,8 @@ def cup_length(
     cup_report runs both modes on small rings and keeps both results, so
     callers that need the cross-check read it there instead of rerunning.
 
-    The caveat flag is set when an undetermined square was treated as zero
-    and its degree does not exceed the top degree, so the true cup length
-    may be larger.  Squares above the top degree vanish and never set it.
+    Every square is a generator or zero, so both modes give the exact cup
+    length of the ring; the result's caveat is always False.
     """
     mode = CupMode(mode)
     if mode is CupMode.GENERATOR_SEARCH:

@@ -228,7 +228,7 @@ def cup_report(space: SpaceId, *,
     The exact value comes from the square-chain closed form.  When the total
     dimension is at most oracle_max_dimension the exhaustive oracle
     re-derives it once, its result is kept in `oracle` for callers
-    to read, and a disagreement in value or caveat raises TopoinvError (an
+    to read, and a disagreement in value raises TopoinvError (an
     internal error, not a report); above that dimension `oracle` is None.
     A bound smaller than the exact value is recorded as a violation, never
     suppressed: over all catalog spaces with n <= 40 the
@@ -239,10 +239,9 @@ def cup_report(space: SpaceId, *,
     oracle = None
     if p.total_dimension <= oracle_max_dimension:
         oracle = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
-        if (oracle.value, oracle.caveat) != (exact.value, exact.caveat):
+        if oracle.value != exact.value:
             raise TopoinvError(
-                f"{space}: closed form gave {exact.value} (caveat {exact.caveat}) "
-                f"but the oracle gave {oracle.value} (caveat {oracle.caveat})"
+                f"{space}: closed form gave {exact.value} but the oracle gave {oracle.value}"
             )
     bounds: list[tuple[str, int]] = []
     catalog_bound = cup_bound_dim_minus_index(space)

@@ -23,14 +23,7 @@ from collections.abc import Iterable
 
 from ._record import Record, setfield
 from .errors import InvalidParameters, WorkCapExceeded
-from .gralg import (
-    SQ_UNDETERMINED,
-    SQ_ZERO,
-    AlgebraPresentation,
-    SimpleGenerator,
-    Trunc,
-    poincare,
-)
+from .gralg import SQ_ZERO, AlgebraPresentation, SimpleGenerator, Trunc, poincare
 from .parity import IndexFamily, binom_parity, n_index
 
 __all__ = [
@@ -137,13 +130,19 @@ def dimension(space: SpaceId) -> int:
     return _DIMENSION[space.family](space.n, space.k)
 
 
-def _real_square(j: int, bound: int, omitted: int | None) -> int | str:
-    """Square rule z_j^2 = z_{2j} below the ambient bound, else zero."""
-    if 2 * j > bound:
-        return SQ_ZERO
-    if omitted is not None and 2 * j == omitted:
-        return SQ_UNDETERMINED
-    return 2 * j
+def _real_square(j: int, bound: int) -> int | str:
+    """Square rule z_j^2 = z_{2j} below the ambient bound, else zero.
+
+    In RX and FV the generator N-1 is omitted, N the truncation order, and
+    no generator j squares onto it.  2j = N-1 would make N odd.  For RX, N
+    is a submask of n; for FV, N & (k-1) = 0 (Lucas on binom(k+N-1, N)).
+    Clearing the low bit of an odd N keeps that condition, and N is the
+    least index in its range that meets it, so N-1 lies just below the
+    range: it is the lowest label, n-k for RX and n-2k for FV.  Then 2j
+    would be a label at most j, impossible for j >= 1.  Were it ever not
+    so, AlgebraPresentation would refuse the square target.
+    """
+    return 2 * j if 2 * j <= bound else SQ_ZERO
 
 
 def presentation(space: SpaceId) -> AlgebraPresentation:
@@ -152,7 +151,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
 
     if fam is Family.RV:
         gens = tuple(
-            SimpleGenerator(j, j, _real_square(j, n - 1, None)) for j in range(n - k, n)
+            SimpleGenerator(j, j, _real_square(j, n - 1)) for j in range(n - k, n)
         )
         return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)
     if fam is Family.CV:
@@ -166,11 +165,10 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
         c = 1 if fam is Family.RX else 2
         idx_family = IndexFamily.REAL if fam is Family.RX else IndexFamily.FLIP
         order = n_index(idx_family, n, k)
-        omitted = order - 1
         gens = tuple(
-            SimpleGenerator(j, j, _real_square(j, n - 1, omitted))
+            SimpleGenerator(j, j, _real_square(j, n - 1))
             for j in range(n - c * k, n)
-            if j != omitted
+            if j != order - 1
         )
         return AlgebraPresentation(Trunc(1, order), gens, symbol=symbol, y_symbol=y_symbol)
 

@@ -427,7 +427,7 @@ def _wrong_oracle(monkeypatch):
     def wrong_oracle(p, mode=CupMode.GENERATOR_SEARCH, **kwargs):
         res = cup_length(p, mode, **kwargs)
         if CupMode(mode) is CupMode.EXHAUSTIVE_ORACLE:
-            return CupResult(res.value + 1, res.witness, res.caveat)
+            return CupResult(res.value + 1, res.witness)
         return res
 
     monkeypatch.setattr(topoinv.invariants, "cup_length", wrong_oracle)

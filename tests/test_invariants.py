@@ -183,7 +183,7 @@ def test_cup_report_without_violations():
     assert ext.bounds == ()
 
 
-def test_cup_report_keeps_its_oracle_run_and_checks_the_caveat(monkeypatch):
+def test_cup_report_keeps_its_oracle_run_and_checks_the_value(monkeypatch):
     import topoinv.invariants
     from topoinv.errors import TopoinvError
     from topoinv.gralg import CupMode, CupResult, cup_length
@@ -192,14 +192,14 @@ def test_cup_report_keeps_its_oracle_run_and_checks_the_caveat(monkeypatch):
     assert report.oracle is not None and report.oracle.value == report.exact.value
     assert cup_report(SpaceId.parse("RV:16,15")).oracle is None  # 2^15 > 2^13
 
-    def caveat_flipped(p, mode=CupMode.GENERATOR_SEARCH):
+    def oracle_one_short(p, mode=CupMode.GENERATOR_SEARCH):
         res = cup_length(p, mode)
         if CupMode(mode) is CupMode.EXHAUSTIVE_ORACLE:
-            return CupResult(res.value, res.witness, not res.caveat)
+            return CupResult(res.value - 1, res.witness[:-1])
         return res
 
-    monkeypatch.setattr(topoinv.invariants, "cup_length", caveat_flipped)
-    with pytest.raises(TopoinvError, match="RX:5,2: closed form gave 4"):
+    monkeypatch.setattr(topoinv.invariants, "cup_length", oracle_one_short)
+    with pytest.raises(TopoinvError, match="RX:5,2: closed form gave 4 but the oracle gave 3"):
         cup_report(SpaceId.parse("RX:5,2"))
 
 

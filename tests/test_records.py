@@ -39,7 +39,7 @@ def test_equality_holds_only_within_a_class():
     assert space != (Family.RV, 8, 3)
     assert space != ("RV", 8, 3)
     assert (Family.RV, 8, 3) != space
-    assert CupResult(2, ("y", "y")) != (2, ("y", "y"), False)
+    assert CupResult(2, ("y", "y")) != (2, ("y", "y"))
 
 
 def test_hash_agrees_with_equality():
@@ -116,7 +116,7 @@ def test_validation_messages(build, message):
 
 def test_repr_names_every_field():
     assert repr(SpaceId(Family.RV, 8, 3)) == "SpaceId(family=<Family.RV: 'RV'>, n=8, k=3)"
-    assert repr(CupResult(2, ("y",))) == "CupResult(value=2, witness=('y',), caveat=False)"
+    assert repr(CupResult(2, ("y",))) == "CupResult(value=2, witness=('y',))"
     assert repr(Trunc(1, 4)) == "Trunc(degree=1, order=4)"
     assert repr(presentation(SpaceId(Family.RX, 5, 2))) == (
         "AlgebraPresentation(trunc=Trunc(degree=1, order=4), "

@@ -111,6 +111,21 @@ def test_omitted_generator_bookkeeping():
         assert p.trunc.order == (omitted + 1 if s.family in (Family.RX, Family.FV) else omitted)
 
 
+def test_no_real_generator_squares_onto_the_omitted_index():
+    # the argument in spaces._real_square, checked by arithmetic alone: in RX
+    # and FV, with N the truncation order, no generator label j (from n-k,
+    # or n-2k for FV, up to n-1) has 2j = N-1 within the ambient bound n-1
+    spaces = catalog([Family.RX, Family.FV], range(1, 257))
+    for s in spaces:
+        if s.family is Family.RX:
+            lowest, order = s.n - s.k, n_index(IndexFamily.REAL, s.n, s.k)
+        else:
+            lowest, order = s.n - 2 * s.k, n_index(IndexFamily.FLIP, s.n, s.k)
+        j, odd = divmod(order - 1, 2)
+        assert odd or 2 * j > s.n - 1 or not lowest <= j < s.n, str(s)
+    assert len(spaces) == 48641
+
+
 # -- spectral sequence ----------------------------------------------------------
 
 
