@@ -219,21 +219,6 @@ def _fiber_data(space: SpaceId) -> list[tuple[int, int, int]]:
     raise InvalidParameters(f"{space} is not a quotient family")
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            p = row.bit_length() - 1
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = row
-                rank += 1
-                break
-            row ^= other
-    return rank
-
-
 # Largest work estimate serre_verify accepts.
 SS_WORK_CAP = 1 << 21
 
@@ -250,9 +235,13 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     over Z2 (bit-parallel Gaussian elimination); in one total degree a fiber
     monomial fixes its base exponent, so the fiber mask is the column.  With
     a bounded filtration the limit's total series equals the homology series
-    of the assembled differential, which is what is computed degree by
-    degree.  Neither the truncation index nor the presentation enters the
-    ranks; the presentation is read only for the comparison.
+    of the assembled differential.  The base ring is polynomial, so a mask's
+    row is the same in every degree, and degree d holds the masks of fiber
+    degree d0 <= d, d0 = d mod t (t the base degree): a running rank per
+    residue class, from one elimination fed in order of d0, since a fiber
+    degree is -1 mod t and rows of two classes share no column.  Neither
+    the truncation index nor the presentation enters the ranks; the
+    presentation is read only for the comparison.
 
     The window defaults to the manifold dimension; a generator above it is
     in no monomial of the window and is left out.  Before any list is
@@ -277,19 +266,29 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     series = poincare(presentation(space), w)
     pres = tuple(series) + (0,) * (w + 1 - len(series))
 
-    # odd-part monomials per total degree; a mask fixes its base exponent,
-    # so the mask is the column and a mask's row is the same in every degree
-    by_degree: list[list[int]] = [[] for _ in range(w + 1)]
-    rows: list[int] = []
-    for mask in range(1 << len(odd)):
-        bits = [i for i in range(len(odd)) if mask >> i & 1]
-        d0 = sum(odd[i][0] for i in bits)
-        rows.append(sum(1 << (mask ^ (1 << i)) for i in bits) if d0 <= w else 0)
-        for total in range(d0, w + 1, t):
-            by_degree[total].append(mask)
-
-    ranks = [_gf2_rank([rows[mask] for mask in level]) for level in by_degree]
-    betti = [len(by_degree[d]) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(w + 1)]
+    # (fiber degree, mask, row) of each odd monomial in the window, by doubling:
+    # with generator i above every bit of S, row(S + i) = row(S) << 2^i | bit S
+    monomials = [(0, 0, 0)]
+    for i, (fdeg, _) in enumerate(odd):
+        monomials += [(d0 + fdeg, mask | 1 << i, row << (1 << i) | 1 << mask)
+                      for d0, mask, row in monomials if d0 + fdeg <= w]
+    # what each fiber degree adds to size and rank; sums with step t total them
+    size, gain = [0] * (w + 1), [0] * (w + 1)
+    pivots: dict[int, int] = {}
+    for d0, _, row in sorted(monomials):
+        size[d0] += 1
+        while row:
+            p = row.bit_length()
+            other = pivots.get(p)
+            if other is None:
+                pivots[p] = row
+                gain[d0] += 1
+                break
+            row ^= other
+    for d in range(t, w + 1):
+        size[d] += size[d - t]
+        gain[d] += gain[d - t]
+    betti = [size[d] - gain[d] - (gain[d - 1] if d else 0) for d in range(w + 1)]
     # Kunneth: times (1 + x^deg) for each even-coefficient generator
     for fdeg, _, c in fiber:
         if not c:

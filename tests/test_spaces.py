@@ -8,6 +8,7 @@ from topoinv.parity import IndexFamily, n_index
 from topoinv.spaces import (
     Family,
     SpaceId,
+    _fiber_data,
     catalog,
     dimension,
     presentation,
@@ -175,6 +176,62 @@ def test_serre_window_beyond_dimension():
     report = serre_verify(SpaceId.parse("FV:5,2"), 15)  # dimension is 10
     assert report.match
     assert report.e_infinity_series[11:] == (0,) * 5
+
+
+def _serre_series_per_degree(space, w):
+    """Reference for serre_verify: every degree's monomials listed and ranked
+    from scratch, then the even-coefficient generators' exterior factor."""
+    fiber = _fiber_data(space)
+    t = space.family.base_degree
+    odd = [(d, m) for d, m, c in fiber if c and d <= w]
+    levels = [[] for _ in range(w + 1)]
+    rows = []
+    for mask in range(1 << len(odd)):
+        bits = [i for i in range(len(odd)) if mask >> i & 1]
+        rows.append(sum(1 << (mask ^ (1 << i)) for i in bits))
+        for total in range(sum(odd[i][0] for i in bits), w + 1, t):
+            levels[total].append(mask)
+
+    def rank(level):
+        pivots = {}
+        for mask in level:
+            row = rows[mask]
+            while row and row.bit_length() in pivots:
+                row ^= pivots[row.bit_length()]
+            if row:
+                pivots[row.bit_length()] = row
+        return len(pivots)
+
+    ranks = [rank(level) for level in levels]
+    betti = [len(levels[d]) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(w + 1)]
+    for fdeg, _, c in fiber:
+        if not c:
+            for d in range(w, fdeg - 1, -1):
+                betti[d] += betti[d - fdeg]
+    return tuple(betti), min((t * m for _, m in odd), default=0)
+
+
+def test_serre_running_ranks_match_per_degree_reference():
+    # windows that drop generators (0, 3, 7), the top degree, and past it;
+    # base degrees 1, 2 and 4 give one, two and four residue classes
+    spaces = catalog([Family.RX, Family.FV, Family.CX, Family.HX], range(2, 13))
+    for space in spaces:
+        dim = dimension(space)
+        for w in (0, 3, 7, dim, dim + 5):
+            report = serre_verify(space, w)
+            got = (report.e_infinity_series, report.first_nonzero_differential_page)
+            assert got == _serre_series_per_degree(space, w), (str(space), w)
+    assert len(spaces) == 217
+
+
+def test_serre_costliest_space_up_to_sixteen():
+    # 14 odd generators, estimate 2^14 * 107 just under SS_WORK_CAP: the
+    # dearest spectral check of `verify --max-n 16`
+    space = SpaceId.parse("RX:15,14")
+    report = serre_verify(space)
+    assert report.match
+    assert report.e_infinity_series == tuple(poincare(presentation(space)))
+    assert report.first_nonzero_differential_page == 2
 
 
 def test_serre_rejects_stiefel_families():
