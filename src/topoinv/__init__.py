@@ -17,13 +17,7 @@ from .errors import (
     UnsupportedPresentation,
     WorkCapExceeded,
 )
-from .parity import (
-    IndexFamily,
-    binom_divides,
-    binom_parity,
-    n_index,
-    parity_row,
-)
+from .parity import binom_divides, binom_parity, parity_row
 from .gralg import (
     SQ_ZERO,
     AlgebraPresentation,
@@ -37,7 +31,16 @@ from .gralg import (
     presentation_to_dict,
     steenrod_sq,
 )
-from .spaces import Family, SSReport, SpaceId, catalog, dimension, presentation, serre_verify
+from .spaces import (
+    Family,
+    SSReport,
+    SpaceId,
+    catalog,
+    dimension,
+    presentation,
+    serre_verify,
+    truncation_order,
+)
 from .invariants import (
     CupReport,
     DIM_MINUS_INDEX_BOUND,

@@ -4,16 +4,18 @@ The mod-2 index of each space here is a principal ideal in the polynomial
 ring on the one degree-4 class alpha, so it is stored as the exponent
 alone; containment of ideals is then a single integer comparison.  The
 sphere S^{4n-1} has exponent n (total degree 4n), and the k-frame space
-HV:n,k has the truncation index N of the CQ family.  Verdicts distinguish
-exact characterizations ("possible" / "impossible") from
-necessary-condition screens ("not-ruled-out").
+HV:n,k has the truncation order N of its fiber table
+(spaces.truncation_order).  Verdicts distinguish exact characterizations
+("possible" / "impossible") from necessary-condition screens
+("not-ruled-out").
 """
 
 from __future__ import annotations
 
 from ._record import Record, setfield
 from .errors import InvalidParameters
-from .parity import IndexFamily, binom_divides, n_index
+from .parity import binom_divides
+from .spaces import Family, SpaceId, truncation_order
 
 __all__ = [
     "FeasibilityVerdict",
@@ -110,10 +112,10 @@ def index_sphere(n: int) -> IndexIdeal:
 
 
 def index_stiefel_mod2(n: int, k: int) -> IndexIdeal:
-    """Mod-2 index of the k-frame space: exponent is the truncation index N."""
+    """Mod-2 index of the k-frame space: exponent is the truncation order N."""
     if not 1 <= k <= n:
         raise InvalidParameters(f"needs 1 <= k <= n, got ({n}, {k})")
-    return IndexIdeal(n_index(IndexFamily.CQ, n, k))
+    return IndexIdeal(truncation_order(SpaceId(Family.HV, n, k)))
 
 
 def ideal_contains(a: IndexIdeal, b: IndexIdeal) -> bool:

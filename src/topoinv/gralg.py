@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from heapq import heappush, heappop
 
 from ._record import Record, setfield
 from .errors import (
@@ -70,7 +69,7 @@ class SimpleGenerator(Record):
 
     ``square`` is the label of the generator equal to the square, or
     SQ_ZERO.  No catalog square is left open: in RX and FV no generator
-    squares onto the omitted index (see spaces._real_square).
+    squares onto the omitted index (see spaces.presentation).
     """
 
     __slots__ = ("label", "degree", "square")
@@ -267,21 +266,17 @@ class AlgebraPresentation(Record):
         dup = ma & mb
         if dup:
             rules = self._rule_of_bit
-            queue: list[int] = []
+            # lowest bit first: a square's target always sits at a higher bit
             while dup:
                 low = dup & -dup
-                queue.append(low.bit_length() - 1)
                 dup ^= low
-            # ascending bit order: square targets always sit at higher bits
-            while queue:
-                i = heappop(queue)
-                rule = rules[i]
+                rule = rules[low.bit_length() - 1]
                 if rule < 0:
                     return None
                 bit = 1 << rule
                 if mask & bit:
                     mask ^= bit
-                    heappush(queue, rule)
+                    dup |= bit
                 else:
                     mask |= bit
         return (mask << width) | y

@@ -12,8 +12,7 @@ from __future__ import annotations
 from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
 from .gralg import CupMode, CupResult, cup_length
-from .parity import IndexFamily, binom_parity, n_index
-from .spaces import Family, SpaceId, dimension, presentation
+from .spaces import Family, SpaceId, _fiber, dimension, presentation, truncation_order
 
 __all__ = [
     "CupReport",
@@ -125,10 +124,8 @@ def ucharrank_projective_real(space: SpaceId) -> RankResult:
     upper ends are capped at the manifold dimension.
     """
     family, n, k = space.family, space.n, space.k
-    c = 1 if family is Family.RX else 2
-    idx_family = IndexFamily.REAL if family is Family.RX else IndexFamily.FLIP
-    m = n - c * k
-    N = n_index(idx_family, n, k)
+    m = n - (k if family is Family.RX else 2 * k)
+    N = truncation_order(space)
     dim = dimension(space)
 
     if m not in (1, 2, 4, 8):
@@ -157,10 +154,11 @@ def ucharrank_projective_real(space: SpaceId) -> RankResult:
 
 def ucharrank_projective_CH(space: SpaceId) -> RankResult:
     """Closed formulas for the complex (CX) and quaternionic (HX) projective
-    quotients, selected by the parity of binom(n, n-k+1)."""
+    quotients, selected by whether N is the lowest index n-k+1, that is,
+    by the parity of binom(n, n-k+1)."""
     n, k = space.n, space.k
-    N = n_index(IndexFamily.CQ, n, k)
-    odd = binom_parity(n, n - k + 1)
+    N = truncation_order(space)
+    odd = N == n - k + 1
     if space.family is Family.CX:
         if odd:
             return RankResult.exact(2 * (n - k) + 2, "C.odd", N)
@@ -178,26 +176,15 @@ DIM_MINUS_INDEX_BOUND = "dim-minus-index"
 
 def cup_bound_dim_minus_index(space: SpaceId) -> int | None:
     """Dimension-minus-index cup bound for the quotient families; absent when
-    the hypotheses fail (k > 1 and the governing binomial odd)."""
-    fam, n, k = space.family, space.n, space.k
-    d = dimension(space)
-    if fam is Family.RX:
-        if k > 1 and binom_parity(n, n - k + 1):
-            return d - (n - k + 1)
+    the hypotheses fail (k > 1 and N the lowest index m of the fiber)."""
+    if not space.family.is_projective or space.k == 1:
         return None
-    if fam is Family.FV:
-        if k > 1 and binom_parity(n - k, n - 2 * k + 1):
-            return d - (n - 2 * k + 1)
+    _, degree, m, odd = _fiber(space)[0]
+    if not odd:  # N is the lowest m exactly when its coefficient is odd
         return None
-    if fam is Family.CX:
-        if k > 1 and binom_parity(n, n - k + 1):
-            return d - 2 * (n - k + 1) + 1
-        return None
-    if fam is Family.HX:
-        if k > 1 and binom_parity(n, n - k + 1):
-            return d - 4 * (n - k + 1) + 1
-        return None
-    return None
+    # dim - m on RX and FV but dim - degree, one less, on CX and HX: the
+    # published amounts, kept apart until they are reconciled (ROADMAP)
+    return dimension(space) - (m if space.family.base_degree == 1 else degree)
 
 
 class CupReport(Record):

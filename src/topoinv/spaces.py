@@ -8,12 +8,12 @@ Seven families are supported, written FAMILY:n,k throughout:
                pairwise flip (k is the half-width: FV:n,k is the manifold
                built from 2k-frames)
 
-Each projective ring is a truncated polynomial generator coming from the
-classifying space of the quotient group, tensored with the simple system
-of the fiber minus one omitted generator; the truncation order is the
-least index with an odd governing binomial (see the parity module).
-serre_verify rebuilds the ring independently from the transgression
-differentials of the Borel fibration and compares graded dimensions.
+Every family is read from one table of its Stiefel fiber (_fiber), whose
+generator m transgresses onto y^m in the quotient.  The truncation order N
+is the least m with an odd coefficient.  A Stiefel ring is the fiber's
+simple system; a quotient ring is Z2[y]/(y^N) tensored with the fiber
+minus its generator m = N.  serre_verify rebuilds a quotient ring from the
+transgression differentials alone and compares graded dimensions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from ._record import Record, setfield
 from .errors import InvalidParameters, WorkCapExceeded
 from .gralg import SQ_ZERO, AlgebraPresentation, SimpleGenerator, Trunc, poincare
-from .parity import IndexFamily, binom_parity, n_index
+from .parity import binom_parity
 
 __all__ = [
     "Family",
@@ -34,6 +34,7 @@ __all__ = [
     "dimension",
     "presentation",
     "serre_verify",
+    "truncation_order",
 ]
 
 
@@ -48,15 +49,19 @@ class Family(enum.Enum):
 
     @property
     def is_projective(self) -> bool:
-        return self in (Family.RX, Family.FV, Family.CX, Family.HX)
+        # by value: an attribute lookup of a member costs about ten times more
+        return self._value_ in ("RX", "FV", "CX", "HX")
 
     @property
     def base_degree(self) -> int:
         """Degree of the polynomial generator of the quotient's classifying space."""
-        return _BASE_DEGREE[self]
+        return _FIELD_DEGREE[self]
 
 
-_BASE_DEGREE = {Family.RX: 1, Family.FV: 1, Family.CX: 2, Family.HX: 4}
+# d = 1, 2, 4: the real dimension of the field, the degree of the quotient's
+# base class, and the step of the fiber degrees d*m - 1
+_FIELD_DEGREE = {Family.RV: 1, Family.RX: 1, Family.FV: 1, Family.CV: 2, Family.CX: 2,
+                 Family.HV: 4, Family.HX: 4}
 
 _SYMBOLS = {
     Family.RV: ("z", "y"),
@@ -130,56 +135,66 @@ def dimension(space: SpaceId) -> int:
     return _DIMENSION[space.family](space.n, space.k)
 
 
-def _real_square(j: int, bound: int) -> int | str:
-    """Square rule z_j^2 = z_{2j} below the ambient bound, else zero.
+def _fiber(space: SpaceId) -> list[tuple[int, int, int, int]]:
+    """(label, degree, target exponent m, coefficient parity) per fiber generator.
 
-    In RX and FV the generator N-1 is omitted, N the truncation order, and
-    no generator j squares onto it.  2j = N-1 would make N odd.  For RX, N
-    is a submask of n; for FV, N & (k-1) = 0 (Lucas on binom(k+N-1, N)).
-    Clearing the low bit of an odd N keeps that condition, and N is the
-    least index in its range that meets it, so N-1 lies just below the
-    range: it is the lowest label, n-k for RX and n-2k for FV.  Then 2j
-    would be a label at most j, impossible for j >= 1.  Were it ever not
-    so, AlgebraPresentation would refuse the square target.
+    The Stiefel fiber of every family has one generator per m in
+    [n-k+1, n], or [n-2k+1, n] on FV, of degree d*m - 1 with d = 1, 2, 4
+    over R, C, H.  In the quotient it transgresses onto y^m with
+    coefficient binom(n, m), or binom(k+m-1, m) on FV: the coefficient of
+    the total characteristic class of the classifying bundle.  Real labels
+    are m - 1, the degree; complex and quaternionic labels are m.
     """
-    return 2 * j if 2 * j <= bound else SQ_ZERO
+    fam, n, k = space.family, space.n, space.k
+    d = _FIELD_DEGREE[fam]
+    flip = fam is Family.FV
+    return [(m - 1 if d == 1 else m, d * m - 1, m, binom_parity(k + m - 1 if flip else n, m))
+            for m in range(n - (2 * k if flip else k) + 1, n + 1)]
+
+
+def _least_odd(fiber: list[tuple[int, int, int, int]]) -> int:
+    for _, _, m, odd in fiber:
+        if odd:
+            return m
+    raise AssertionError("truncation_order proves an odd coefficient exists")
+
+
+def truncation_order(space: SpaceId) -> int:
+    """Least m in the fiber's range whose transgression coefficient is odd.
+
+    It always exists.  Off FV the range ends at m = n and binom(n, n) = 1.
+    On FV the range holds 2k consecutive integers, so it holds a multiple m
+    of 2^r, the least power of two with 2^r >= k; then k - 1 < 2^r shares
+    no bit with m, so (k - 1) + m adds without carries and, by Lucas,
+    binom(k+m-1, m) is odd.  On a Stiefel family it is the order of the
+    quotient's ring (for HV, the mod-2 index of the S^3-action).
+    """
+    return _least_odd(_fiber(space))
 
 
 def presentation(space: SpaceId) -> AlgebraPresentation:
-    fam, n, k = space.family, space.n, space.k
+    """The ring of any catalog space, read from its fiber table.
+
+    Each generator squares to the fiber generator of twice its degree, or
+    to zero; only real degrees double into the fiber.  The target is
+    looked up over the whole fiber, so AlgebraPresentation would refuse a
+    square onto the omitted generator m = N.  None occurs: on RX and FV,
+    2j = N - 1 would make N odd; clearing the low bit of an odd N keeps
+    its binomial condition (a submask of n on RX, N & (k-1) = 0 on FV, by
+    Lucas), and N is the least m that meets it, so N - 1 lies just below
+    the range of m and is the lowest label, at most j.
+    """
+    fam = space.family
     symbol, y_symbol = _SYMBOLS[fam]
-
-    if fam is Family.RV:
-        gens = tuple(
-            SimpleGenerator(j, j, _real_square(j, n - 1)) for j in range(n - k, n)
-        )
-        return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)
-    if fam is Family.CV:
-        gens = tuple(SimpleGenerator(j, 2 * j - 1) for j in range(n - k + 1, n + 1))
-        return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)
-    if fam is Family.HV:
-        gens = tuple(SimpleGenerator(j, 4 * j - 1) for j in range(n - k + 1, n + 1))
-        return AlgebraPresentation(None, gens, symbol=symbol, y_symbol=y_symbol)
-
-    if fam in (Family.RX, Family.FV):
-        c = 1 if fam is Family.RX else 2
-        idx_family = IndexFamily.REAL if fam is Family.RX else IndexFamily.FLIP
-        order = n_index(idx_family, n, k)
-        gens = tuple(
-            SimpleGenerator(j, j, _real_square(j, n - 1))
-            for j in range(n - c * k, n)
-            if j != order - 1
-        )
-        return AlgebraPresentation(Trunc(1, order), gens, symbol=symbol, y_symbol=y_symbol)
-
-    order = n_index(IndexFamily.CQ, n, k)
-    d = 2 if fam is Family.CX else 4
-    gens = tuple(
-        SimpleGenerator(j, d * j - 1)
-        for j in range(n - k + 1, n + 1)
-        if j != order
-    )
-    return AlgebraPresentation(Trunc(d, order), gens, symbol=symbol, y_symbol=y_symbol)
+    fiber = _fiber(space)
+    label_of_degree = {degree: label for label, degree, _, _ in fiber}
+    trunc, order = None, 0
+    if fam.is_projective:
+        order = _least_odd(fiber)
+        trunc = Trunc(fam.base_degree, order)
+    gens = tuple(SimpleGenerator(label, degree, label_of_degree.get(2 * degree, SQ_ZERO))
+                 for label, degree, m, _ in fiber if m != order)
+    return AlgebraPresentation(trunc, gens, symbol=symbol, y_symbol=y_symbol)
 
 
 # -- spectral-sequence verification -------------------------------------------
@@ -198,25 +213,6 @@ class SSReport(Record):
         setfield(self, "e_infinity_series", e_infinity_series)
         setfield(self, "presentation_series", presentation_series)
         setfield(self, "match", match)
-
-
-def _fiber_data(space: SpaceId) -> list[tuple[int, int, int]]:
-    """(fiber degree, target base exponent, coefficient parity) per fiber generator.
-
-    A fiber generator transgresses onto the power of the base generator one
-    degree up; the coefficient is the corresponding coefficient of the total
-    characteristic class of the classifying bundle.
-    """
-    fam, n, k = space.family, space.n, space.k
-    if fam is Family.RX:
-        return [(q, q + 1, binom_parity(n, q + 1)) for q in range(n - k, n)]
-    if fam is Family.FV:
-        return [(q, q + 1, binom_parity(k + q, q + 1)) for q in range(n - 2 * k, n)]
-    if fam is Family.CX:
-        return [(2 * j - 1, j, binom_parity(n, j)) for j in range(n - k + 1, n + 1)]
-    if fam is Family.HX:
-        return [(4 * j - 1, j, binom_parity(n, j)) for j in range(n - k + 1, n + 1)]
-    raise InvalidParameters(f"{space} is not a quotient family")
 
 
 # Largest work estimate serre_verify accepts.
@@ -252,13 +248,13 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     """
     if not space.family.is_projective:
         raise InvalidParameters(f"serre_verify applies to quotient families, not {space}")
-    fiber = _fiber_data(space)
+    fiber = _fiber(space)
     t = space.family.base_degree
     w = dimension(space) if window is None else window
     if w < 0:
         raise InvalidParameters("window must be nonnegative")
 
-    odd = [(d, m) for d, m, c in fiber if c and d <= w]
+    odd = [(d, m) for _, d, m, c in fiber if c and d <= w]
     estimate = (1 << len(odd)) * ((w + 1) // t + 1)
     if estimate > SS_WORK_CAP:
         raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {SS_WORK_CAP}")
@@ -290,7 +286,7 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
         gain[d] += gain[d - t]
     betti = [size[d] - gain[d] - (gain[d - 1] if d else 0) for d in range(w + 1)]
     # Kunneth: times (1 + x^deg) for each even-coefficient generator
-    for fdeg, _, c in fiber:
+    for _, fdeg, _, c in fiber:
         if not c:
             for d in range(w, fdeg - 1, -1):
                 betti[d] += betti[d - fdeg]

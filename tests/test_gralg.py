@@ -23,7 +23,7 @@ from topoinv.gralg import (
     cup_length,
     poincare,
 )
-from topoinv.spaces import SpaceId, presentation
+from topoinv.spaces import Family, SpaceId, catalog, presentation
 
 
 def P(spec):
@@ -109,6 +109,50 @@ def test_mul_commutative_and_associative(data):
     p, (a, b, c) = data
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+def _chain_exponents(p):
+    """Each basis code as (y-exponent, packed exponents of the square chains).
+
+    A chain r -> r^2 -> ... of L generators spans Z2[r]/(r^(2^L)): the
+    monomial holding the chain's generators i (counted from the root) is
+    r^e, e the sum of their 2^i.  Each e gets a field of L + 1 bits, so the
+    packed exponents of two monomials add field by field, and a sum that
+    reaches 2^L sets the field's top bit, the returned guard mask.
+    """
+    targets = {g.square for g in p.simple_gens if g.square != SQ_ZERO}
+    square = {g.label: g.square for g in p.simple_gens}
+    fields, guard, shift = [], 0, 0
+    for g in p.simple_gens:
+        if g.label not in targets:
+            chain = [g.label]
+            while square[chain[-1]] != SQ_ZERO:
+                chain.append(square[chain[-1]])
+            fields.append((chain, shift))
+            shift += len(chain) + 1
+            guard |= 1 << (shift - 1)
+    exponents = {}
+    for code in p.basis_codes():
+        y, labels = p.unpack(code)
+        exponents[code] = (y, sum(1 << (i + at) for chain, at in fields
+                                  for i, j in enumerate(chain) if j in labels))
+    return exponents, guard
+
+
+def test_mul_codes_adds_chain_exponents_on_small_catalog_rings():
+    # the reference never rewrites a square: y-exponents add under the
+    # truncation, chain exponents add and vanish at 2^L
+    rings = {presentation(s) for s in catalog(list(Family), range(1, 11))}
+    rings = [p for p in rings if p.total_dimension <= 1 << 8]
+    for p in rings:
+        exponents, guard = _chain_exponents(p)
+        code_of = {e: code for code, e in exponents.items()}
+        pairs = itertools.combinations_with_replacement(exponents.items(), 2)
+        for (a, (ya, ea)), (b, (yb, eb)) in pairs:
+            y, e = ya + yb, ea + eb
+            expect = None if y >= p.order or e & guard else code_of[y, e]
+            assert p.mul_codes(a, b) == expect, (p, a, b)
+    assert len(rings) == 267
 
 
 # -- poincare / top degree ------------------------------------------------------

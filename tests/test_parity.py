@@ -3,14 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from topoinv.equivariant import index_stiefel_mod2
 from topoinv.errors import InvalidParameters
-from topoinv.parity import (
-    IndexFamily,
-    binom_divides,
-    binom_parity,
-    n_index,
-    parity_row,
-)
+from topoinv.parity import binom_divides, binom_parity, parity_row
+from topoinv.spaces import Family, SpaceId, truncation_order
 
 
 def test_binom_parity_examples():
@@ -56,33 +52,42 @@ def test_parity_row_weight_is_power_of_two_of_popcount():
         assert sum(row) == 1 << bin(n).count("1")
 
 
+# the truncation order N ("n index"): least m in the fiber's range whose
+# transgression coefficient is odd
+
+
 def test_n_index_examples():
-    assert n_index(IndexFamily.REAL, 5, 2) == 4
-    assert n_index(IndexFamily.REAL, 8, 3) == 8
-    assert n_index(IndexFamily.FLIP, 8, 2) == 6
+    assert truncation_order(SpaceId(Family.RX, 5, 2)) == 4
+    assert truncation_order(SpaceId(Family.RX, 8, 3)) == 8
+    assert truncation_order(SpaceId(Family.FV, 8, 2)) == 6
 
 
 def test_n_index_cq_always_exists():
     for n in range(1, 40):
         for k in range(1, n + 1):
-            v = n_index(IndexFamily.CQ, n, k)
-            assert n - k + 1 <= v <= n
-            assert binom_parity(n, v) == 1
-            for j in range(n - k + 1, v):
-                assert binom_parity(n, j) == 0
+            families = (Family.CV, Family.HV) + ((Family.CX, Family.HX) if k < n else ())
+            for fam in families:
+                v = truncation_order(SpaceId(fam, n, k))
+                assert n - k + 1 <= v <= n
+                assert math.comb(n, v) % 2 == 1
+                for j in range(n - k + 1, v):
+                    assert math.comb(n, j) % 2 == 0
 
 
 def test_n_index_real_bottom_iff_odd_binomial():
     for n in range(3, 33):
         for k in range(2, n):
-            v = n_index(IndexFamily.REAL, n, k)
-            assert (v == n - k + 1) == (binom_parity(n, n - k + 1) == 1)
+            v = truncation_order(SpaceId(Family.RX, n, k))
+            assert (v == n - k + 1) == (math.comb(n, n - k + 1) % 2 == 1)
+            assert math.comb(n, v) % 2 == 1
+            for j in range(n - k + 1, v):
+                assert math.comb(n, j) % 2 == 0
 
 
 def test_n_index_flip_matches_definition():
     for n in range(3, 33):
         for k in range(1, (n - 1) // 2 + 1):
-            v = n_index(IndexFamily.FLIP, n, k)
+            v = truncation_order(SpaceId(Family.FV, n, k))
             assert math.comb(k + v - 1, v) % 2 == 1
             for j in range(n - 2 * k + 1, v):
                 assert math.comb(k + j - 1, j) % 2 == 0
@@ -92,20 +97,28 @@ def test_n_index_flip_always_exists():
     # the 2k-wide range holds a multiple of the least power of two >= k
     for n in range(3, 513):
         for k in range(1, (n - 1) // 2 + 1):
-            v = n_index(IndexFamily.FLIP, n, k)
+            v = truncation_order(SpaceId(Family.FV, n, k))
             assert n - 2 * k + 1 <= v <= n
             assert binom_parity(k + v - 1, v) == 1
 
 
 def test_n_index_parameter_validation():
+    # the ranges the quotient families admit: no space, so no order
     with pytest.raises(InvalidParameters):
-        n_index(IndexFamily.REAL, 5, 1)
+        SpaceId(Family.RX, 5, 1)
     with pytest.raises(InvalidParameters):
-        n_index(IndexFamily.REAL, 5, 5)
+        SpaceId(Family.RX, 5, 5)
     with pytest.raises(InvalidParameters):
-        n_index(IndexFamily.FLIP, 6, 3)
+        SpaceId(Family.FV, 6, 3)
     with pytest.raises(InvalidParameters):
-        n_index(IndexFamily.CQ, 4, 5)
+        SpaceId(Family.HV, 4, 5)
+
+
+def test_index_of_the_full_frame_space_matches_the_definition():
+    # k = n has no quotient space: HV:n,n's index is read off its fiber table
+    for n in range(1, 65):
+        lowest_odd = next(m for m in range(1, n + 1) if math.comb(n, m) % 2)
+        assert index_stiefel_mod2(n, n).exponent == lowest_odd, n
 
 
 def test_binom_divides_examples():

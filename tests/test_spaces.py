@@ -4,15 +4,15 @@ import pytest
 
 from topoinv.errors import InvalidParameters, WorkCapExceeded
 from topoinv.gralg import SQ_ZERO, poincare, steenrod_sq
-from topoinv.parity import IndexFamily, n_index
 from topoinv.spaces import (
     Family,
     SpaceId,
-    _fiber_data,
+    _fiber,
     catalog,
     dimension,
     presentation,
     serre_verify,
+    truncation_order,
 )
 
 
@@ -102,26 +102,24 @@ def test_omitted_generator_bookkeeping():
     for s in spaces:
         p = presentation(s)
         if s.family is Family.RX:
-            fiber_count, omitted = s.k, n_index(IndexFamily.REAL, s.n, s.k) - 1
+            fiber_count, omitted = s.k, truncation_order(s) - 1
         elif s.family is Family.FV:
-            fiber_count, omitted = 2 * s.k, n_index(IndexFamily.FLIP, s.n, s.k) - 1
+            fiber_count, omitted = 2 * s.k, truncation_order(s) - 1
         else:
-            fiber_count, omitted = s.k, n_index(IndexFamily.CQ, s.n, s.k)
+            fiber_count, omitted = s.k, truncation_order(s)
         assert p.num_gens == fiber_count - 1, str(s)
         assert omitted not in p.labels, str(s)
         assert p.trunc.order == (omitted + 1 if s.family in (Family.RX, Family.FV) else omitted)
 
 
 def test_no_real_generator_squares_onto_the_omitted_index():
-    # the argument in spaces._real_square, checked by arithmetic alone: in RX
+    # the argument in spaces.presentation, checked by arithmetic alone: in RX
     # and FV, with N the truncation order, no generator label j (from n-k,
     # or n-2k for FV, up to n-1) has 2j = N-1 within the ambient bound n-1
     spaces = catalog([Family.RX, Family.FV], range(1, 257))
     for s in spaces:
-        if s.family is Family.RX:
-            lowest, order = s.n - s.k, n_index(IndexFamily.REAL, s.n, s.k)
-        else:
-            lowest, order = s.n - 2 * s.k, n_index(IndexFamily.FLIP, s.n, s.k)
+        lowest = s.n - (s.k if s.family is Family.RX else 2 * s.k)
+        order = truncation_order(s)
         j, odd = divmod(order - 1, 2)
         assert odd or 2 * j > s.n - 1 or not lowest <= j < s.n, str(s)
     assert len(spaces) == 48641
@@ -181,9 +179,9 @@ def test_serre_window_beyond_dimension():
 def _serre_series_per_degree(space, w):
     """Reference for serre_verify: every degree's monomials listed and ranked
     from scratch, then the even-coefficient generators' exterior factor."""
-    fiber = _fiber_data(space)
+    fiber = _fiber(space)
     t = space.family.base_degree
-    odd = [(d, m) for d, m, c in fiber if c and d <= w]
+    odd = [(d, m) for _, d, m, c in fiber if c and d <= w]
     levels = [[] for _ in range(w + 1)]
     rows = []
     for mask in range(1 << len(odd)):
@@ -204,7 +202,7 @@ def _serre_series_per_degree(space, w):
 
     ranks = [rank(level) for level in levels]
     betti = [len(levels[d]) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(w + 1)]
-    for fdeg, _, c in fiber:
+    for _, fdeg, _, c in fiber:
         if not c:
             for d in range(w, fdeg - 1, -1):
                 betti[d] += betti[d - fdeg]
