@@ -3,35 +3,34 @@
 Single queries print one deterministic JSON document (sorted keys, no
 timestamps; --meta wraps the payload instead of polluting it).  Grids
 stream through `table` as CSV or JSON, and `verify` runs the consistency
-suites.  Exit codes: 0 success, 1 verification failure or internal error
-(such as a cross-check disagreement), 2 invalid parameters, a usage error
-or a work cap hit, 3 input not covered by the decision tables; every error
-is one `error:` line on stderr.
+suites of topoinv.checks.  The command line is read by a small parser
+driven by one table of commands; it loads neither argparse nor gettext.
+Exit codes: 0 success, 1 verification failure or internal error (such as
+a cross-check disagreement), 2 invalid parameters, a usage error or a
+work cap hit, 3 input not covered by the decision tables; every error is
+one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import DimensionCapExceeded, InvalidParameters, TopoinvError, WorkCapExceeded
-from .gralg import (ORACLE_DIMENSION_CAP, AlgebraPresentation, CupMode, Element, cup_length,
-                    poincare, presentation_to_dict, steenrod_sq)
+from .gralg import CupMode, cup_length, poincare, presentation_to_dict
 from .invariants import RankResult, cup_report, ucharrank
-from .equivariant import feasibility, index_sphere, index_stiefel_mod2, parse_gspace
-from .parity import binom_parity, parity_row
-from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
+from .equivariant import feasibility, parse_gspace
+from .spaces import Family, SpaceId, catalog, dimension, presentation
 
 SCHEMA = "topoinv/1"
 
 
-def _emit(args: argparse.Namespace, query: dict, result: dict, provenance: list,
+def _emit(args: SimpleNamespace, query: dict, result: dict, provenance: list,
           warnings: list) -> None:
     """Print a query's one JSON document; --meta wraps it in a timestamped envelope."""
     doc = {"schema": SCHEMA, "query": {"command": args.command, **query}, "result": result,
@@ -50,7 +49,7 @@ def _rank_to_dict(r: RankResult) -> dict:
     return {key: value for key, value in fields.items() if value not in (None, "")}
 
 
-def ucharrank_command(args: argparse.Namespace) -> int | None:
+def ucharrank_command(args: SimpleNamespace) -> int | None:
     """Upper characteristic rank of SPACE_SPEC (exact or interval)."""
     space = SpaceId.parse(args.space_spec)
     result = ucharrank(space)
@@ -59,7 +58,7 @@ def ucharrank_command(args: argparse.Namespace) -> int | None:
     return 3 if result.kind == "uncovered" else None
 
 
-def cohomology(args: argparse.Namespace) -> None:
+def cohomology(args: SimpleNamespace) -> None:
     """Generators, truncation and mod-2 Betti series of SPACE_SPEC."""
     max_deg = args.max_deg
     if max_deg is not None and max_deg < 0:
@@ -77,7 +76,7 @@ def cohomology(args: argparse.Namespace) -> None:
     _emit(args, {"space": str(space), "max_deg": max_deg}, result, [], [])
 
 
-def cuplength(args: argparse.Namespace) -> None:
+def cuplength(args: SimpleNamespace) -> None:
     """Exact mod-2 cup length of SPACE_SPEC from its square chains."""
     space = SpaceId.parse(args.space_spec)
     cup_mode = CupMode(args.mode)
@@ -98,7 +97,7 @@ def cuplength(args: argparse.Namespace) -> None:
     _emit(args, {"space": str(space), "mode": args.mode}, result, [], warnings)
 
 
-def s3map(args: argparse.Namespace) -> None:
+def s3map(args: SimpleNamespace) -> None:
     """Feasibility of an equivariant map between unit-quaternion spaces."""
     source = parse_gspace(args.source_spec)
     target = parse_gspace(args.target_spec)
@@ -153,7 +152,7 @@ def _table_row(invariant: str, space: SpaceId) -> dict:
     return {column: row.get(column, "") for column in _TABLE_COLUMNS}
 
 
-def table(args: argparse.Namespace) -> None:
+def table(args: SimpleNamespace) -> None:
     """One row per valid (n, k) of FAMILY, in deterministic order."""
     n_values = _parse_range("n", args.n_spec)
     k_values = _parse_range("k", args.k_spec) if args.k_spec is not None else None
@@ -167,203 +166,40 @@ def table(args: argparse.Namespace) -> None:
         print(json.dumps(rows, indent=2, sort_keys=True))
 
 
-# -- verification suites -------------------------------------------------------
-
 # Largest n of the grids: `verify --suite all --max-n 16` takes about 6 s serially
 # (2 vCPU; spectral 0.3 s of it), and the steenrod spaces at n = 17 cost 3x those at 16.
 _MAX_VERIFY_N = 16
 
 
-def _grid(families: list[Family], max_n: int) -> list[SpaceId]:
-    return catalog(families, range(2, max_n + 1))
-
-
-def _check_palindrome(space: SpaceId) -> tuple[str | None, list[str]]:
-    p = presentation(space)
-    series = poincare(p)
-    if p.top_degree != dimension(space):
-        return f"{space}: top degree {p.top_degree} != dimension {dimension(space)}", []
-    if series != series[::-1]:
-        return f"{space}: series is not palindromic", []
-    return None, []
-
-
-def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
-    report = serre_verify(space)
-    if not report.match:
-        return (f"{space}: spectral series {report.e_infinity_series} "
-                f"!= presentation series {report.presentation_series}"), []
-    if space.family is Family.HX and space.k >= 2:
-        # second route for the mod-2 index <alpha^N>: the first nonzero
-        # differential kills alpha^N, |alpha| = 4, so it lies on page 4N (at
-        # k = 1 the transgressing generator is above the window)
-        index = index_stiefel_mod2(space.n, space.k).exponent
-        if report.first_nonzero_differential_page != 4 * index:
-            return (f"{space}: first differential on page "
-                    f"{report.first_nonzero_differential_page} != 4 * index {index}"), []
-    return None, []
-
-
-def _adem_failure(p: AlgebraPresentation, x: Element) -> str | None:
-    """The first (a, b) with 0 < a < 2b and a + b <= 8, b and then a from the
-    top down, where Sq^a Sq^b x is not sum_c binom(b-c-1, a-2c) Sq^(a+b-c)
-    Sq^c x, as a message.  Sq^7 x first and the downward walks fill most
-    squares tables in one pass, not over a rising window of indices."""
-    steenrod_sq(p, 7, x)
-    sq_of = [x] + [steenrod_sq(p, c, x) for c in range(1, 8)]
-    for b in range(7, 0, -1):
-        for a in range(min(2 * b, 9 - b) - 1, 0, -1):
-            rhs = p.zero()
-            for c in range(a // 2 + 1):
-                if binom_parity(b - c - 1, a - 2 * c):
-                    rhs = rhs + steenrod_sq(p, a + b - c, sq_of[c])
-            if steenrod_sq(p, a, sq_of[b]) != rhs:
-                return f"Adem relation fails at Sq^{a} Sq^{b}"
-    return None
-
-
-def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
-    import random
-
-    p = presentation(space)
-    rng = random.Random(hash((space.n, space.k)) & 0xFFFF)
-    label_of_degree = {g.degree: g.label for g in p.simple_gens}
-    for g in p.simple_gens:
-        z = p.gen(g.label)
-        if steenrod_sq(p, g.degree, z) != z * z:
-            return f"{space}: top square rule fails on generator {g.label}", []
-        for i in range(0, g.degree + 2):
-            # Borel's rule: binom(deg, i) times the generator of degree deg + i
-            target = label_of_degree.get(g.degree + i)
-            if binom_parity(g.degree, i) and target is not None:
-                want = p.gen(target)
-            else:
-                want = p.zero()
-            if steenrod_sq(p, i, z) != want:
-                return f"{space}: generator rule fails at Sq^{i} on {g.label}", []
-    for _ in range(4):
-        # sums of random monomials, drawn as generator bit masks so that the
-        # 2^g basis is never listed
-        a = p.zero()
-        b = p.zero()
-        for _ in range(3):
-            a = a + Element(p, frozenset((p.pack(0, rng.getrandbits(p.num_gens)),)))
-            b = b + Element(p, frozenset((p.pack(0, rng.getrandbits(p.num_gens)),)))
-        if steenrod_sq(p, 0, a) != a:
-            return f"{space}: Sq^0 is not the identity", []
-        i = rng.randrange(0, p.top_degree + 2)
-        lhs = steenrod_sq(p, i, a * b)
-        rhs = p.zero()
-        for s in range(i + 1):
-            rhs = rhs + steenrod_sq(p, s, a) * steenrod_sq(p, i - s, b)
-        if lhs != rhs:
-            return f"{space}: Cartan formula fails at Sq^{i}", []
-        failure = _adem_failure(p, a) or _adem_failure(p, b)
-        if failure:
-            return f"{space}: {failure}", []
-    return None, []
-
-
-def _check_cup(item: tuple[SpaceId, int | None]) -> tuple[str | None, list[str]]:
-    """Cross-check one space through cup_report, with the oracle up to its
-    cap; `item` is the space and the cup-length floor (N-1) + g of a
-    truncated ring, None for the others."""
-    space, floor = item
-    try:
-        report = cup_report(space, oracle_max_dimension=ORACLE_DIMENSION_CAP)
-    except TopoinvError as exc:
-        return str(exc), []
-    exact = report.exact.value
-    if floor is not None and exact < floor:
-        return f"{space}: cup length {exact} below floor {floor}", []
-    bounds = dict(report.bounds)
-    return None, [
-        f"{space}: bound {name}={bounds[name]} < exact {exact} (expected discrepancy)"
-        for name in report.violations
-    ]
-
-
-def _check_parity() -> str | None:
-    import math
-
-    for n in range(65):
-        for j in range(n + 1):
-            if binom_parity(n, j) != math.comb(n, j) % 2:
-                return f"parity mismatch at ({n}, {j})"
-        row = parity_row(n)
-        if sum(row) != 1 << bin(n).count("1"):
-            return f"parity row weight wrong at n={n}"
-        if row[0] != 1 or row[n] != 1:
-            return f"parity row endpoints wrong at n={n}"
-    return None
-
-
-def _check_equivariant() -> str | None:
-    from .equivariant import Sphere, StiefelH, SymplecticGroup
-
-    for n in range(1, 65):
-        if index_stiefel_mod2(n, 1) != index_sphere(n):
-            return f"sphere/frame index disagreement at n={n}"
-    for n in range(1, 33):
-        for m in range(1, 33):
-            sp = feasibility(SymplecticGroup(n), SymplecticGroup(m))
-            if (sp.status == "possible") != (m % n == 0):
-                return f"group verdict wrong at ({n}, {m})"
-            sph = feasibility(Sphere(n), Sphere(m))
-            if (sph.status == "possible") != (n <= m):
-                return f"sphere verdict wrong at ({n}, {m})"
-    for n in range(1, 17):
-        for k in range(1, n + 1):
-            if feasibility(StiefelH(n, k), StiefelH(n, k)).status == "impossible":
-                return f"identity map ruled out on HV:{n},{k}"
-    return None
-
-
-def verify(args: argparse.Namespace) -> int | None:
+def verify(args: SimpleNamespace) -> int | None:
     """Run consistency suites; exit 1 on any unexpected failure.
 
     Documented discrepancies (the dimension-minus-index cup bound falling
     below the exact cup length) are listed as expected warnings and do not
     fail the run.
     """
-    suite, max_n, jobs = args.suite, args.max_n, args.jobs
-    if max_n < 2:
+    from . import checks  # only verify loads the suites
+
+    if args.max_n < 2:
         # the grids start at n = 2, so a smaller bound would check nothing
         raise InvalidParameters("--max-n must be at least 2")
-    if max_n > _MAX_VERIFY_N:
+    if args.max_n > _MAX_VERIFY_N:
         raise InvalidParameters(f"--max-n must be at most {_MAX_VERIFY_N}")
     failures: list[str] = []
     warnings: list[str] = []
-    checks = 0
-
-    def run_grid(name: str, items: list, check) -> None:
+    count = 0
+    for name, items, check in checks.grid_suites(args.suite, args.max_n):
         # each check returns its failure, if any, and its expected warnings
-        nonlocal checks
-        results = _map_grid(check, items, jobs)
+        results = _map_grid(check, items, args.jobs)
         bad = [failure for failure, _ in results if failure is not None]
         for _, found in results:
             warnings.extend(found)
-        checks += len(items)
+        count += len(items)
         failures.extend(bad)
         print(f"{name}: {len(items)} spaces, {len(bad)} failures")
-
-    if suite in ("palindrome", "all"):
-        run_grid("palindrome", _grid(list(Family), max_n), _check_palindrome)
-    if suite in ("spectral", "all"):
-        projective = [Family.RX, Family.FV, Family.CX, Family.HX]
-        run_grid("spectral", _grid(projective, max_n), _check_spectral)
-    if suite in ("steenrod", "all"):
-        run_grid("steenrod", _grid([Family.RV, Family.CV, Family.HV], max_n), _check_steenrod)
-    if suite == "all":
-        cup_items = []
-        for space in _grid(list(Family), max_n):
-            p = presentation(space)
-            if p.total_dimension <= ORACLE_DIMENSION_CAP:
-                floor = (p.order - 1) + p.num_gens if p.trunc is not None else None
-                cup_items.append((space, floor))
-        run_grid("cup", cup_items, _check_cup)
-        for name, check in (("parity", _check_parity), ("equivariant", _check_equivariant)):
-            checks += 1
+    if args.suite == "all":
+        for name, check in checks.SINGLE_CHECKS:
+            count += 1
             failure = check()
             if failure:
                 failures.append(failure)
@@ -374,74 +210,144 @@ def verify(args: argparse.Namespace) -> int | None:
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if failures:
-        print(f"verify: FAIL ({checks} checks, {len(failures)} failures)")
+        print(f"verify: FAIL ({count} checks, {len(failures)} failures)")
         return 1
-    print(f"verify: PASS ({checks} checks, {len(warnings)} expected warnings)")
+    print(f"verify: PASS ({count} checks, {len(warnings)} expected warnings)")
     return None
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse held to the CLI's contract: no option prefixes and no `-h`,
-    `--n -3..4` reads -3..4 as a value, and a usage error raises
-    InvalidParameters for `main` to print."""
+# -- the command line ----------------------------------------------------------
 
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")  # the Python 3.13 rule
-        self.add_argument("--help", action="help", help="Show this message and exit.")
+_DESCRIPTION = """\
+Cohomology rings and rank/cup/index invariants of Stiefel-type manifolds.
+Space specs are FAMILY:n,k with families RV, CV, HV (Stiefel), RX, CX, HX
+(projective quotients) and FV (flip; k is the half-width).  G-space specs
+for s3map are S4n-1:n (the sphere S^{4n-1}), HV:n,k and Sp:n."""
 
-    def error(self, message: str):
-        raise InvalidParameters(message)
+_TOP_OPTIONS = {"--help": "Show this message and exit", "--version": "Show the version and exit",
+                "--meta": "Wrap output with a timestamped meta envelope"}
+
+# Per command: its function, its positionals as (dest, kind), and its options
+# as flag: (dest, kind, default, required, help).  A kind is bool for a switch,
+# int, str, or a tuple of the allowed values.  A command's options follow it,
+# and an option's value is always the next token, so `--n -3..4` reaches the
+# command's own checks.
+_COMMANDS = {
+    "ucharrank": (ucharrank_command, [("space_spec", str)], {}),
+    "cohomology": (cohomology, [("space_spec", str)], {
+        "--max-deg": ("max_deg", int, None, False, "Truncate/pad the series at this degree"),
+        "--emit-presentation": ("emit_presentation", bool, False, False,
+                                "Dump the ring in its canonical serialization"),
+    }),
+    "cuplength": (cuplength, [("space_spec", str)], {
+        "--mode": ("mode", ("generators", "oracle"), "generators", False,
+                   "Square-chain closed form or exhaustive oracle"),
+        "--with-bounds": ("with_bounds", bool, False, False, "Include catalog bounds and violations"),
+    }),
+    "s3map": (s3map, [], {
+        "--from": ("source_spec", str, None, True, "Source G-space spec"),
+        "--to": ("target_spec", str, None, True, "Target G-space spec"),
+    }),
+    "table": (table, [("invariant", ("ucharrank", "cuplength")),
+                      ("family", tuple(f.value for f in Family))], {
+        "--n": ("n_spec", str, None, True, "Range of n, e.g. 3..16 or 7"),
+        "--k": ("k_spec", str, None, False, "Range of k (default: all valid)"),
+        "--format": ("fmt", ("json", "csv"), "json", False, "Output format"),
+        "--jobs": ("jobs", int, 1, False, "Parallel workers for the grid"),
+    }),
+    "verify": (verify, [], {
+        "--suite": ("suite", ("spectral", "palindrome", "steenrod", "all"), "all", False,
+                    "Suites to run"),
+        "--max-n": ("max_n", int, 8, False, f"Largest n of the grids, 2 to {_MAX_VERIFY_N}"),
+        "--jobs": ("jobs", int, 1, False, "Parallel workers for grid suites"),
+    }),
+}
 
 
-@functools.cache
-def _parser(prog: str) -> _Parser:
-    """The CLI's parser, built once per process and reused by every `main` call."""
-    parser = _Parser(prog=prog, description=(
-        "Cohomology rings and rank/cup/index invariants of Stiefel-type manifolds.  "
-        "Space specs are FAMILY:n,k with families RV, CV, HV (Stiefel), RX, CX, HX "
-        "(projective quotients) and FV (flip; k is the half-width).  G-space specs for "
-        "s3map are S4n-1:n (the sphere S^{4n-1}), HV:n,k and Sp:n."))
-    parser.add_argument("--version", action="version", version=f"topoinv, version {__version__}",
-                        help="Show the version and exit.")
-    parser.add_argument("--meta", action="store_true",
-                        help="Wrap output with a timestamped meta envelope.")
-    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+def _value(name: str, kind, text: str):
+    """`text` read as the kind of argument `name`; a usage error otherwise."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InvalidParameters(f"argument {name}: invalid int value: {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise InvalidParameters(f"argument {name}: invalid choice: {text!r} "
+                                f"(choose from {', '.join(map(repr, kind))})")
+    return text
 
-    def command(name: str, run) -> _Parser:
-        sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__)
-        sub.set_defaults(run=run)
-        return sub
 
-    sub = command("ucharrank", ucharrank_command)
-    sub.add_argument("space_spec", metavar="SPACE_SPEC")
-    sub = command("cohomology", cohomology)
-    sub.add_argument("space_spec", metavar="SPACE_SPEC")
-    sub.add_argument("--max-deg", type=int, help="Truncate/pad the series at this degree.")
-    sub.add_argument("--emit-presentation", action="store_true",
-                     help="Dump the ring in its canonical serialization instead of a summary.")
-    sub = command("cuplength", cuplength)
-    sub.add_argument("space_spec", metavar="SPACE_SPEC")
-    sub.add_argument("--mode", choices=["generators", "oracle"], default="generators")
-    sub.add_argument("--with-bounds", action="store_true",
-                     help="Include catalog bounds and violations.")
-    sub = command("s3map", s3map)
-    sub.add_argument("--from", dest="source_spec", required=True, help="Source G-space spec.")
-    sub.add_argument("--to", dest="target_spec", required=True, help="Target G-space spec.")
-    sub = command("table", table)
-    sub.add_argument("invariant", choices=["ucharrank", "cuplength"])
-    sub.add_argument("family", choices=[f.value for f in Family])
-    sub.add_argument("--n", dest="n_spec", required=True, help="Range of n, e.g. 3..16 or 7.")
-    sub.add_argument("--k", dest="k_spec", help="Range of k (default: all valid).")
-    sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-    sub.add_argument("--jobs", type=int, default=1, help="Parallel workers for the grid.")
-    sub = command("verify", verify)
-    sub.add_argument("--suite", choices=["spectral", "palindrome", "steenrod", "all"],
-                     default="all")
-    sub.add_argument("--max-n", type=int, default=8,
-                     help=f"Largest n in the verification grids (2 to {_MAX_VERIFY_N}).")
-    sub.add_argument("--jobs", type=int, default=1, help="Parallel workers for grid suites.")
-    return parser
+def _parse(argv: list[str], prog: str) -> SimpleNamespace | None:
+    """The arguments of one command line, or None once --help or --version
+    has printed.  Option names are matched whole; `--` ends the options."""
+    tokens, meta = iter(argv), False
+    for token in tokens:
+        if token in ("--help", "--version"):
+            print(_help(prog) if token == "--help" else f"topoinv, version {__version__}")
+            return None
+        if token != "--meta":
+            break
+        meta = True
+    else:
+        raise InvalidParameters("the following arguments are required: COMMAND")
+    command = _value("COMMAND", tuple(_COMMANDS), token)
+    _, positionals, options = _COMMANDS[command]
+    args = SimpleNamespace(meta=meta, command=command,
+                           **{dest: default for dest, _, default, _, _ in options.values()})
+    given, seen = [], set()
+    for token in tokens:
+        if token == "--help":
+            print(_help(prog, command))
+            return None
+        if token == "--":
+            given += tokens  # the rest, and the loop ends
+        elif not token.startswith("--"):
+            given.append(token)
+        elif token not in options:
+            raise InvalidParameters(f"unrecognized arguments: {token}")
+        else:
+            dest, kind, _, _, _ = options[token]
+            text = True if kind is bool else next(tokens, None)
+            if text is None:
+                raise InvalidParameters(f"argument {token}: expected one argument")
+            setattr(args, dest, text if kind is bool else _value(token, kind, text))
+            seen.add(token)
+    if len(given) > len(positionals):
+        raise InvalidParameters(f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+    missing = [dest for dest, _ in positionals[len(given):]]
+    missing += [flag for flag, option in options.items() if option[3] and flag not in seen]
+    if missing:
+        raise InvalidParameters(f"the following arguments are required: {', '.join(missing)}")
+    for (dest, kind), text in zip(positionals, given):
+        setattr(args, dest, _value(dest, kind, text))
+    return args
+
+
+def _help(prog: str, command: str | None = None) -> str:
+    """The --help text of the top level, or of one command."""
+    def metavar(dest: str, kind) -> str:
+        return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
+
+    if command is None:
+        usage, text = "[--help] [--version] [--meta] COMMAND ...", _DESCRIPTION
+        rows = [("commands:", "")] + [(f"  {name}", run.__doc__.splitlines()[0])
+                                      for name, (run, _, _) in _COMMANDS.items()]
+        rows += [("", ""), ("options:", "")]
+        rows += [(f"  {flag}", note) for flag, note in _TOP_OPTIONS.items()]
+    else:
+        run, positionals, options = _COMMANDS[command]
+        usage = [command, "[--help]"] + [metavar(dest, kind) for dest, kind in positionals]
+        rows = [("options:", ""), ("  --help", _TOP_OPTIONS["--help"])]
+        for flag, (dest, kind, default, required, note) in options.items():
+            spec = flag if kind is bool else f"{flag} {metavar(dest, kind)}"
+            usage.append(spec if required else f"[{spec}]")
+            rows.append((f"  {spec}", note if default in (None, False) else
+                         f"{note} (default: {default})"))
+        usage = " ".join(usage)
+        text = "\n".join(line.strip() for line in run.__doc__.strip().splitlines())
+    return "\n".join([f"usage: {prog} {usage}", "", text, ""] +
+                     [f"{name:<24}{note}".rstrip() if len(name) < 24 else f"{name}\n{'':24}{note}"
+                      for name, note in rows])
 
 
 def main(argv: list[str] | None = None, prog_name: str = "topoinv") -> None:
@@ -453,15 +359,15 @@ def main(argv: list[str] | None = None, prog_name: str = "topoinv") -> None:
     A bare call prints the help on stderr and exits 2, and a reader that
     closes stdout early gets exit 1 with nothing on stderr.
     """
-    parser = _parser(prog_name)
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
-        parser.print_help(sys.stderr)
+        print(_help(prog_name), file=sys.stderr)
         sys.exit(2)
-    message = None
+    message, code = None, None
     try:
-        args = parser.parse_args(argv)
-        code = args.run(args)
+        args = _parse(argv, prog_name)
+        if args is not None:
+            code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except BrokenPipeError:
         # closing drops what stdout still buffers, so the exit flush stays quiet

@@ -59,6 +59,10 @@ ORACLE_DIMENSION_CAP = 1 << 16
 # Largest (generators + 1) * (series length) poincare accepts: one pass per
 # generator, and the CLI prints one JSON entry per degree.
 SERIES_WORK_CAP = 1 << 20
+# Longest cup-length witness the chain closed form lists, one entry per
+# factor: the CLI prints it, and at 2^20 factors (RX:1048576,2) a query
+# takes 0.5 s and prints 11 MB (2 vCPU).
+CUP_WITNESS_CAP = 1 << 20
 
 # Internal square-rule encoding per generator bit: the target's bit, or this.
 _RULE_ZERO = -1
@@ -576,8 +580,9 @@ class CupResult(Record):
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     """A chain r -> r^2 -> ... of L generators is a tensor factor
     Z2[r]/(r^(2^L)), so it adds 2^L - 1; y^(N-1) times each root to that
-    power is the only longest generator product."""
-    witness = [p.y_symbol] * (p.order - 1)
+    power is the only longest generator product.  A witness of more than
+    CUP_WITNESS_CAP factors raises WorkCapExceeded before it is listed."""
+    factors = [(p.y_symbol, p.order - 1)]
     rules = p._rule_of_bit
     targets = {r for r in rules if r >= 0}
     for bit, g in enumerate(p.simple_gens):
@@ -587,15 +592,22 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
         while rules[last] >= 0:
             last = rules[last]
             length += 1
-        witness += [f"{p.symbol}{g.label}"] * ((1 << length) - 1)
-    return CupResult(len(witness), tuple(witness))
+        factors.append((f"{p.symbol}{g.label}", (1 << length) - 1))
+    value = sum(count for _, count in factors)
+    if value > CUP_WITNESS_CAP:
+        raise WorkCapExceeded(f"cup-length witness of {value} factors exceeds cap {CUP_WITNESS_CAP}")
+    witness: list[str] = []
+    for symbol, count in factors:
+        witness += [symbol] * count
+    return CupResult(value, tuple(witness))
 
 
 def _cup_oracle(p: AlgebraPresentation) -> CupResult:
-    if p.total_dimension > ORACLE_DIMENSION_CAP:
-        raise DimensionCapExceeded(
-            f"total dimension {p.total_dimension} exceeds oracle cap {ORACLE_DIMENSION_CAP}"
-        )
+    dim = p.total_dimension
+    if dim > ORACLE_DIMENSION_CAP:
+        # a dimension of thousands of digits is past int-to-str's default limit
+        shown = dim if dim.bit_length() <= 64 else f"at least 2^{dim.bit_length() - 1}"
+        raise DimensionCapExceeded(f"total dimension {shown} exceeds oracle cap {ORACLE_DIMENSION_CAP}")
     width, _, order = p._y_field
     gens = p.num_gens
     if order == 1 and not gens:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
 from .gralg import CupMode, CupResult, cup_length
-from .spaces import Family, SpaceId, _fiber, dimension, presentation, truncation_order
+from .spaces import Family, SpaceId, dimension, presentation, truncation_order
 
 __all__ = [
     "CupReport",
@@ -179,12 +179,13 @@ def cup_bound_dim_minus_index(space: SpaceId) -> int | None:
     the hypotheses fail (k > 1 and N the lowest index m of the fiber)."""
     if not space.family.is_projective or space.k == 1:
         return None
-    _, degree, m, odd = _fiber(space)[0]
-    if not odd:  # N is the lowest m exactly when its coefficient is odd
+    m = space.n - (2 * space.k if space.family is Family.FV else space.k) + 1
+    if truncation_order(space) != m:
         return None
-    # dim - m on RX and FV but dim - degree, one less, on CX and HX: the
-    # published amounts, kept apart until they are reconciled (ROADMAP)
-    return dimension(space) - (m if space.family.base_degree == 1 else degree)
+    # dim - m on RX and FV but dim - degree d*m - 1, one less, on CX and HX:
+    # the published amounts, kept apart until they are reconciled (ROADMAP)
+    d = space.family.base_degree
+    return dimension(space) - (m if d == 1 else d * m - 1)
 
 
 class CupReport(Record):

@@ -10,7 +10,8 @@ Seven families are supported, written FAMILY:n,k throughout:
 
 Every family is read from one table of its Stiefel fiber (_fiber), whose
 generator m transgresses onto y^m in the quotient.  The truncation order N
-is the least m with an odd coefficient.  A Stiefel ring is the fiber's
+is the least m with an odd coefficient, found by bit arithmetic without
+listing the fiber (truncation_order).  A Stiefel ring is the fiber's
 simple system; a quotient ring is Z2[y]/(y^N) tensored with the fiber
 minus its generator m = N.  serre_verify rebuilds a quotient ring from the
 transgression differentials alone and compares graded dimensions.
@@ -135,6 +136,13 @@ def dimension(space: SpaceId) -> int:
     return _DIMENSION[space.family](space.n, space.k)
 
 
+# Longest fiber _fiber lists, so presentation and serre_verify refuse a
+# longer one before any list is built.  At the cap the slowest query,
+# `cohomology RV:16385,16384 --max-deg 3`, takes 0.27 s and 34 MiB; at 2^16,
+# 0.63 s and 91 MiB (2 vCPU).  ucharrank and the S^3-map screens list no fiber.
+FIBER_CAP = 1 << 14
+
+
 def _fiber(space: SpaceId) -> list[tuple[int, int, int, int]]:
     """(label, degree, target exponent m, coefficient parity) per fiber generator.
 
@@ -143,33 +151,47 @@ def _fiber(space: SpaceId) -> list[tuple[int, int, int, int]]:
     over R, C, H.  In the quotient it transgresses onto y^m with
     coefficient binom(n, m), or binom(k+m-1, m) on FV: the coefficient of
     the total characteristic class of the classifying bundle.  Real labels
-    are m - 1, the degree; complex and quaternionic labels are m.
+    are m - 1, the degree; complex and quaternionic labels are m.  A fiber
+    of more than FIBER_CAP generators raises WorkCapExceeded.
     """
     fam, n, k = space.family, space.n, space.k
     d = _FIELD_DEGREE[fam]
     flip = fam is Family.FV
+    width = 2 * k if flip else k
+    if width > FIBER_CAP:
+        raise WorkCapExceeded(f"{space}: {width} fiber generators exceed cap {FIBER_CAP}")
     return [(m - 1 if d == 1 else m, d * m - 1, m, binom_parity(k + m - 1 if flip else n, m))
-            for m in range(n - (2 * k if flip else k) + 1, n + 1)]
-
-
-def _least_odd(fiber: list[tuple[int, int, int, int]]) -> int:
-    for _, _, m, odd in fiber:
-        if odd:
-            return m
-    raise AssertionError("truncation_order proves an odd coefficient exists")
+            for m in range(n - width + 1, n + 1)]
 
 
 def truncation_order(space: SpaceId) -> int:
     """Least m in the fiber's range whose transgression coefficient is odd.
 
-    It always exists.  Off FV the range ends at m = n and binom(n, n) = 1.
-    On FV the range holds 2k consecutive integers, so it holds a multiple m
-    of 2^r, the least power of two with 2^r >= k; then k - 1 < 2^r shares
-    no bit with m, so (k - 1) + m adds without carries and, by Lucas,
-    binom(k+m-1, m) is odd.  On a Stiefel family it is the order of the
-    quotient's ring (for HV, the mod-2 index of the S^3-action).
+    By Lucas, binom(n, m) is odd when m is a submask of n, and
+    binom(k+m-1, m) when m shares no bit with k - 1 (the sum carries
+    nowhere): the least m >= lo with m & forbidden == 0, forbidden ~n or
+    k - 1.  While m has a forbidden bit, let h be the highest: every
+    integer from m up to the next multiple of 2^(h+1) keeps bit h, so m
+    moves to that multiple.  It has no bit at or below h, so each step
+    clears a higher bit, the loop runs at most once per bit of n, and no
+    list is built.
+
+    The order always exists.  Off FV the range ends at m = n, a submask
+    of itself.  On FV the range holds 2k consecutive integers, so it
+    holds a multiple m of 2^r, the least power of two with 2^r >= k, and
+    k - 1 < 2^r shares no bit with m.  On a Stiefel family it is the
+    order of the quotient's ring (for HV, the mod-2 index of the
+    S^3-action).
     """
-    return _least_odd(_fiber(space))
+    n, k = space.n, space.k
+    if space.family is Family.FV:
+        m, forbidden = n - 2 * k + 1, k - 1
+    else:
+        m, forbidden = n - k + 1, ~n
+    while m & forbidden:
+        high = (m & forbidden).bit_length()
+        m = ((m >> high) + 1) << high
+    return m
 
 
 def presentation(space: SpaceId) -> AlgebraPresentation:
@@ -190,7 +212,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
     label_of_degree = {degree: label for label, degree, _, _ in fiber}
     trunc, order = None, 0
     if fam.is_projective:
-        order = _least_odd(fiber)
+        order = truncation_order(space)
         trunc = Trunc(fam.base_degree, order)
     gens = tuple(SimpleGenerator(label, degree, label_of_degree.get(2 * degree, SQ_ZERO))
                  for label, degree, m, _ in fiber if m != order)

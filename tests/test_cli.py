@@ -97,6 +97,21 @@ def test_series_over_its_cap_exits_2_with_one_error_line():
     _assert_refused_at_once(("cohomology", "CV:1200,1200"), "cap 1048576")
 
 
+def test_long_fibers_are_refused_at_once_and_orders_answer_for_every_n():
+    _assert_refused_at_once(("cuplength", "RV:1000000,999999"), "exceed cap 16384")
+    _assert_refused_at_once(("cohomology", "FV:1000000000,499999999", "--max-deg", "3"),
+                            "exceed cap 16384")
+    # a witness lists one factor per cup: y^(N-1) alone is over its cap
+    _assert_refused_at_once(("cuplength", "RX:2097152,2"), "exceeds cap 1048576")
+    # a dimension of ten thousand digits is shown by its size
+    _assert_refused_at_once(("cuplength", "RX:16385,16384", "--mode", "oracle"),
+                            "total dimension at least 2^16397 exceeds oracle cap 65536")
+    start = time.perf_counter()
+    data = payload(run("ucharrank", "CX:100000000,99999999"))
+    assert time.perf_counter() - start < 2
+    assert data["result"]["N"] == 256
+
+
 def test_verify_max_n_is_bounded():
     for max_n in ("17", "100000"):
         _assert_refused_at_once(("verify", "--max-n", max_n), "at most 16")
@@ -219,6 +234,66 @@ def test_usage_errors_print_one_error_line():
     assert all(name in bare.stderr for name in ("ucharrank", "cohomology", "table", "verify"))
 
 
+def test_help_prints_usage_on_stdout_at_each_level():
+    for args in (("--help",), ("--meta", "--help"), *((name, "--help") for name in (
+            "ucharrank", "cohomology", "cuplength", "s3map", "table", "verify"))):
+        res = run(*args)
+        assert (res.exit_code, res.stderr) == (0, ""), args
+        assert res.stdout.startswith("usage:"), args
+    assert "--emit-presentation" in run("cohomology", "--help").stdout
+    assert "COMMAND" in run("--help").stdout
+    # --help is read wherever it stands among the command's options
+    assert run("table", "ucharrank", "XX", "--help").stdout.startswith("usage:")
+    # after `--` it is a value, here a space spec
+    assert run("ucharrank", "--", "--help").exit_code == 2
+
+
+def test_version_and_meta_come_before_the_command():
+    version = run("--version")
+    assert (version.exit_code, version.stdout) == (0, f"topoinv, version {topoinv.__version__}\n")
+    assert json.loads(run("--meta", "ucharrank", "RX:7,2").stdout)["meta"]["version"]
+    for args in (("ucharrank", "RX:7,2", "--meta"), ("ucharrank", "RX:7,2", "--version")):
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert res.stderr == f"error: unrecognized arguments: {args[-1]}\n", args
+
+
+def test_usage_errors_name_what_is_wrong():
+    for args, message in (
+        (("s3map", "--from", "Sp:2"), "the following arguments are required: --to"),
+        (("s3map", "--to", "Sp:2"), "the following arguments are required: --from"),
+        (("table", "ucharrank", "RX"), "the following arguments are required: --n"),
+        (("table", "ucharrank", "RX", "--n"), "argument --n: expected one argument"),
+        (("table", "ucharrank", "RX", "--n", "3", "--jobs", "x"),
+         "argument --jobs: invalid int value: 'x'"),
+        (("cuplength", "RX:5,2", "--with"), "unrecognized arguments: --with"),
+        (("cuplength", "RX:5,2", "--mode", "exact"), "invalid choice: 'exact'"),
+        (("cuplength", "RX:5,2", "--with-bounds=yes"), "unrecognized arguments: --with-bounds=yes"),
+        (("ucharrank", "RX:7,2", "RX:5,2"), "unrecognized arguments: RX:5,2"),
+        (("nosuch",), "argument COMMAND: invalid choice: 'nosuch'"),
+        (("--meta",), "the following arguments are required: COMMAND"),
+        (("--verbose", "ucharrank", "RX:7,2"), "argument COMMAND: invalid choice: '--verbose'"),
+    ):
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert res.stdout == "" and res.stderr.count("\n") == 1, args
+        assert res.stderr.startswith("error: ") and message in res.stderr, (args, res.stderr)
+
+
+def test_option_values_are_the_next_token():
+    # a value that looks like a number below zero is still the option's value
+    start = time.perf_counter()
+    res = run("table", "ucharrank", "RX", "--n", "-10000000000..4", "--format", "csv")
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 0 and len(res.stdout.splitlines()) == 1 + 3
+    assert run("cohomology", "RX:5,2", "--max-deg", "-1").stderr == (
+        "error: --max-deg must be nonnegative\n")
+    # options may precede the positionals, and `--` ends the options
+    moved = run("table", "--n", "3..5", "--format", "csv", "ucharrank", "--k", "2", "--", "CX")
+    assert moved.stdout == run("table", "ucharrank", "CX", "--n", "3..5", "--k", "2",
+                               "--format", "csv").stdout
+
+
 def test_interrupt_prints_one_error_line(monkeypatch):
     import topoinv.cli
 
@@ -258,7 +333,8 @@ def test_import_leaves_the_process_pool_unloaded():
     # hosts' site preloads) do not count
     code = ("import sys; before = set(sys.modules); import topoinv.cli; "
             "print(sorted(m for m in set(sys.modules) - before if m in ('dataclasses', "
-            "'inspect', 'datetime', 'multiprocessing', 'concurrent.futures.process', 'click')))")
+            "'inspect', 'datetime', 'multiprocessing', 'concurrent.futures.process', 'click', "
+            "'argparse', 'gettext', 'topoinv.checks')))")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -338,17 +414,17 @@ def test_verify_all_small_reports_expected_warnings():
 def test_spectral_check_reads_the_index_on_hx(monkeypatch):
     # the first nonzero differential of HX:n,k, k >= 2, lies on page 4N for
     # the mod-2 index <alpha^N>; an index off by one must fail the check
-    import topoinv.cli
+    import topoinv.checks
     from topoinv.equivariant import IndexIdeal, index_stiefel_mod2
     from topoinv.spaces import SpaceId
 
     hx = [space for space in catalog(["HX"], range(2, 13)) if space.k >= 2]
     assert len(hx) == 55
     for space in hx:
-        assert topoinv.cli._check_spectral(space) == (None, []), space
-    monkeypatch.setattr(topoinv.cli, "index_stiefel_mod2",
+        assert topoinv.checks._check_spectral(space) == (None, []), space
+    monkeypatch.setattr(topoinv.checks, "index_stiefel_mod2",
                         lambda n, k: IndexIdeal(index_stiefel_mod2(n, k).exponent + 1))
-    failure, _ = topoinv.cli._check_spectral(SpaceId.parse("HX:5,2"))
+    failure, _ = topoinv.checks._check_spectral(SpaceId.parse("HX:5,2"))
     assert failure == "HX:5,2: first differential on page 16 != 4 * index 5"
 
 
@@ -444,7 +520,7 @@ def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
 def test_verify_cross_checks_cup_length_up_to_the_oracle_cap(monkeypatch):
     # CX:16,11 has total dimension 2^14: above cup_report's default 2^13,
     # within the oracle's cap, so only verify's cup check runs its oracle
-    from topoinv.cli import _check_cup
+    from topoinv.checks import _check_cup
     from topoinv.invariants import cup_report
 
     space = SpaceId.parse("CX:16,11")
@@ -461,6 +537,25 @@ def test_cup_disagreement_in_a_query_exits_1_without_traceback(monkeypatch):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: RV:3,2: closed form gave")
+
+
+def test_verify_fails_a_broken_catalog_ring_with_exit_1(monkeypatch):
+    # every square set to zero breaks Borel's rule on the real Stiefel rings:
+    # a broken catalog, so each such space fails and verify exits 1, not 2
+    import topoinv.spaces
+    from topoinv.gralg import SQ_ZERO, SimpleGenerator
+
+    monkeypatch.setattr(topoinv.spaces, "SimpleGenerator",
+                        lambda label, degree, square: SimpleGenerator(label, degree, SQ_ZERO))
+    res = run("verify", "--suite", "all", "--max-n", "4", "--jobs", "1")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and "error:" not in res.stderr
+    assert "FAIL: RV:3,2: Borel's rule needs the square of generator 1" in res.stderr
+    # RV:3,2 and RV:4,3, the rings with a square, in each suite that builds them
+    for line in ("palindrome: 41 spaces, 2 failures", "steenrod: 24 spaces, 2 failures",
+                 "spectral: 17 spaces, 0 failures"):
+        assert line in res.stdout, res.stdout
+    assert "verify: FAIL" in res.stdout
 
 
 def test_verify_steenrod_never_lists_the_basis(monkeypatch):
@@ -533,12 +628,44 @@ def cli_queries(draw):
     return [command, "--", spec]
 
 
-@given(cli_queries())
-@settings(max_examples=80, deadline=None)
-def test_cli_error_contract_on_generated_inputs(args):
+def _answers_or_refuses_cleanly(args):
     start = time.perf_counter()
     res = run(*args)
     assert time.perf_counter() - start < 2, args
     assert res.exit_code in (0, 2, 3), (args, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), args
     assert len(res.stderr.splitlines()) <= 1, (args, res.stderr)
+
+
+@given(cli_queries())
+@settings(max_examples=80, deadline=None)
+def test_cli_error_contract_on_generated_inputs(args):
+    _answers_or_refuses_cleanly(args)
+
+
+_huge = st.integers(1, 10**9)
+
+
+@st.composite
+def huge_queries(draw):
+    """Queries on specs with n and k up to 10^9: k small, near n or n/2
+    (the longest fibers of each family), or anywhere."""
+    n = draw(_huge)
+    near = draw(st.sampled_from([n, n // 2]))
+    k = draw(st.one_of(st.integers(1, 40), st.integers(max(near - 40, 1), near + 1), _huge))
+    spec = f"{draw(st.sampled_from(_FAMILIES))}:{n},{k}"
+    gspace = draw(st.sampled_from([f"HV:{n},{k}", f"Sp:{n}", f"S4n-1:{n}"]))
+    m = n + draw(st.sampled_from([0, 1, 40, n]))
+    target = draw(st.sampled_from([f"HV:{m},{k + m - n}", f"HV:{m},{k}", f"Sp:{m}", f"S4n-1:{m}"]))
+    return draw(st.sampled_from([
+        ["ucharrank", spec], ["cohomology", spec], ["cohomology", spec, "--emit-presentation"],
+        ["cohomology", spec, "--max-deg", str(draw(st.integers(0, 64)))],
+        ["cuplength", spec], ["cuplength", spec, "--with-bounds"],
+        ["cuplength", spec, "--mode", "oracle"], ["s3map", "--from", gspace, "--to", target],
+    ]))
+
+
+@given(huge_queries())
+@settings(max_examples=60, deadline=None)
+def test_cli_error_contract_up_to_a_billion(args):
+    _answers_or_refuses_cleanly(args)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topoinv.equivariant import index_stiefel_mod2
-from topoinv.errors import InvalidParameters
-from topoinv.parity import binom_divides, binom_parity, parity_row
+from topoinv.errors import InvalidParameters, WorkCapExceeded
+from topoinv.parity import BINOM_INDEX_CAP, binom_divides, binom_parity, parity_row
 from topoinv.spaces import Family, SpaceId, truncation_order
 
 
@@ -133,6 +133,24 @@ def test_binom_divides_uses_exact_integers():
     # binom(64, 33) does not fit in 64 bits; self-divisibility must still hold
     assert binom_divides(64, 32, 64, 32)
     assert binom_divides(64, 32, 65, 33) == (math.comb(65, 33) % math.comb(64, 33) == 0)
+
+
+def test_binom_divides_matches_the_definition():
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            for m in range(1, 25):
+                for l in range(1, m + 1):
+                    want = math.comb(m, m - l + 1) % math.comb(n, n - k + 1) == 0
+                    assert binom_divides(n, k, m, l) == want, (n, k, m, l)
+
+
+def test_binom_divides_reads_the_cheaper_pair_and_caps_the_rest():
+    # equal gaps g = 500000 one apart: binom(10^6 + 1, 1) / binom(500000, 1)
+    assert not binom_divides(10**6, 500000, 10**6 + 1, 500001)
+    assert binom_divides(10**9, 10**9 - 1, 10**9, 10**9 - 1)
+    assert not binom_divides(10**9, 500, 10**9 - 1, 499)  # m < n: too small to be divided
+    with pytest.raises(WorkCapExceeded, match=f"cap {BINOM_INDEX_CAP}"):
+        binom_divides(10**7, 5 * 10**6, 2 * 10**7, 15 * 10**6)
 
 
 def test_binom_divides_validation():

@@ -5,6 +5,7 @@ import pytest
 from topoinv.errors import InvalidParameters, WorkCapExceeded
 from topoinv.gralg import SQ_ZERO, poincare, steenrod_sq
 from topoinv.spaces import (
+    FIBER_CAP,
     Family,
     SpaceId,
     _fiber,
@@ -123,6 +124,35 @@ def test_no_real_generator_squares_onto_the_omitted_index():
         j, odd = divmod(order - 1, 2)
         assert odd or 2 * j > s.n - 1 or not lowest <= j < s.n, str(s)
     assert len(spaces) == 48641
+
+
+def test_truncation_order_is_the_fiber_tables_least_odd_coefficient():
+    # the closed form against the table presentation and serre_verify read
+    spaces = catalog(list(Family), range(1, 65))
+    for s in spaces:
+        assert truncation_order(s) == next(m for _, _, m, odd in _fiber(s) if odd), str(s)
+    assert len(spaces) == 13153
+
+
+def test_fiber_cap_refuses_before_any_list_is_built():
+    # the order lists nothing, so it answers for every n (values found by a scan)
+    assert truncation_order(SpaceId(Family.CX, 10**8, 10**8 - 1)) == 256
+    assert truncation_order(SpaceId(Family.FV, 10**9, 10**9 // 2 - 1)) == 256
+    tracemalloc.start()
+    try:
+        for space in (SpaceId(Family.RV, 10**9, 10**9 - 1), SpaceId(Family.CX, 10**6, 10**6 - 1),
+                      SpaceId(Family.FV, FIBER_CAP + 3, FIBER_CAP // 2 + 1)):
+            with pytest.raises(WorkCapExceeded, match=f"exceed cap {FIBER_CAP}"):
+                presentation(space)
+            if space.family.is_projective:
+                with pytest.raises(WorkCapExceeded, match=f"exceed cap {FIBER_CAP}"):
+                    serre_verify(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a fiber at the cap is built
+    assert presentation(SpaceId(Family.CV, FIBER_CAP, FIBER_CAP)).num_gens == FIBER_CAP
 
 
 # -- spectral sequence ----------------------------------------------------------
