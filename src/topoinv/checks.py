@@ -1,15 +1,16 @@
-"""Consistency suites run by `topoinv verify`.
+"""Consistency suites of `topoinv verify`, and run_suites, which runs them.
 
-Each grid suite maps one check over catalog spaces; a check returns its
-failure, if any, as a message, and its expected warnings.  A TopoinvError
-raised while a check builds or reads a catalog ring is that space's
-failure: a broken catalog fails the suite, it is not bad input.  The CLI
-imports this module only when `verify` runs, so no other query loads it.
+Each grid suite maps one check over catalog spaces, on a process pool
+when asked; a check returns its failure, if any, as a message, and its
+expected warnings.  A TopoinvError raised while a check builds or reads a
+catalog ring is that space's failure: a broken catalog fails the suite, it
+is not bad input.  Only `verify` imports this module; no other command does.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 
 from .errors import TopoinvError
 from .gralg import ORACLE_DIMENSION_CAP, AlgebraPresentation, Element, poincare, steenrod_sq
@@ -17,10 +18,6 @@ from .invariants import cup_report
 from .equivariant import feasibility, index_sphere, index_stiefel_mod2
 from .parity import binom_parity, parity_row
 from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
-
-
-def _grid(families: list[Family], max_n: int) -> list[SpaceId]:
-    return catalog(families, range(2, max_n + 1))
 
 
 def _space_check(check):
@@ -145,11 +142,11 @@ def _check_cup(item: tuple[SpaceId, int | None]) -> tuple[str | None, list[str]]
     ]
 
 
-def _cup_items(max_n: int) -> list[tuple[SpaceId, int | None]]:
+def _cup_items(grid: range) -> list[tuple[SpaceId, int | None]]:
     """The grid's spaces within the oracle's cap, with their floors; a
     space whose ring cannot be built is kept, for its check to report."""
     items = []
-    for space in _grid(list(Family), max_n):
+    for space in catalog(list(Family), grid):
         try:
             p = presentation(space)
         except TopoinvError:
@@ -159,20 +156,6 @@ def _cup_items(max_n: int) -> list[tuple[SpaceId, int | None]]:
             floor = (p.order - 1) + p.num_gens if p.trunc is not None else None
             items.append((space, floor))
     return items
-
-
-def grid_suites(suite: str, max_n: int):
-    """(name, items, check) of each grid suite that `suite` selects, in
-    order, for n up to max_n; each list is built when its suite is reached."""
-    if suite in ("palindrome", "all"):
-        yield "palindrome", _grid(list(Family), max_n), _check_palindrome
-    if suite in ("spectral", "all"):
-        projective = [Family.RX, Family.FV, Family.CX, Family.HX]
-        yield "spectral", _grid(projective, max_n), _check_spectral
-    if suite in ("steenrod", "all"):
-        yield "steenrod", _grid([Family.RV, Family.CV, Family.HV], max_n), _check_steenrod
-    if suite == "all":
-        yield "cup", _cup_items(max_n), _check_cup
 
 
 def _check_parity() -> str | None:
@@ -211,5 +194,43 @@ def _check_equivariant() -> str | None:
     return None
 
 
-# the checks `verify --suite all` runs once, after the grids
-SINGLE_CHECKS = (("parity", _check_parity), ("equivariant", _check_equivariant))
+def _map_grid(fn, items: list, jobs: int) -> list:
+    """fn over items in order, on at most `jobs` worker processes.
+
+    The worker count is also capped by the CPU count and the grid size;
+    with one worker or fewer the grid runs in this process.
+    """
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # imported here: the pool pulls in multiprocessing, which a query never needs
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+# name, grid families (None: the cup suite's own items) and check per grid suite
+_GRID_SUITES = (
+    ("palindrome", list(Family), _check_palindrome),
+    ("spectral", [Family.RX, Family.FV, Family.CX, Family.HX], _check_spectral),
+    ("steenrod", [Family.RV, Family.CV, Family.HV], _check_steenrod),
+    ("cup", None, _check_cup),
+)
+
+
+def run_suites(suite: str, max_n: int, jobs: int):
+    """(name, spaces, failures, warnings) of each suite that `suite` selects,
+    as it finishes: the grid suites up to max_n, each on its own pool of at
+    most `jobs` workers, then with `all` the single checks (spaces None)."""
+    grid = range(2, max_n + 1)
+    for name, families, check in _GRID_SUITES:
+        if suite in (name, "all"):
+            items = _cup_items(grid) if families is None else catalog(families, grid)
+            results = _map_grid(check, items, jobs)
+            yield (name, len(items), [failure for failure, _ in results if failure is not None],
+                   [warning for _, found in results for warning in found])
+    if suite == "all":
+        for name, check in (("parity", _check_parity), ("equivariant", _check_equivariant)):
+            failure = check()
+            yield name, None, [] if failure is None else [failure], []

@@ -14,9 +14,7 @@ one `error:` line on stderr.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
-import os
 import sys
 from types import SimpleNamespace
 
@@ -124,22 +122,6 @@ def _parse_range(name: str, spec: str) -> range:
     return range(max(first, 1), last + 1)
 
 
-def _map_grid(fn, items: list, jobs: int) -> list:
-    """fn over items in order, on at most `jobs` worker processes.
-
-    The worker count is also capped by the CPU count and the grid size;
-    with one worker or fewer the grid runs in this process.
-    """
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # imported here: the pool pulls in multiprocessing, which a query never needs
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 _TABLE_COLUMNS = ("family", "n", "k", "kind", "value", "lo", "hi", "case", "N")
 
 
@@ -157,7 +139,7 @@ def table(args: SimpleNamespace) -> None:
     n_values = _parse_range("n", args.n_spec)
     k_values = _parse_range("k", args.k_spec) if args.k_spec is not None else None
     spaces = catalog([args.family], n_values, k_values)
-    rows = _map_grid(functools.partial(_table_row, args.invariant), spaces, args.jobs)
+    rows = [_table_row(args.invariant, space) for space in spaces]
     if args.fmt == "csv":
         lines = [",".join(_TABLE_COLUMNS)]
         lines += [",".join(str(row[c]) for c in _TABLE_COLUMNS) for row in rows]
@@ -185,25 +167,20 @@ def verify(args: SimpleNamespace) -> int | None:
         raise InvalidParameters("--max-n must be at least 2")
     if args.max_n > _MAX_VERIFY_N:
         raise InvalidParameters(f"--max-n must be at most {_MAX_VERIFY_N}")
+    if args.jobs < 1:
+        raise InvalidParameters("--jobs must be at least 1")
     failures: list[str] = []
     warnings: list[str] = []
     count = 0
-    for name, items, check in checks.grid_suites(args.suite, args.max_n):
-        # each check returns its failure, if any, and its expected warnings
-        results = _map_grid(check, items, args.jobs)
-        bad = [failure for failure, _ in results if failure is not None]
-        for _, found in results:
-            warnings.extend(found)
-        count += len(items)
-        failures.extend(bad)
-        print(f"{name}: {len(items)} spaces, {len(bad)} failures")
-    if args.suite == "all":
-        for name, check in checks.SINGLE_CHECKS:
+    for name, spaces, bad, found in checks.run_suites(args.suite, args.max_n, args.jobs):
+        if spaces is None:  # a single check counts as one
             count += 1
-            failure = check()
-            if failure:
-                failures.append(failure)
-            print(f"{name}: {'ok' if not failure else 'FAILED'}")
+            print(f"{name}: {'FAILED' if bad else 'ok'}")
+        else:
+            count += spaces
+            print(f"{name}: {spaces} spaces, {len(bad)} failures")
+        failures += [f"{failure} [{name}]" for failure in bad]
+        warnings += found
 
     for w in warnings:
         print(f"expected warning: {w}")
@@ -253,7 +230,6 @@ _COMMANDS = {
         "--n": ("n_spec", str, None, True, "Range of n, e.g. 3..16 or 7"),
         "--k": ("k_spec", str, None, False, "Range of k (default: all valid)"),
         "--format": ("fmt", ("json", "csv"), "json", False, "Output format"),
-        "--jobs": ("jobs", int, 1, False, "Parallel workers for the grid"),
     }),
     "verify": (verify, [], {
         "--suite": ("suite", ("spectral", "palindrome", "steenrod", "all"), "all", False,

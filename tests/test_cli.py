@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import topoinv
@@ -264,8 +265,10 @@ def test_usage_errors_name_what_is_wrong():
         (("s3map", "--to", "Sp:2"), "the following arguments are required: --from"),
         (("table", "ucharrank", "RX"), "the following arguments are required: --n"),
         (("table", "ucharrank", "RX", "--n"), "argument --n: expected one argument"),
-        (("table", "ucharrank", "RX", "--n", "3", "--jobs", "x"),
-         "argument --jobs: invalid int value: 'x'"),
+        (("table", "ucharrank", "RX", "--n", "3", "--jobs", "2"), "unrecognized arguments: --jobs"),
+        (("verify", "--jobs", "x"), "argument --jobs: invalid int value: 'x'"),
+        (("verify", "--jobs", "0"), "--jobs must be at least 1"),
+        (("verify", "--jobs", "-5"), "--jobs must be at least 1"),
         (("cuplength", "RX:5,2", "--with"), "unrecognized arguments: --with"),
         (("cuplength", "RX:5,2", "--mode", "exact"), "invalid choice: 'exact'"),
         (("cuplength", "RX:5,2", "--with-bounds=yes"), "unrecognized arguments: --with-bounds=yes"),
@@ -374,12 +377,8 @@ def test_jobs_clamped_to_cpu_count_and_grid(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    args = ("table", "ucharrank", "RX", "--n", "3..10", "--format", "csv")
-    assert run(*args, "--jobs", "100000").output == run(*args).output
-    assert run("table", "ucharrank", "RX", "--n", "4", "--jobs", "100000").exit_code == 0
     assert run("verify", "--suite", "palindrome", "--max-n", "4", "--jobs", "100000").exit_code == 0
-    # RX:4 has two spaces, so its grid runs with two workers
-    assert pools == [3, 2, 3]
+    assert pools == [3]
 
 
 def test_table_deterministic_and_parallel():
@@ -387,8 +386,6 @@ def test_table_deterministic_and_parallel():
     first = run(*args)
     second = run(*args)
     assert first.output == second.output
-    parallel = run(*args, "--jobs", "2")
-    assert parallel.output == first.output
 
 
 def test_meta_wraps_payload_without_changing_it():
@@ -556,6 +553,56 @@ def test_verify_fails_a_broken_catalog_ring_with_exit_1(monkeypatch):
                  "spectral: 17 spaces, 0 failures"):
         assert line in res.stdout, res.stdout
     assert "verify: FAIL" in res.stdout
+    # each FAIL line names its suite, so no two of the six are the same
+    lines = res.stderr.splitlines()
+    assert len(lines) == len(set(lines)) == 6, lines
+    assert sorted(line.rsplit(" ", 1)[1] for line in lines) == sorted(
+        f"[{suite}]" for suite in ("palindrome", "steenrod", "cup") for _ in range(2))
+
+
+@pytest.mark.parametrize("family, top, failures", [
+    ("FV", lambda space, m: space.k + m, 14),  # binom(k+m, m) for binom(k+m-1, m)
+    ("HX", lambda space, m: space.n | 1, 6),  # binom(n|1, m) for binom(n, m)
+], ids=["FV", "HX"])
+def test_verify_catches_a_planted_coefficient(monkeypatch, family, top, failures):
+    # the fiber table of `family` reads coefficient binom(top(space, m), m),
+    # which only the spectral route sees
+    import topoinv.spaces
+    from topoinv.parity import binom_parity
+
+    fiber = topoinv.spaces._fiber
+
+    def planted(space):
+        rows = fiber(space)
+        if space.family.value != family:
+            return rows
+        return [(label, degree, m, binom_parity(top(space, m), m))
+                for label, degree, m, _ in rows]
+
+    monkeypatch.setattr(topoinv.spaces, "_fiber", planted)
+    res = run("verify", "--suite", "all", "--max-n", "12", "--jobs", "1")
+    assert res.exit_code == 1
+    assert f"spectral: 217 spaces, {failures} failures" in res.stdout, res.stdout
+    lines = res.stderr.splitlines()
+    assert len(lines) == failures and all(line.endswith(" [spectral]") for line in lines), lines
+
+
+def test_verify_fails_the_single_checks(monkeypatch):
+    # a wrong binomial parity and an identity map ruled out
+    import topoinv.checks
+    from topoinv.equivariant import FeasibilityVerdict, StiefelH
+
+    parity, feasibility = topoinv.checks.binom_parity, topoinv.checks.feasibility
+    monkeypatch.setattr(topoinv.checks, "binom_parity",
+                        lambda n, j: 1 - parity(n, j) if (n, j) == (64, 32) else parity(n, j))
+    monkeypatch.setattr(topoinv.checks, "feasibility",
+                        lambda source, target: FeasibilityVerdict("impossible", "planted", "planted")
+                        if source == target == StiefelH(3, 2) else feasibility(source, target))
+    res = run("verify", "--suite", "all", "--max-n", "2", "--jobs", "1")
+    assert res.exit_code == 1
+    assert "parity: FAILED\nequivariant: FAILED\n" in res.stdout, res.stdout
+    assert res.stderr == ("FAIL: parity mismatch at (64, 32) [parity]\n"
+                          "FAIL: identity map ruled out on HV:3,2 [equivariant]\n")
 
 
 def test_verify_steenrod_never_lists_the_basis(monkeypatch):
