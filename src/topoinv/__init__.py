@@ -37,6 +37,7 @@ from .spaces import (
     SpaceId,
     catalog,
     dimension,
+    fiber_range,
     presentation,
     serre_verify,
     truncation_order,

@@ -17,7 +17,8 @@ from .gralg import ORACLE_DIMENSION_CAP, AlgebraPresentation, Element, poincare,
 from .invariants import cup_report
 from .equivariant import feasibility, index_sphere, index_stiefel_mod2
 from .parity import binom_parity, parity_row
-from .spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
+from .spaces import (Family, SpaceId, catalog, dimension, presentation, serre_verify,
+                     truncation_order)
 
 
 def _space_check(check):
@@ -53,14 +54,14 @@ def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
     if not report.match:
         return (f"{space}: spectral series {report.e_infinity_series} "
                 f"!= presentation series {report.presentation_series}"), []
-    if space.family is Family.HX and space.k >= 2:
-        # second route for the mod-2 index <alpha^N>: the first nonzero
-        # differential kills alpha^N, |alpha| = 4, so it lies on page 4N (at
-        # k = 1 the transgressing generator is above the window)
-        index = index_stiefel_mod2(space.n, space.k).exponent
-        if report.first_nonzero_differential_page != 4 * index:
+    if space.k >= 2:
+        # second route for the truncation order N: the first nonzero
+        # differential kills y^N, |y| = d, so it lies on page d*N (at k = 1
+        # the transgressing generator of CX and HX is above the window)
+        d, order = space.family.base_degree, truncation_order(space)
+        if report.first_nonzero_differential_page != d * order:
             return (f"{space}: first differential on page "
-                    f"{report.first_nonzero_differential_page} != 4 * index {index}"), []
+                    f"{report.first_nonzero_differential_page} != {d} * order {order}"), []
     return None, []
 
 
@@ -213,8 +214,8 @@ def _map_grid(fn, items: list, jobs: int) -> list:
 # name, grid families (None: the cup suite's own items) and check per grid suite
 _GRID_SUITES = (
     ("palindrome", list(Family), _check_palindrome),
-    ("spectral", [Family.RX, Family.FV, Family.CX, Family.HX], _check_spectral),
-    ("steenrod", [Family.RV, Family.CV, Family.HV], _check_steenrod),
+    ("spectral", [fam for fam in Family if fam.is_projective], _check_spectral),
+    ("steenrod", [fam for fam in Family if not fam.is_projective], _check_steenrod),
     ("cup", None, _check_cup),
 )
 

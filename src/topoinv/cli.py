@@ -232,7 +232,7 @@ _COMMANDS = {
         "--format": ("fmt", ("json", "csv"), "json", False, "Output format"),
     }),
     "verify": (verify, [], {
-        "--suite": ("suite", ("spectral", "palindrome", "steenrod", "all"), "all", False,
+        "--suite": ("suite", ("spectral", "palindrome", "steenrod", "cup", "all"), "all", False,
                     "Suites to run"),
         "--max-n": ("max_n", int, 8, False, f"Largest n of the grids, 2 to {_MAX_VERIFY_N}"),
         "--jobs": ("jobs", int, 1, False, "Parallel workers for grid suites"),

@@ -24,4 +24,6 @@ class DimensionCapExceeded(TopoinvError):
 
 
 class WorkCapExceeded(TopoinvError):
-    """Estimated work of a spectral check or a Poincare series exceeds its fixed cap."""
+    """Estimated work exceeds a fixed cap: of a fiber (FIBER_CAP), a spectral
+    check (SS_WORK_CAP), a Poincare series (SERIES_WORK_CAP), a cup-length
+    witness (CUP_WITNESS_CAP) or a binomial's lower index (BINOM_INDEX_CAP)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
 from .gralg import CupMode, CupResult, cup_length
-from .spaces import Family, SpaceId, dimension, presentation, truncation_order
+from .spaces import SpaceId, dimension, fiber_range, presentation, truncation_order
 
 __all__ = [
     "CupReport",
@@ -66,15 +66,15 @@ class RankResult(Record):
 def ucharrank(space: SpaceId) -> RankResult:
     """Upper characteristic rank of any catalog space, exact or an interval.
 
-    Dispatches on the family to the Stiefel table, the real projective and
-    flip ladder, or the complex and quaternionic projective formulas.  The
-    spheres RV:n,1, CV:n,1 and HV:n,1 lie outside every table and come back
-    uncovered.
+    Dispatches on the family's row to the Stiefel table, the real projective
+    and flip ladder (field degree 1), or the complex and quaternionic
+    projective formulas.  The spheres RV:n,1, CV:n,1 and HV:n,1 lie outside
+    every table and come back uncovered.
     """
     fam = space.family
-    if fam in (Family.RV, Family.CV, Family.HV):
+    if not fam.is_projective:
         return ucharrank_stiefel(space)
-    if fam in (Family.RX, Family.FV):
+    if fam.base_degree == 1:
         return ucharrank_projective_real(space)
     return ucharrank_projective_CH(space)
 
@@ -84,14 +84,14 @@ def ucharrank_stiefel(space: SpaceId) -> RankResult:
 
     The real table is exact except for the frame gaps 4 (with k > 2) and 8,
     which give the intervals [3, 4] and [7, 8]; the complex and quaternionic
-    values are closed formulas in n - k.  Spheres (k = 1) are uncovered in
+    values are closed formulas in m = n - k.  Spheres (k = 1) are uncovered in
     all three families.
     """
-    fam, n, k = space.family, space.n, space.k
+    d, n, k = space.family.base_degree, space.n, space.k
+    m = fiber_range(space).start - 1
     if k == 1:
         return RankResult.uncovered(f"{space} is a sphere, outside the table")
-    if fam is Family.RV:
-        m = n - k
+    if d == 1:
         if m not in (1, 2, 4, 8):
             return RankResult.exact(m - 1, "R.generic")
         if m == 1:
@@ -105,11 +105,11 @@ def ucharrank_stiefel(space: SpaceId) -> RankResult:
                 return RankResult.exact(4, "R.gap4.k2")
             return RankResult.interval(3, 4, "R.gap4")
         return RankResult.interval(7, 8, "R.gap8")
-    if fam is Family.CV:
+    if d == 2:
         if k == n:
             return RankResult.exact(2, "C.group")
-        return RankResult.exact(2 * (n - k), "C.generic")
-    return RankResult.exact(4 * (n - k) + 2, "H.generic")
+        return RankResult.exact(2 * m, "C.generic")
+    return RankResult.exact(4 * m + 2, "H.generic")
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -123,8 +123,8 @@ def ucharrank_projective_real(space: SpaceId) -> RankResult:
     nontrivial degree of the fiber and N the truncation index.  Interval
     upper ends are capped at the manifold dimension.
     """
-    family, n, k = space.family, space.n, space.k
-    m = n - (k if family is Family.RX else 2 * k)
+    n = space.n
+    m = fiber_range(space).start - 1
     N = truncation_order(space)
     dim = dimension(space)
 
@@ -136,7 +136,7 @@ def ucharrank_projective_real(space: SpaceId) -> RankResult:
         return RankResult.exact(m - 1, "a2", N)
     if m == 1:
         if N == 2:
-            if family is Family.RX:
+            if space.family.frames == 1:  # RX, not the flip
                 return RankResult.exact(2, "b1", N)
             advisory = (
                 f"keyed on truncation index 2; the congruence form of this case "
@@ -153,19 +153,19 @@ def ucharrank_projective_real(space: SpaceId) -> RankResult:
 
 
 def ucharrank_projective_CH(space: SpaceId) -> RankResult:
-    """Closed formulas for the complex (CX) and quaternionic (HX) projective
-    quotients, selected by whether N is the lowest index n-k+1, that is,
-    by the parity of binom(n, n-k+1)."""
-    n, k = space.n, space.k
+    """Closed formulas in m = n - k for the complex (CX) and quaternionic
+    (HX) projective quotients, selected by whether N is the lowest index
+    m + 1, that is, by the parity of binom(n, m + 1)."""
+    m = fiber_range(space).start - 1
     N = truncation_order(space)
-    odd = N == n - k + 1
-    if space.family is Family.CX:
+    odd = N == m + 1
+    if space.family.base_degree == 2:
         if odd:
-            return RankResult.exact(2 * (n - k) + 2, "C.odd", N)
-        return RankResult.exact(2 * (n - k), "C.even", N)
+            return RankResult.exact(2 * m + 2, "C.odd", N)
+        return RankResult.exact(2 * m, "C.even", N)
     if odd:
-        return RankResult.exact(4 * (n - k) + 6, "H.odd", N)
-    return RankResult.exact(4 * (n - k) + 2, "H.even", N)
+        return RankResult.exact(4 * m + 6, "H.odd", N)
+    return RankResult.exact(4 * m + 2, "H.even", N)
 
 
 # -- cup-length bounds ---------------------------------------------------------
@@ -179,7 +179,7 @@ def cup_bound_dim_minus_index(space: SpaceId) -> int | None:
     the hypotheses fail (k > 1 and N the lowest index m of the fiber)."""
     if not space.family.is_projective or space.k == 1:
         return None
-    m = space.n - (2 * space.k if space.family is Family.FV else space.k) + 1
+    m = fiber_range(space).start
     if truncation_order(space) != m:
         return None
     # dim - m on RX and FV but dim - degree d*m - 1, one less, on CX and HX:

@@ -8,13 +8,17 @@ Seven families are supported, written FAMILY:n,k throughout:
                pairwise flip (k is the half-width: FV:n,k is the manifold
                built from 2k-frames)
 
-Every family is read from one table of its Stiefel fiber (_fiber), whose
-generator m transgresses onto y^m in the quotient.  The truncation order N
-is the least m with an odd coefficient, found by bit arithmetic without
-listing the fiber (truncation_order).  A Stiefel ring is the fiber's
-simple system; a quotient ring is Z2[y]/(y^N) tensored with the fiber
-minus its generator m = N.  serre_verify rebuilds a quotient ring from the
-transgression differentials alone and compares graded dimensions.
+Each Family member is one row of the family table: field degree d,
+quotient or not, fiber generators per k, the least (n, k) it admits and
+its symbols.  fiber_range(space) is the one place that knows the fiber's
+exponents, [n-k+1, n] or [n-2k+1, n] on FV.  Every ring is read from the
+table of its Stiefel fiber (_fiber), whose generator m transgresses onto
+y^m in the quotient.  The truncation order N is the least m with an odd
+coefficient, found by bit arithmetic without listing the fiber
+(truncation_order).  A Stiefel ring is the fiber's simple system; a
+quotient ring is Z2[y]/(y^N) tensored with the fiber minus its generator
+m = N.  serre_verify rebuilds a quotient ring from the transgression
+differentials alone and compares graded dimensions.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "SpaceId",
     "catalog",
     "dimension",
+    "fiber_range",
     "presentation",
     "serre_verify",
     "truncation_order",
@@ -40,51 +45,41 @@ __all__ = [
 
 
 class Family(enum.Enum):
-    RV = "RV"
-    CV = "CV"
-    HV = "HV"
-    RX = "RX"
-    FV = "FV"
-    CX = "CX"
-    HX = "HX"
+    """One row of the family table per family of Stiefel-type manifolds.
 
-    @property
-    def is_projective(self) -> bool:
-        # by value: an attribute lookup of a member costs about ten times more
-        return self._value_ in ("RX", "FV", "CX", "HX")
+    A row holds base_degree, the real dimension d of the field (1, 2, 4
+    over R, C, H: the degree of the quotient's base class y and the step
+    of the fiber degrees d*m - 1); is_projective, whether the family is a
+    quotient; frames, the fiber generators per k (2 on FV, which is built
+    from 2k-frames); the least k and the least n - frames*k the family
+    admits; and the symbols of its generators and of y.
+    """
 
-    @property
-    def base_degree(self) -> int:
-        """Degree of the polynomial generator of the quotient's classifying space."""
-        return _FIELD_DEGREE[self]
+    def __new__(cls, value: str, base_degree: int, is_projective: bool, frames: int,
+                least_k: int, least_gap: int, symbol: str, y_symbol: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.base_degree = base_degree
+        member.is_projective = is_projective
+        member.frames = frames
+        member.least_k = least_k
+        member.least_gap = least_gap
+        member.symbol = symbol
+        member.y_symbol = y_symbol
+        return member
 
+    #    value  d  quotient frames least k, least n - frames*k, symbols
+    RV = "RV", 1, False, 1, 1, 1, "z", "y"
+    CV = "CV", 2, False, 1, 1, 0, "z'", "y"
+    HV = "HV", 4, False, 1, 1, 0, "z''", "y"
+    RX = "RX", 1, True, 1, 2, 1, "y", "y"
+    FV = "FV", 1, True, 2, 1, 1, "y", "y"
+    CX = "CX", 2, True, 1, 1, 1, "y'", "y'"
+    HX = "HX", 4, True, 1, 1, 1, "y''", "y''"
 
-# d = 1, 2, 4: the real dimension of the field, the degree of the quotient's
-# base class, and the step of the fiber degrees d*m - 1
-_FIELD_DEGREE = {Family.RV: 1, Family.RX: 1, Family.FV: 1, Family.CV: 2, Family.CX: 2,
-                 Family.HV: 4, Family.HX: 4}
-
-_SYMBOLS = {
-    Family.RV: ("z", "y"),
-    Family.CV: ("z'", "y"),
-    Family.HV: ("z''", "y"),
-    Family.RX: ("y", "y"),
-    Family.FV: ("y", "y"),
-    Family.CX: ("y'", "y'"),
-    Family.HX: ("y''", "y''"),
-}
-
-
-# the (n, k) each family admits, for positive n and k
-_IN_RANGE = {
-    Family.RV: lambda n, k: k < n,
-    Family.CV: lambda n, k: k <= n,
-    Family.HV: lambda n, k: k <= n,
-    Family.RX: lambda n, k: 1 < k < n,
-    Family.FV: lambda n, k: 2 * k < n,
-    Family.CX: lambda n, k: k < n,
-    Family.HX: lambda n, k: k < n,
-}
+    def admits(self, n: int, k: int) -> bool:
+        """Whether FAMILY:n,k is a space of this family; never for n or k below 1."""
+        return k >= self.least_k and n - self.frames * k >= self.least_gap
 
 
 class SpaceId(Record):
@@ -102,9 +97,9 @@ class SpaceId(Record):
         setfield(self, "family", fam)
         setfield(self, "n", n)
         setfield(self, "k", k)
-        if n < 1 or k < 1:
-            raise InvalidParameters(f"{self}: n and k must be positive")
-        if not _IN_RANGE[fam](n, k):
+        if not fam.admits(n, k):
+            if n < 1 or k < 1:
+                raise InvalidParameters(f"{self}: n and k must be positive")
             raise InvalidParameters(f"parameters out of range for {self}")
 
     def __str__(self) -> str:
@@ -121,19 +116,20 @@ class SpaceId(Record):
         return SpaceId(family, n, k)
 
 
-_DIMENSION = {
-    Family.RV: lambda n, k: n * k - k * (k + 1) // 2,
-    Family.RX: lambda n, k: n * k - k * (k + 1) // 2,
-    Family.FV: lambda n, k: 2 * n * k - k * (2 * k + 1),
-    Family.CV: lambda n, k: 2 * n * k - k * k,
-    Family.CX: lambda n, k: 2 * n * k - k * k - 1,
-    Family.HV: lambda n, k: 4 * n * k - 2 * k * k + k,
-    Family.HX: lambda n, k: 4 * n * k - 2 * k * k + k - 3,
-}
-
-
 def dimension(space: SpaceId) -> int:
-    return _DIMENSION[space.family](space.n, space.k)
+    """d*n*w - w - d*w(w-1)/2 with w = frames*k, less d - 1 on a quotient.
+
+    A closed form, read from no fiber table: the palindrome suite checks
+    each presentation's top degree against it.
+    """
+    fam = space.family
+    d, w = fam.base_degree, fam.frames * space.k
+    return d * space.n * w - w - d * w * (w - 1) // 2 - (d - 1 if fam.is_projective else 0)
+
+
+def fiber_range(space: SpaceId) -> range:
+    """The exponents m of the fiber generators: [n - w + 1, n], w = frames*k."""
+    return range(space.n - space.family.frames * space.k + 1, space.n + 1)
 
 
 # Longest fiber _fiber lists, so presentation and serre_verify refuse a
@@ -147,21 +143,21 @@ def _fiber(space: SpaceId) -> list[tuple[int, int, int, int]]:
     """(label, degree, target exponent m, coefficient parity) per fiber generator.
 
     The Stiefel fiber of every family has one generator per m in
-    [n-k+1, n], or [n-2k+1, n] on FV, of degree d*m - 1 with d = 1, 2, 4
-    over R, C, H.  In the quotient it transgresses onto y^m with
-    coefficient binom(n, m), or binom(k+m-1, m) on FV: the coefficient of
-    the total characteristic class of the classifying bundle.  Real labels
-    are m - 1, the degree; complex and quaternionic labels are m.  A fiber
-    of more than FIBER_CAP generators raises WorkCapExceeded.
+    fiber_range, of degree d*m - 1 with d = 1, 2, 4 over R, C, H.  In the
+    quotient it transgresses onto y^m with coefficient binom(n, m), or
+    binom(k+m-1, m) on FV: the coefficient of the total characteristic
+    class of the classifying bundle.  Real labels are m - 1, the degree;
+    complex and quaternionic labels are m.  A fiber of more than
+    FIBER_CAP generators raises WorkCapExceeded.
     """
     fam, n, k = space.family, space.n, space.k
-    d = _FIELD_DEGREE[fam]
+    d = fam.base_degree
     flip = fam is Family.FV
-    width = 2 * k if flip else k
-    if width > FIBER_CAP:
-        raise WorkCapExceeded(f"{space}: {width} fiber generators exceed cap {FIBER_CAP}")
+    ms = fiber_range(space)
+    if len(ms) > FIBER_CAP:
+        raise WorkCapExceeded(f"{space}: {len(ms)} fiber generators exceed cap {FIBER_CAP}")
     return [(m - 1 if d == 1 else m, d * m - 1, m, binom_parity(k + m - 1 if flip else n, m))
-            for m in range(n - width + 1, n + 1)]
+            for m in ms]
 
 
 def truncation_order(space: SpaceId) -> int:
@@ -169,12 +165,12 @@ def truncation_order(space: SpaceId) -> int:
 
     By Lucas, binom(n, m) is odd when m is a submask of n, and
     binom(k+m-1, m) when m shares no bit with k - 1 (the sum carries
-    nowhere): the least m >= lo with m & forbidden == 0, forbidden ~n or
-    k - 1.  While m has a forbidden bit, let h be the highest: every
-    integer from m up to the next multiple of 2^(h+1) keeps bit h, so m
-    moves to that multiple.  It has no bit at or below h, so each step
-    clears a higher bit, the loop runs at most once per bit of n, and no
-    list is built.
+    nowhere): the least m in fiber_range with m & forbidden == 0,
+    forbidden ~n or k - 1.  While m has a forbidden bit, let h be the
+    highest: every integer from m up to the next multiple of 2^(h+1) keeps
+    bit h, so m moves to that multiple.  It has no bit at or below h, so
+    each step clears a higher bit, the loop runs at most once per bit of
+    n, and no list is built.
 
     The order always exists.  Off FV the range ends at m = n, a submask
     of itself.  On FV the range holds 2k consecutive integers, so it
@@ -183,11 +179,8 @@ def truncation_order(space: SpaceId) -> int:
     order of the quotient's ring (for HV, the mod-2 index of the
     S^3-action).
     """
-    n, k = space.n, space.k
-    if space.family is Family.FV:
-        m, forbidden = n - 2 * k + 1, k - 1
-    else:
-        m, forbidden = n - k + 1, ~n
+    m = fiber_range(space).start
+    forbidden = space.k - 1 if space.family is Family.FV else ~space.n
     while m & forbidden:
         high = (m & forbidden).bit_length()
         m = ((m >> high) + 1) << high
@@ -207,7 +200,6 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
     the range of m and is the lowest label, at most j.
     """
     fam = space.family
-    symbol, y_symbol = _SYMBOLS[fam]
     fiber = _fiber(space)
     label_of_degree = {degree: label for label, degree, _, _ in fiber}
     trunc, order = None, 0
@@ -216,7 +208,7 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
         trunc = Trunc(fam.base_degree, order)
     gens = tuple(SimpleGenerator(label, degree, label_of_degree.get(2 * degree, SQ_ZERO))
                  for label, degree, m, _ in fiber if m != order)
-    return AlgebraPresentation(trunc, gens, symbol=symbol, y_symbol=y_symbol)
+    return AlgebraPresentation(trunc, gens, symbol=fam.symbol, y_symbol=fam.y_symbol)
 
 
 # -- spectral-sequence verification -------------------------------------------
@@ -336,16 +328,10 @@ def catalog(
     Invalid combinations are skipped silently.  When k_values is omitted,
     all valid k for each n are generated.
     """
-    spaces: list[SpaceId] = []
     n_list = list(n_values)
     k_list = None if k_values is None else list(k_values)
-    for fam in families:
-        fam = Family(fam) if not isinstance(fam, Family) else fam
-        for n in n_list:
-            ks = k_list if k_list is not None else list(range(1, max(n, 1) + 1))
-            for k in ks:
-                try:
-                    spaces.append(SpaceId(fam, n, k))
-                except InvalidParameters:
-                    pass
-    return spaces
+    return [SpaceId(fam, n, k)
+            for fam in map(Family, families)
+            for n in n_list
+            for k in (range(1, n + 1) if k_list is None else k_list)
+            if fam.admits(n, k)]

@@ -408,21 +408,37 @@ def test_verify_all_small_reports_expected_warnings():
     assert "RX:5,2" in res.output
 
 
-def test_spectral_check_reads_the_index_on_hx(monkeypatch):
-    # the first nonzero differential of HX:n,k, k >= 2, lies on page 4N for
-    # the mod-2 index <alpha^N>; an index off by one must fail the check
+def test_spectral_check_reads_the_truncation_order(monkeypatch):
+    # the first nonzero differential of a quotient X:n,k, k >= 2, lies on page
+    # d*N for the truncation order N, |y| = d; an order off by one must fail
+    # the check on every such space of every quotient family
     import topoinv.checks
-    from topoinv.equivariant import IndexIdeal, index_stiefel_mod2
-    from topoinv.spaces import SpaceId
+    from topoinv.spaces import truncation_order
 
-    hx = [space for space in catalog(["HX"], range(2, 13)) if space.k >= 2]
-    assert len(hx) == 55
-    for space in hx:
+    quotients = [space for space in catalog(["RX", "FV", "CX", "HX"], range(2, 13))
+                 if space.k >= 2]
+    assert len(quotients) == 185
+    for space in quotients:
         assert topoinv.checks._check_spectral(space) == (None, []), space
-    monkeypatch.setattr(topoinv.checks, "index_stiefel_mod2",
-                        lambda n, k: IndexIdeal(index_stiefel_mod2(n, k).exponent + 1))
+    monkeypatch.setattr(topoinv.checks, "truncation_order",
+                        lambda space: truncation_order(space) + 1)
+    for space in quotients:
+        failure, _ = topoinv.checks._check_spectral(space)
+        assert failure is not None and failure.startswith(f"{space}: first differential"), space
     failure, _ = topoinv.checks._check_spectral(SpaceId.parse("HX:5,2"))
-    assert failure == "HX:5,2: first differential on page 16 != 4 * index 5"
+    assert failure == "HX:5,2: first differential on page 16 != 4 * order 5"
+
+
+def test_verify_suite_choices_are_the_grid_suites():
+    # every grid suite of topoinv.checks can be run alone, and nothing else
+    import topoinv.checks
+    from topoinv.cli import _COMMANDS
+
+    choices = _COMMANDS["verify"][2]["--suite"][1]
+    assert sorted(choices) == sorted([name for name, _, _ in topoinv.checks._GRID_SUITES] + ["all"])
+    res = run("verify", "--suite", "cup", "--max-n", "4")
+    assert res.exit_code == 0, res.output
+    assert res.stdout.startswith("cup: ") and "verify: PASS" in res.stdout, res.stdout
 
 
 def test_verify_parallel_matches_serial():

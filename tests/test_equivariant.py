@@ -13,6 +13,7 @@ from topoinv.equivariant import (
     index_stiefel_mod2,
     parse_gspace,
 )
+from topoinv.spaces import Family, SpaceId, truncation_order
 
 
 def test_index_sphere_examples():
@@ -28,6 +29,15 @@ def test_index_stiefel_examples():
     assert index_stiefel_mod2(8, 3).exponent == 8
     for n in range(1, 65):
         assert index_stiefel_mod2(n, 1) == index_sphere(n)
+
+
+def test_index_stiefel_is_the_hx_truncation_order():
+    # the spectral suite checks the HX order against its first differential,
+    # so this keeps the S^3-index tied to that check
+    for n in range(2, 65):
+        for k in range(1, n):
+            assert index_stiefel_mod2(n, k).exponent == truncation_order(
+                SpaceId(Family.HX, n, k)), (n, k)
 
 
 def test_ideal_contains():

@@ -308,3 +308,58 @@ def test_catalog_empty_range():
 def test_catalog_flip_constraint():
     spaces = catalog([Family.FV], [5], range(1, 3))
     assert [(s.n, s.k) for s in spaces] == [(5, 1), (5, 2)]
+
+
+# -- the family table against the per-family formulas it replaced ---------------------
+
+_OLD_IN_RANGE = {
+    "RV": lambda n, k: k < n,
+    "CV": lambda n, k: k <= n,
+    "HV": lambda n, k: k <= n,
+    "RX": lambda n, k: 1 < k < n,
+    "FV": lambda n, k: 2 * k < n,
+    "CX": lambda n, k: k < n,
+    "HX": lambda n, k: k < n,
+}
+
+_OLD_DIMENSION = {
+    "RV": lambda n, k: n * k - k * (k + 1) // 2,
+    "RX": lambda n, k: n * k - k * (k + 1) // 2,
+    "FV": lambda n, k: 2 * n * k - k * (2 * k + 1),
+    "CV": lambda n, k: 2 * n * k - k * k,
+    "CX": lambda n, k: 2 * n * k - k * k - 1,
+    "HV": lambda n, k: 4 * n * k - 2 * k * k + k,
+    "HX": lambda n, k: 4 * n * k - 2 * k * k + k - 3,
+}
+
+
+def _old_space(family, n, k):
+    """The space the per-family formulas admitted, or None."""
+    if n < 1 or k < 1 or not _OLD_IN_RANGE[family](n, k):
+        return None
+    return SpaceId(family, n, k)
+
+
+def test_family_table_admits_the_old_ranges_and_dimensions():
+    accepted = 0
+    for family in _OLD_IN_RANGE:
+        for n in range(1, 201):
+            for k in range(1, 202):
+                try:
+                    space = SpaceId(family, n, k)
+                except InvalidParameters:
+                    assert not _OLD_IN_RANGE[family](n, k), (family, n, k)
+                    continue
+                assert _OLD_IN_RANGE[family](n, k), space
+                assert dimension(space) == _OLD_DIMENSION[family](n, k), space
+                accepted += 1
+    assert accepted == 129_501
+
+
+@pytest.mark.parametrize("with_k", [False, True])
+def test_catalog_matches_the_old_expansion(with_k):
+    grid = range(-3, 41)
+    old = [space for family in _OLD_IN_RANGE for n in grid
+           for k in (grid if with_k else range(1, max(n, 1) + 1))
+           if (space := _old_space(family, n, k)) is not None]
+    assert catalog(list(_OLD_IN_RANGE), grid, grid if with_k else None) == old
