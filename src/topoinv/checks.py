@@ -68,9 +68,7 @@ def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
 def _adem_failure(p: AlgebraPresentation, x: Element) -> str | None:
     """The first (a, b) with 0 < a < 2b and a + b <= 8, b and then a from the
     top down, where Sq^a Sq^b x is not sum_c binom(b-c-1, a-2c) Sq^(a+b-c)
-    Sq^c x, as a message.  Sq^7 x first and the downward walks fill most
-    squares tables in one pass, not over a rising window of indices."""
-    steenrod_sq(p, 7, x)
+    Sq^c x, as a message."""
     sq_of = [x] + [steenrod_sq(p, c, x) for c in range(1, 8)]
     for b in range(7, 0, -1):
         for a in range(min(2 * b, 9 - b) - 1, 0, -1):
@@ -129,8 +127,8 @@ def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
 @_space_check
 def _check_cup(item: tuple[SpaceId, int | None]) -> tuple[str | None, list[str]]:
     """Cross-check one space through cup_report, with the oracle up to its
-    cap; `item` is the space and the cup-length floor (N-1) + g of a
-    truncated ring, None for the others."""
+    cap; `item` is the space and the cup-length floor (N-1) + g of its ring,
+    None for a ring that cannot be built."""
     space, floor = item
     report = cup_report(space, oracle_max_dimension=ORACLE_DIMENSION_CAP)
     exact = report.exact.value
@@ -154,8 +152,8 @@ def _cup_items(grid: range) -> list[tuple[SpaceId, int | None]]:
             items.append((space, None))
             continue
         if p.total_dimension <= ORACLE_DIMENSION_CAP:
-            floor = (p.order - 1) + p.num_gens if p.trunc is not None else None
-            items.append((space, floor))
+            # the product of y^(N-1) and every generator is the top class
+            items.append((space, (p.order - 1) + p.num_gens))
     return items
 
 

@@ -15,9 +15,14 @@ Steenrod squares follow one rule.  On an untruncated ring (RV, CV, HV)
 Borel's action Sq^t z = binom(deg z, t) * (the generator of degree
 deg z + t), keyed by degree, holds on every generator; the presentation
 checks that its top square is z^2.  On a truncated ring only the pure
-y-powers have squares.  Sq of a monomial is one Cartan pass over its
-factors, the largest first, in which a product by a generator whose bit is
-free is set inline; only square chains go through mul_codes.
+y-powers have squares.  The total square Sq = sum_t Sq^t is a ring map
+(the Cartan formula), so Sq of a monomial is the product of its factors'
+total squares, the largest first, taken in one pass in which a product by
+a generator whose bit is free is set inline; only square chains go through
+mul_codes.  An element stores its whole table {t: Sq^t} on its first ask.
+A pass holds at most SQUARE_TERM_CAP terms, past which it raises
+WorkCapExceeded: the slowest refusal measured, on a random monomial of
+RV:64,63, takes about 2.4 s and 69 MiB of peak RSS (2 vCPU).
 """
 
 from __future__ import annotations
@@ -59,6 +64,11 @@ ORACLE_DIMENSION_CAP = 1 << 16
 # Largest (generators + 1) * (series length) poincare accepts: one pass per
 # generator, and the CLI prints one JSON entry per degree.
 SERIES_WORK_CAP = 1 << 20
+# Most terms, summed over the indices, a Steenrod pass may hold: past it a
+# pass raises WorkCapExceeded.  No catalog query comes near it (the largest
+# total square verify --max-n 16 builds has 320 terms); the seed-1 random
+# monomial of RV:40,39 reaches it after 0.5 s at 55 MiB (2 vCPU).
+SQUARE_TERM_CAP = 1 << 18
 # Longest cup-length witness the chain closed form lists, one entry per
 # factor: the CLI prints it, and at 2^20 factors (RX:1048576,2) a query
 # takes 0.5 s and prints 11 MB (2 vCPU).
@@ -222,25 +232,15 @@ class AlgebraPresentation(Record):
         width, y_mask, _ = self._y_field
         deg = (code & y_mask) * self.y_degree
         mask = code >> width
-        cache = self._mask_degree_cache
-        got = cache.get(mask)
-        if got is None:
-            got = 0
-            m = mask
-            degs = self._degree_of_bit
-            while m:
-                low = m & -m
-                got += degs[low.bit_length() - 1]
-                m ^= low
-            cache[mask] = got
-        return deg + got
+        degs = self._degree_of_bit
+        while mask:
+            low = mask & -mask
+            deg += degs[low.bit_length() - 1]
+            mask ^= low
+        return deg
 
     @cached_property
-    def _mask_degree_cache(self) -> dict[int, int]:
-        return {0: 0}
-
-    @cached_property
-    def _factor_options_cache(self) -> dict[int, tuple[int, list]]:
+    def _factor_options_cache(self) -> dict[int, list[tuple[int, int]]]:
         return {}
 
     def monomial_name(self, code: int) -> str:
@@ -334,9 +334,9 @@ class AlgebraPresentation(Record):
 class Element:
     """Z2-linear combination of basis monomials of one presentation.
 
-    ``_squares`` is the element's table of Steenrod squares, filled by
-    steenrod_sq: (Sq^1, ..., Sq^H) as frozensets of codes, always
-    contiguous from index 1.  It lives and dies with the element.
+    ``_squares`` is the element's table of Steenrod squares {t: Sq^t} as
+    frozensets of codes, a missing t being zero, or None until steenrod_sq
+    first fills it whole.  It lives and dies with the element.
     """
 
     __slots__ = ("presentation", "codes", "_squares")
@@ -344,7 +344,7 @@ class Element:
     def __init__(self, presentation: AlgebraPresentation, codes: frozenset[int]):
         self.presentation = presentation
         self.codes = codes
-        self._squares: tuple[frozenset[int], ...] = ()
+        self._squares: dict[int, frozenset[int]] | None = None
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -424,9 +424,9 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
 # -- Steenrod squares --------------------------------------------------------
 
 
-def _factor_options(p: AlgebraPresentation, factor: int) -> tuple[int, list]:
-    """(degree, options (t, Sq^t code) sorted by t) of one factor code, y^e
-    or a single generator; cached on p.  A generator z takes Borel's rule
+def _factor_options(p: AlgebraPresentation, factor: int) -> list[tuple[int, int]]:
+    """The options (t, Sq^t code) of one factor code, y^e or a single
+    generator, cached on p.  A generator z takes Borel's rule
     Sq^t z = binom(deg z, t) * (the generator of degree deg z + t)."""
     got = p._factor_options_cache.get(factor)
     if got is not None:
@@ -435,32 +435,23 @@ def _factor_options(p: AlgebraPresentation, factor: int) -> tuple[int, list]:
     mask = factor >> width
     if not mask:
         e, d = factor & y_mask, p.y_degree
-        options = [(s * d, p.pack(e + s, 0)) for s in range(e + 1)
-                   if (e & s) == s and e + s < p.order]
+        got = [(s * d, p.pack(e + s, 0)) for s in range(e + 1)
+               if (e & s) == s and e + s < p.order]
     else:
         q = p._degree_of_bit[mask.bit_length() - 1]
         targets = ((t, p._bit_of_degree.get(q + t)) for t in range(q + 1) if (q & t) == t)
-        options = [(t, p.pack(0, 1 << bit)) for t, bit in targets if bit is not None]
-    got = p._factor_options_cache[factor] = (p.monomial_degree(factor), options)
+        got = [(t, p.pack(0, 1 << bit)) for t, bit in targets if bit is not None]
+    p._factor_options_cache[factor] = got
     return got
 
 
-def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
-                        code: int) -> dict[int, set[int]]:
-    """Cartan expansion of Sq^b over the factors of one monomial, for every
-    budget b in [lo, hi] from one pass: {b: set of codes}, a budget left out
-    being zero.  lo = hi = i gives Sq^i alone; steenrod_sq runs (H, H'] to
-    extend an element's squares table.
-
-    One sparse pass over the factors (y^e, then the generators from the
-    highest bit down, which in every catalog ring is the largest degree
-    first); the track maps the budget b spent so far to the mod-2 sum of the
-    products of its splittings, and a budget that cannot reach lo with the
-    factors left (Sq^t vanishes above the degree), or that is above hi, is
-    dropped.  Large factors first shrink what is left at once, so those cuts
-    drop a budget before it multiplies out.  Budgets never mix, so each one
-    sees the splittings its own one-budget pass would.  At b = deg every
-    factor takes its top square, so the pass gives the monomial's square.
+def _total_square(p: AlgebraPresentation, code: int) -> dict[int, set[int]]:
+    """The total square Sq = sum_t Sq^t of one monomial as {t: set of codes},
+    a missing t being zero: by the Cartan formula Sq is a ring map, so this
+    is the product of its factors' total squares, taken in one pass (y^e,
+    then the generators from the highest bit down).  The track maps each
+    index t to the mod-2 sum of the products so far; once it holds more
+    than SQUARE_TERM_CAP codes the pass raises WorkCapExceeded.
 
     A generator piece whose bit is clear in a product so far is a free bit,
     set inline; only a set bit (a square chain, which cascades or vanishes)
@@ -474,22 +465,17 @@ def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
         top = 1 << (m.bit_length() - 1)
         factors.append(top << width)
         m ^= top
-    rest = p.monomial_degree(code)
     mul_codes = p.mul_codes
     track: dict[int, set[int]] = {0: {0}}
     for f in factors:
-        deg, options = _factor_options(p, f)
-        rest -= deg
-        least = lo - rest
+        options = _factor_options(p, f)
         free = f > y_mask
         out: dict[int, set[int]] = {}
+        terms = 0
         for b, codes in track.items():
             for t, piece in options:
-                if b + t > hi:
-                    break
-                if b + t < least:
-                    continue
                 acc = out.setdefault(b + t, set())
+                terms -= len(acc)
                 for pc in codes:
                     if free and not pc & piece:
                         prod = pc | piece
@@ -501,6 +487,11 @@ def _sq_monomial_cartan(p: AlgebraPresentation, lo: int, hi: int,
                         acc.discard(prod)
                     else:
                         acc.add(prod)
+                terms += len(acc)
+                if terms > SQUARE_TERM_CAP:
+                    raise WorkCapExceeded(
+                        f"total square of {p.monomial_name(code)} exceeds cap {SQUARE_TERM_CAP} terms"
+                    )
         track = out
     return track
 
@@ -517,14 +508,10 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     squares: Sq^i, i > 0, of any other element raises
     UnsupportedPresentation before any pass.
 
-    Answers are kept in the element's squares table, Sq^1..Sq^H.  An index
-    above H extends it to H' = min(deg, max(i, 2H)) with one pass over the
-    budgets (H, H'] per monomial of degree above H, so a walk over the
-    indices in any order makes O(log deg) passes, and the Cartan sum
-    sum_s Sq^s a * Sq^(i-s) b reads most of its terms from the tables of a
-    and b.  A pass walks the factors from the largest down and sets free
-    bits inline (see _sq_monomial_cartan): a fresh Sq^219 of a degree-219
-    monomial of RV:32,31 fills the table with 16,558 mul_codes calls.
+    The first ask with i > 0 stores the element's whole table {t: Sq^t},
+    from one _total_square pass per monomial; every later index, in any
+    order, is a lookup.  A pass whose track outgrows SQUARE_TERM_CAP raises
+    WorkCapExceeded.
     """
     if a.presentation is not p and a.presentation != p:
         raise MixedPresentations("element does not belong to the given presentation")
@@ -533,28 +520,20 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     if i == 0:
         return a
     table = a._squares
-    held = len(table)
-    if i <= held:
-        return Element(p, table[i - 1])
-    if p.trunc is not None and any(c >> p._y_field[0] for c in a.codes):
-        raise UnsupportedPresentation(
-            "Steenrod squares on truncated presentations are only defined on pure powers of y"
-        )
-    degrees = {c: p.monomial_degree(c) for c in a.codes}
-    top = max(degrees.values(), default=0)
-    if i > top:
-        return p.zero()
-    hi = min(top, max(i, 2 * held))
-    sums: dict[int, set[int]] = {}
-    for code, deg in degrees.items():
-        if deg > held:
-            for b, got in _sq_monomial_cartan(p, held + 1, min(hi, deg), code).items():
-                if b in sums:
-                    sums[b] ^= got
+    if table is None:
+        if p.trunc is not None and any(c >> p._y_field[0] for c in a.codes):
+            raise UnsupportedPresentation(
+                "Steenrod squares on truncated presentations are only defined on pure powers of y"
+            )
+        sums: dict[int, set[int]] = {}
+        for code in a.codes:
+            for t, got in _total_square(p, code).items():
+                if t in sums:
+                    sums[t] ^= got
                 else:
-                    sums[b] = got
-    table = a._squares = table + tuple(frozenset(sums.get(b, ())) for b in range(held + 1, hi + 1))
-    return Element(p, table[i - 1])
+                    sums[t] = got
+        table = a._squares = {t: frozenset(got) for t, got in sums.items()}
+    return Element(p, table.get(i, frozenset()))
 
 
 # -- cup length --------------------------------------------------------------

@@ -1,0 +1,36 @@
+import ast
+from pathlib import Path
+
+from topoinv.errors import WorkCapExceeded
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "topoinv"
+
+
+def _caps():
+    """(module, cap names defined at module level, cap names in the
+    arguments of a `raise WorkCapExceeded(...)`) for each package module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets
+                   if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+        raised = {name.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and getattr(node.exc.func, "id", None) == "WorkCapExceeded"
+                  for name in ast.walk(node.exc)
+                  if isinstance(name, ast.Name) and name.id.endswith("_CAP")}
+        yield path.stem, defined, raised
+
+
+def test_every_cap_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    defined_all, raised_all = set(), set()
+    for module, defined, raised in _caps():
+        for name in defined:
+            assert f"`{module}.{name}`" in readme, f"{module}.{name} is not in the README"
+        defined_all |= defined
+        raised_all |= raised
+    assert raised_all and raised_all <= defined_all
+    for name in raised_all:
+        assert name in WorkCapExceeded.__doc__, f"{name} is not in WorkCapExceeded's docstring"

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
 
 from test_gralg import random_presentations
 from topoinv import gralg
-from topoinv.errors import MixedPresentations, UnsupportedPresentation
+from topoinv.errors import MixedPresentations, UnsupportedPresentation, WorkCapExceeded
 from topoinv.gralg import AlgebraPresentation, Element, SimpleGenerator, Trunc, steenrod_sq
 from topoinv.parity import binom_parity
 from topoinv.spaces import Family, SpaceId, catalog, presentation
@@ -281,10 +282,6 @@ def _outcome(p, i, a):
         return "refused"
 
 
-def _sq_monomial(p, i, code):
-    return steenrod_sq(p, i, Element(p, frozenset((code,))))
-
-
 def _assert_cartan_matches_brute_force(p):
     for code in p.basis_codes():
         deg = p.monomial_degree(code)
@@ -356,57 +353,87 @@ def _count_mul_codes(monkeypatch, limit=None):
     return calls
 
 
-def test_squares_table_window_stays_bounded(monkeypatch):
-    # Sq^1, Sq^2, Sq^3 of a degree-219 monomial with 14 factors: the
-    # budgets [1], then [2], then (2, 4].  mul_codes counts only the chain
-    # collisions, products by a generator whose bit is already set; a free
-    # bit is set inline.  With the factors taken from the largest down, the
-    # rising walk makes 76 of them (143 smallest first), and a fresh
-    # Sq^219, which fills every budget up to the degree at once, 16,558
-    # (72,603 smallest first).
+def test_one_pass_fills_the_table_of_a_large_monomial(monkeypatch):
+    # A degree-219 monomial with 14 factors: the first index asked fills
+    # the whole table from one pass, whose mul_codes calls are the chain
+    # collisions, products by a generator whose bit is already set (a free
+    # bit is set inline); every later index, Sq^219 = x*x included, is a
+    # lookup that makes none.
     p = P("RV:32,31")
     code = p.pack(0, random.Random(0).getrandbits(p.num_gens))
     assert p.monomial_degree(code) == 219
-    _count_mul_codes(monkeypatch, limit=76)
-    a = Element(p, frozenset((code,)))
-    got = [steenrod_sq(p, i, a) for i in (1, 2, 3)]
-    monkeypatch.undo()
-    assert got == [_sq_monomial(p, i, code) for i in (1, 2, 3)]
-    _count_mul_codes(monkeypatch, limit=16558)
-    top = _sq_monomial(p, 219, code)
-    monkeypatch.undo()
-    assert top == Element(p, frozenset((code,))) * Element(p, frozenset((code,)))
+    answers = []
+    for walk in ((1, 2, 3, 219), (219, 3, 2, 1)):
+        a = Element(p, frozenset((code,)))
+        calls = _count_mul_codes(monkeypatch, limit=16558)
+        steenrod_sq(p, walk[0], a)
+        first = len(calls)
+        answers.append({i: steenrod_sq(p, i, a) for i in walk})
+        monkeypatch.undo()
+        assert len(calls) == first
+    assert answers[0] == answers[1]
+    assert answers[0][219] == a * a
 
 
-def test_squares_table_grows_once_on_a_falling_walk(monkeypatch):
-    # Sq^deg first fills the whole table, Sq^1..Sq^deg, with one pass per
-    # monomial; every later index of the walk is read from it.
+def test_squares_table_fills_once_in_any_walk_order(monkeypatch):
+    # A rising, a falling and a shuffled walk each make exactly one pass per
+    # monomial of the element, on its first index.
     p = P("RV:12,11")
     a = _random_element(p, random.Random(0), 2)
     assert len(a.codes) == 2
     top = max(map(p.monomial_degree, a.codes))
-    passes = []
-    cartan = gralg._sq_monomial_cartan
+    want = [_cartan_brute_force(p, c, top + 1) for c in a.codes]
+    shuffled = list(range(top + 2))
+    random.Random(1).shuffle(shuffled)
+    total_square = gralg._total_square
+    for walk in (range(top + 2), range(top + 1, -1, -1), shuffled):
+        passes = []
 
-    def counted(*args):
-        passes.append(args[-1])
-        return cartan(*args)
+        def counted(p, code):
+            passes.append(code)
+            return total_square(p, code)
 
-    monkeypatch.setattr(gralg, "_sq_monomial_cartan", counted)
-    got = [steenrod_sq(p, i, a) for i in range(top, 0, -1)]
-    monkeypatch.undo()
-    assert sorted(passes) == sorted(a.codes)
-    want = [_cartan_brute_force(p, c, top) for c in a.codes]
-    assert got == [sum((w[i] for w in want), p.zero()) for i in range(top, 0, -1)]
+        monkeypatch.setattr(gralg, "_total_square", counted)
+        b = Element(p, a.codes)
+        got = [steenrod_sq(p, i, b) for i in walk]
+        monkeypatch.undo()
+        assert sorted(passes) == sorted(a.codes)
+        assert got == [sum((w[i] for w in want), p.zero()) for i in walk]
+
+
+def test_squares_do_not_depend_on_the_walk_order():
+    # One element asked every index in shuffled order, and a fresh element
+    # per index, give the same answers and the same refusals.
+    rng = random.Random(3)
+    families = [Family.RV, Family.CV, Family.HV, Family.RX, Family.CX]
+    for s in catalog(families, range(1, 7)):
+        p = presentation(s)
+        for code in p.basis_codes():
+            a = Element(p, frozenset((code,)))
+            walk = list(range(p.monomial_degree(code) + 2))
+            rng.shuffle(walk)
+            shared = {i: _outcome(p, i, a) for i in walk}
+            fresh = {i: _outcome(p, i, Element(p, frozenset((code,)))) for i in walk}
+            assert shared == fresh, (str(s), p.monomial_name(code))
+
+
+def test_a_total_square_past_the_cap_is_refused_at_once():
+    # The seed-1 random monomial of RV:40,39 (degree 294, 18 factors) has a
+    # total square of more than SQUARE_TERM_CAP terms; even Sq^1 of it
+    # builds the whole table, so it is refused, quickly and in bounded memory.
+    p = P("RV:40,39")
+    code = p.pack(0, random.Random(1).getrandbits(p.num_gens))
+    start = time.perf_counter()
+    with pytest.raises(WorkCapExceeded, match=f"exceeds cap {gralg.SQUARE_TERM_CAP} terms"):
+        steenrod_sq(p, 1, Element(p, frozenset((code,))))
+    assert time.perf_counter() - start < 5
 
 
 def test_cartan_products_on_borel_rings(monkeypatch):
-    # Sq runs one cancelling track, over the budgets the factors left can
-    # still fill; the rhs asks a for Sq^0..Sq^i and b for Sq^i..Sq^0, which
-    # their squares tables answer from a few windowed passes.  mul_codes
-    # counts the element products (436) and the chain collisions of the
-    # passes (1,775); a free bit is set inline.  With the factors taken
-    # smallest first the passes make 5,982 collisions.
+    # the rhs asks a for Sq^0..Sq^i and b for Sq^i..Sq^0, which their
+    # squares tables answer from one pass per monomial.  mul_codes counts
+    # the element products (436) and the chain collisions of the passes
+    # (1,388); a free bit is set inline.
     calls = _count_mul_codes(monkeypatch)
     rng = random.Random(5)
     for k in range(2, 12):
@@ -419,4 +446,4 @@ def test_cartan_products_on_borel_rings(monkeypatch):
             for t in range(i + 1):
                 rhs = rhs + steenrod_sq(p, t, a) * steenrod_sq(p, i - t, b)
             assert steenrod_sq(p, i, a * b) == rhs
-    assert len(calls) <= 2211
+    assert len(calls) <= 1824
