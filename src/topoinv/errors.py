@@ -28,5 +28,5 @@ class WorkCapExceeded(TopoinvError):
     check (SS_WORK_CAP), a Poincare series (SERIES_WORK_CAP), a cup-length
     witness (CUP_WITNESS_CAP), a binomial's lower index (BINOM_INDEX_CAP) or
     a Steenrod pass's total square (SQUARE_TERM_CAP, 2^18 terms; its slowest
-    refusal measured, on a random RV:64,63 monomial, takes about 2.4 s and
-    69 MiB of peak RSS on 2 vCPU)."""
+    refusal measured, on a random RV:64,63 monomial, takes about 1.4 s and
+    91 MiB of peak RSS on 2 vCPU)."""

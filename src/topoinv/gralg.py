@@ -19,10 +19,14 @@ y-powers have squares.  The total square Sq = sum_t Sq^t is a ring map
 (the Cartan formula), so Sq of a monomial is the product of its factors'
 total squares, the largest first, taken in one pass in which a product by
 a generator whose bit is free is set inline; only square chains go through
-mul_codes.  An element stores its whole table {t: Sq^t} on its first ask.
-A pass holds at most SQUARE_TERM_CAP terms, past which it raises
+mul_codes.  The pass keeps a flat track {code: t}: in a graded ring a code
+fixes its degree, and so its index t.  The presentation keeps each
+monomial's track, up to SQUARE_TERM_CAP terms in all, so a monomial is
+squared once per ring whichever element asks; an element groups its
+monomials' tracks by t into its table {t: Sq^t} on its first ask.  A pass
+whose track holds more than SQUARE_TERM_CAP terms after a sweep raises
 WorkCapExceeded: the slowest refusal measured, on a random monomial of
-RV:64,63, takes about 2.4 s and 69 MiB of peak RSS (2 vCPU).
+RV:64,63, takes about 1.4 s and 91 MiB of peak RSS (2 vCPU).
 """
 
 from __future__ import annotations
@@ -64,10 +68,12 @@ ORACLE_DIMENSION_CAP = 1 << 16
 # Largest (generators + 1) * (series length) poincare accepts: one pass per
 # generator, and the CLI prints one JSON entry per degree.
 SERIES_WORK_CAP = 1 << 20
-# Most terms, summed over the indices, a Steenrod pass may hold: past it a
-# pass raises WorkCapExceeded.  No catalog query comes near it (the largest
-# total square verify --max-n 16 builds has 320 terms); the seed-1 random
-# monomial of RV:40,39 reaches it after 0.5 s at 55 MiB (2 vCPU).
+# Most terms, summed over the indices, a Steenrod pass may hold after a
+# sweep: past it a pass raises WorkCapExceeded.  It is also the budget of
+# the tracks a presentation keeps, about 17 MiB of peak RSS when full.  No
+# catalog query comes near it (the largest total square verify --max-n 16
+# builds has 320 terms); the seed-1 random monomial of RV:40,39 reaches it
+# after 0.6 s at 81 MiB (2 vCPU).
 SQUARE_TERM_CAP = 1 << 18
 # Longest cup-length witness the chain closed form lists, one entry per
 # factor: the CLI prints it, and at 2^20 factors (RX:1048576,2) a query
@@ -112,7 +118,8 @@ class AlgebraPresentation(Record):
     the cached properties.
     """
 
-    __slots__ = ("trunc", "simple_gens", "symbol", "y_symbol", "_y_field", "__dict__")
+    __slots__ = ("trunc", "simple_gens", "symbol", "y_symbol", "_y_field", "_square_terms",
+                 "__dict__")
 
     def __init__(self, trunc: Trunc | None, simple_gens: tuple[SimpleGenerator, ...],
                  symbol: str = "g", y_symbol: str = "y"):
@@ -129,6 +136,8 @@ class AlgebraPresentation(Record):
         # y_exponent < order.  A slot, not a cached property: mul_codes reads it
         # per call.
         setfield(self, "_y_field", (width, (1 << width) - 1, order))
+        # Terms held in _square_tracks, kept at most SQUARE_TERM_CAP.
+        setfield(self, "_square_terms", 0)
         labels = [g.label for g in simple_gens]
         if labels != sorted(set(labels)):
             raise InvalidParameters("generator labels must be strictly increasing")
@@ -243,6 +252,10 @@ class AlgebraPresentation(Record):
     def _factor_options_cache(self) -> dict[int, list[tuple[int, int]]]:
         return {}
 
+    @cached_property
+    def _square_tracks(self) -> dict[int, dict[int, int]]:
+        return {}
+
     def monomial_name(self, code: int) -> str:
         y_exp, labels = self.unpack(code)
         parts = []
@@ -336,7 +349,7 @@ class Element:
 
     ``_squares`` is the element's table of Steenrod squares {t: Sq^t} as
     frozensets of codes, a missing t being zero, or None until steenrod_sq
-    first fills it whole.  It lives and dies with the element.
+    first fills it whole from the tracks its presentation keeps.
     """
 
     __slots__ = ("presentation", "codes", "_squares")
@@ -445,13 +458,14 @@ def _factor_options(p: AlgebraPresentation, factor: int) -> list[tuple[int, int]
     return got
 
 
-def _total_square(p: AlgebraPresentation, code: int) -> dict[int, set[int]]:
-    """The total square Sq = sum_t Sq^t of one monomial as {t: set of codes},
-    a missing t being zero: by the Cartan formula Sq is a ring map, so this
-    is the product of its factors' total squares, taken in one pass (y^e,
-    then the generators from the highest bit down).  The track maps each
-    index t to the mod-2 sum of the products so far; once it holds more
-    than SQUARE_TERM_CAP codes the pass raises WorkCapExceeded.
+def _total_square(p: AlgebraPresentation, code: int) -> dict[int, int]:
+    """The total square Sq = sum_t Sq^t of one monomial as a flat track
+    {code: t}: by the Cartan formula Sq is a ring map, so this is the
+    product of its factors' total squares, taken in one pass (y^e, then the
+    generators from the highest bit down).  The ring is graded, so a code
+    fixes its degree and with it its index t, and equal codes cancel mod 2
+    by toggling.  Once the track holds more than SQUARE_TERM_CAP codes after
+    a sweep of one option over it, the pass raises WorkCapExceeded.
 
     A generator piece whose bit is clear in a product so far is a free bit,
     set inline; only a set bit (a square chain, which cascades or vanishes)
@@ -466,32 +480,26 @@ def _total_square(p: AlgebraPresentation, code: int) -> dict[int, set[int]]:
         factors.append(top << width)
         m ^= top
     mul_codes = p.mul_codes
-    track: dict[int, set[int]] = {0: {0}}
+    track = {0: 0}
     for f in factors:
-        options = _factor_options(p, f)
         free = f > y_mask
-        out: dict[int, set[int]] = {}
-        terms = 0
-        for b, codes in track.items():
-            for t, piece in options:
-                acc = out.setdefault(b + t, set())
-                terms -= len(acc)
-                for pc in codes:
-                    if free and not pc & piece:
-                        prod = pc | piece
-                    else:
-                        prod = mul_codes(pc, piece)
-                        if prod is None:
-                            continue
-                    if prod in acc:
-                        acc.discard(prod)
-                    else:
-                        acc.add(prod)
-                terms += len(acc)
-                if terms > SQUARE_TERM_CAP:
-                    raise WorkCapExceeded(
-                        f"total square of {p.monomial_name(code)} exceeds cap {SQUARE_TERM_CAP} terms"
-                    )
+        out: dict[int, int] = {}
+        for t, piece in _factor_options(p, f):
+            for pc, b in track.items():
+                if free and not pc & piece:
+                    prod = pc | piece
+                else:
+                    prod = mul_codes(pc, piece)
+                    if prod is None:
+                        continue
+                if prod in out:
+                    del out[prod]
+                else:
+                    out[prod] = b + t
+            if len(out) > SQUARE_TERM_CAP:
+                raise WorkCapExceeded(
+                    f"total square of {p.monomial_name(code)} exceeds cap {SQUARE_TERM_CAP} terms"
+                )
         track = out
     return track
 
@@ -509,9 +517,12 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     UnsupportedPresentation before any pass.
 
     The first ask with i > 0 stores the element's whole table {t: Sq^t},
-    from one _total_square pass per monomial; every later index, in any
-    order, is a lookup.  A pass whose track outgrows SQUARE_TERM_CAP raises
-    WorkCapExceeded.
+    grouped by t from its monomials' flat tracks; every later index, in any
+    order, is a lookup.  Each monomial's track comes from one _total_square
+    pass per presentation: p keeps it for every later element, while the
+    tracks it keeps hold at most SQUARE_TERM_CAP terms in all, and past that
+    budget a track is computed but not kept.  A pass whose track outgrows
+    SQUARE_TERM_CAP raises WorkCapExceeded and keeps nothing.
     """
     if a.presentation is not p and a.presentation != p:
         raise MixedPresentations("element does not belong to the given presentation")
@@ -525,13 +536,24 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
             raise UnsupportedPresentation(
                 "Steenrod squares on truncated presentations are only defined on pure powers of y"
             )
+        tracks = p._square_tracks
         sums: dict[int, set[int]] = {}
         for code in a.codes:
-            for t, got in _total_square(p, code).items():
-                if t in sums:
-                    sums[t] ^= got
+            track = tracks.get(code)
+            if track is None:
+                track = _total_square(p, code)
+                terms = p._square_terms + len(track)
+                if terms <= SQUARE_TERM_CAP:
+                    tracks[code] = track
+                    setfield(p, "_square_terms", terms)
+            for c, t in track.items():
+                got = sums.get(t)
+                if got is None:
+                    sums[t] = {c}
+                elif c in got:
+                    got.remove(c)
                 else:
-                    sums[t] = got
+                    got.add(c)
         table = a._squares = {t: frozenset(got) for t, got in sums.items()}
     return Element(p, table.get(i, frozenset()))
 

@@ -358,47 +358,110 @@ def test_one_pass_fills_the_table_of_a_large_monomial(monkeypatch):
     # the whole table from one pass, whose mul_codes calls are the chain
     # collisions, products by a generator whose bit is already set (a free
     # bit is set inline); every later index, Sq^219 = x*x included, is a
-    # lookup that makes none.
+    # lookup that makes none, and a second element of the monomial reads
+    # the track its ring kept.
     p = P("RV:32,31")
     code = p.pack(0, random.Random(0).getrandbits(p.num_gens))
     assert p.monomial_degree(code) == 219
-    answers = []
+    answers, firsts = [], []
     for walk in ((1, 2, 3, 219), (219, 3, 2, 1)):
         a = Element(p, frozenset((code,)))
         calls = _count_mul_codes(monkeypatch, limit=16558)
         steenrod_sq(p, walk[0], a)
-        first = len(calls)
+        firsts.append(len(calls))
         answers.append({i: steenrod_sq(p, i, a) for i in walk})
         monkeypatch.undo()
-        assert len(calls) == first
+        assert len(calls) == firsts[-1]
+    assert firsts[0] > 0 and firsts[1] == 0
     assert answers[0] == answers[1]
     assert answers[0][219] == a * a
 
 
+def _count_passes(monkeypatch):
+    """Record (presentation, monomial) for every _total_square pass."""
+    passes = []
+    total_square = gralg._total_square
+
+    def counted(p, code):
+        passes.append((id(p), code))
+        return total_square(p, code)
+
+    monkeypatch.setattr(gralg, "_total_square", counted)
+    return passes
+
+
 def test_squares_table_fills_once_in_any_walk_order(monkeypatch):
-    # A rising, a falling and a shuffled walk each make exactly one pass per
-    # monomial of the element, on its first index.
-    p = P("RV:12,11")
-    a = _random_element(p, random.Random(0), 2)
+    # A rising, a falling and a shuffled walk, each on fresh elements of two
+    # equal rings, make one pass per (presentation, monomial) in all: the
+    # first element to ask squares a monomial, and its ring keeps the track
+    # for every later element.
+    rings = [P("RV:12,11"), P("RV:12,11")]
+    a = _random_element(rings[0], random.Random(0), 2)
     assert len(a.codes) == 2
-    top = max(map(p.monomial_degree, a.codes))
-    want = [_cartan_brute_force(p, c, top + 1) for c in a.codes]
+    top = max(map(rings[0].monomial_degree, a.codes))
+    want = [_cartan_brute_force(rings[0], c, top + 1) for c in a.codes]
     shuffled = list(range(top + 2))
     random.Random(1).shuffle(shuffled)
-    total_square = gralg._total_square
-    for walk in (range(top + 2), range(top + 1, -1, -1), shuffled):
-        passes = []
+    passes = _count_passes(monkeypatch)
+    for p in rings:
+        for walk in (range(top + 2), range(top + 1, -1, -1), shuffled):
+            b = Element(p, a.codes)
+            got = [steenrod_sq(p, i, b) for i in walk]
+            assert got == [sum((w[i] for w in want), p.zero()) for i in walk]
+            for code, w in zip(a.codes, want):
+                single = Element(p, frozenset((code,)))
+                assert [steenrod_sq(p, i, single) for i in walk] == [w[i] for i in walk]
+    monkeypatch.undo()
+    assert sorted(passes) == sorted((id(p), c) for p in rings for c in a.codes)
 
-        def counted(p, code):
-            passes.append(code)
-            return total_square(p, code)
 
-        monkeypatch.setattr(gralg, "_total_square", counted)
-        b = Element(p, a.codes)
-        got = [steenrod_sq(p, i, b) for i in walk]
-        monkeypatch.undo()
-        assert sorted(passes) == sorted(a.codes)
-        assert got == [sum((w[i] for w in want), p.zero()) for i in walk]
+def test_stored_tracks_stay_within_the_cap(monkeypatch):
+    # Every track of RV:7,6 holds at most 13 terms and all of them 207, so
+    # under a cap of 16 the ring keeps a few tracks and squares the rest
+    # afresh on every ask, with the same answers.
+    monkeypatch.setattr(gralg, "SQUARE_TERM_CAP", 16)
+    p = P("RV:7,6")
+    tracks = p._square_tracks
+    for code in p.basis_codes():
+        top = p.monomial_degree(code) + 1
+        want = _cartan_brute_force(p, code, top)
+        for _ in range(2):
+            a = Element(p, frozenset((code,)))
+            assert [steenrod_sq(p, i, a) for i in range(top + 1)] == want
+        assert p._square_terms == sum(map(len, tracks.values())) <= 16
+    assert 0 < len(tracks) < p.total_dimension
+
+
+def test_a_refused_pass_stores_nothing(monkeypatch):
+    # The largest track of RV:7,6 has 13 terms: under a cap of 8 its pass is
+    # refused, nothing is kept, and every later ask is refused again.
+    p = P("RV:7,6")
+    code = max(p.basis_codes(), key=lambda c: len(gralg._total_square(p, c)))
+    monkeypatch.setattr(gralg, "SQUARE_TERM_CAP", 8)
+    a = Element(p, frozenset((code,)))
+    for element in (a, a, Element(p, frozenset((code,)))):
+        with pytest.raises(WorkCapExceeded, match="exceeds cap 8 terms"):
+            steenrod_sq(p, 1, element)
+        assert p._square_tracks == {} and p._square_terms == 0
+
+
+def test_elements_sharing_monomials_leave_stored_tracks_unchanged():
+    # a, a + b and a * b share monomials: each later table reads the tracks
+    # the earlier ones stored and changes none of them.
+    rng = random.Random(7)
+    p = P("RV:10,9")
+    for _ in range(20):
+        a = _random_element(p, rng, 3)
+        b = _random_element(p, rng, 2)
+        seen = {}
+        for x in (a, a + b, a * b, b):
+            top = max(map(p.monomial_degree, x.codes), default=0) + 1
+            got = [steenrod_sq(p, i, x) for i in range(top + 1)]
+            want = [_cartan_brute_force(p, c, top) for c in x.codes]
+            assert got == [sum((w[i] for w in want), p.zero()) for i in range(top + 1)]
+            for code, (track, copy) in seen.items():
+                assert p._square_tracks[code] is track and track == copy
+            seen.update((c, (t, dict(t))) for c, t in p._square_tracks.items() if c not in seen)
 
 
 def test_squares_do_not_depend_on_the_walk_order():
@@ -431,9 +494,10 @@ def test_a_total_square_past_the_cap_is_refused_at_once():
 
 def test_cartan_products_on_borel_rings(monkeypatch):
     # the rhs asks a for Sq^0..Sq^i and b for Sq^i..Sq^0, which their
-    # squares tables answer from one pass per monomial.  mul_codes counts
-    # the element products (436) and the chain collisions of the passes
-    # (1,388); a free bit is set inline.
+    # squares tables answer from the ring's one pass per monomial.  mul_codes
+    # counts the element products (436) and the chain collisions of the
+    # passes (1,255); a free bit is set inline, and a monomial that a, b or
+    # a * b share with an earlier element of the ring is not squared again.
     calls = _count_mul_codes(monkeypatch)
     rng = random.Random(5)
     for k in range(2, 12):
@@ -446,4 +510,4 @@ def test_cartan_products_on_borel_rings(monkeypatch):
             for t in range(i + 1):
                 rhs = rhs + steenrod_sq(p, t, a) * steenrod_sq(p, i - t, b)
             assert steenrod_sq(p, i, a * b) == rhs
-    assert len(calls) <= 1824
+    assert len(calls) <= 1691
