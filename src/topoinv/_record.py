@@ -53,6 +53,8 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # pickle would restore the slots through the blocked __setattr__, so
-        # an instance is rebuilt, and validated again, by its constructor
+        # no module of the package pickles a record, but copy and pickle
+        # should work on a value: they would restore the slots through the
+        # blocked __setattr__, so an instance is rebuilt, and validated
+        # again, by its constructor
         return type(self), tuple(getattr(self, name) for name in self._fields)

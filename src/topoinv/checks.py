@@ -1,36 +1,30 @@
 """Consistency suites of `topoinv verify`, and run_suites, which runs them.
 
-Each grid suite maps one check over catalog spaces, on a process pool
-when asked; a check returns its failure, if any, as a message, and its
-expected warnings.  A TopoinvError raised while a check builds or reads a
+Each grid suite maps one check over catalog spaces in this process; a
+check returns its failure, if any, as a message, and its expected
+warnings.  A TopoinvError raised while a check builds or reads a
 catalog ring is that space's failure: a broken catalog fails the suite, it
 is not bad input.  Only `verify` imports this module; no other command does.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-
 from .errors import TopoinvError
-from .gralg import ORACLE_DIMENSION_CAP, AlgebraPresentation, Element, poincare, steenrod_sq
+from .gralg import AlgebraPresentation, Element, poincare, steenrod_sq
 from .invariants import cup_report
-from .equivariant import feasibility, index_sphere, index_stiefel_mod2
+from .equivariant import feasibility, index_stiefel_mod2
 from .parity import binom_parity, parity_row
 from .spaces import (Family, SpaceId, catalog, dimension, presentation, serre_verify,
                      truncation_order)
 
 
 def _space_check(check):
-    """`check` with a TopoinvError as the failure of the item's space, named
-    once.  The wrapper keeps the check's name, so a process pool pickles it."""
+    """`check` with a TopoinvError as the failure of its space, named once."""
 
-    @functools.wraps(check)
-    def guarded(item):
+    def guarded(space):
         try:
-            return check(item)
+            return check(space)
         except TopoinvError as exc:
-            space = item[0] if isinstance(item, tuple) else item
             message = str(exc)
             return (message if message.startswith(f"{space}:") else f"{space}: {message}"), []
 
@@ -125,36 +119,32 @@ def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
 
 
 @_space_check
-def _check_cup(item: tuple[SpaceId, int | None]) -> tuple[str | None, list[str]]:
-    """Cross-check one space through cup_report, with the oracle up to its
-    cap; `item` is the space and the cup-length floor (N-1) + g of its ring,
-    None for a ring that cannot be built."""
-    space, floor = item
-    report = cup_report(space, oracle_max_dimension=ORACLE_DIMENSION_CAP)
-    exact = report.exact.value
-    if floor is not None and exact < floor:
-        return f"{space}: cup length {exact} below floor {floor}", []
+def _check_cup(space: SpaceId) -> tuple[str | None, list[str]]:
+    """Cross-check one space through cup_report, whose oracle runs on the
+    ring's tensor blocks, and the closed form against the ring's own
+    product: its value is at least the floor (N-1) + g, and its witness
+    multiplies out to a nonzero class."""
+    p = presentation(space)
+    report = cup_report(space)
+    exact = report.exact
+    # the product of y^(N-1) and every generator is the top class
+    floor = (p.order - 1) + p.num_gens
+    if exact.value < floor:
+        return f"{space}: cup length {exact.value} below floor {floor}", []
+    codes = {f"{p.symbol}{g.label}": p.pack(0, 1 << bit) for bit, g in enumerate(p.simple_gens)}
+    if p.trunc is not None:
+        codes[p.y_symbol] = p.pack(1, 0)
+    product = 0
+    for i, name in enumerate(exact.witness):
+        code = codes.get(name)
+        product = None if code is None else p.mul_codes(product, code)
+        if product is None:
+            return f"{space}: witness product vanishes at factor {i + 1} ({name})", []
     bounds = dict(report.bounds)
     return None, [
-        f"{space}: bound {name}={bounds[name]} < exact {exact} (expected discrepancy)"
+        f"{space}: bound {name}={bounds[name]} < exact {exact.value} (expected discrepancy)"
         for name in report.violations
     ]
-
-
-def _cup_items(grid: range) -> list[tuple[SpaceId, int | None]]:
-    """The grid's spaces within the oracle's cap, with their floors; a
-    space whose ring cannot be built is kept, for its check to report."""
-    items = []
-    for space in catalog(list(Family), grid):
-        try:
-            p = presentation(space)
-        except TopoinvError:
-            items.append((space, None))
-            continue
-        if p.total_dimension <= ORACLE_DIMENSION_CAP:
-            # the product of y^(N-1) and every generator is the top class
-            items.append((space, (p.order - 1) + p.num_gens))
-    return items
 
 
 def _check_parity() -> str | None:
@@ -173,11 +163,16 @@ def _check_parity() -> str | None:
 
 
 def _check_equivariant() -> str | None:
+    import math
+
     from .equivariant import Sphere, StiefelH, SymplecticGroup
 
     for n in range(1, 65):
-        if index_stiefel_mod2(n, 1) != index_sphere(n):
-            return f"sphere/frame index disagreement at n={n}"
+        for k in range(1, n + 1):
+            # the least m in the fiber's range with binom(n, m) odd, exactly
+            want = next(m for m in range(n - k + 1, n + 1) if math.comb(n, m) % 2)
+            if (got := index_stiefel_mod2(n, k).exponent) != want:
+                return f"mod-2 index of HV:{n},{k} is alpha^{got}, not alpha^{want}"
     for n in range(1, 33):
         for m in range(1, 33):
             sp = feasibility(SymplecticGroup(n), SymplecticGroup(m))
@@ -193,41 +188,25 @@ def _check_equivariant() -> str | None:
     return None
 
 
-def _map_grid(fn, items: list, jobs: int) -> list:
-    """fn over items in order, on at most `jobs` worker processes.
-
-    The worker count is also capped by the CPU count and the grid size;
-    with one worker or fewer the grid runs in this process.
-    """
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # imported here: the pool pulls in multiprocessing, which a query never needs
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-# name, grid families (None: the cup suite's own items) and check per grid suite
+# name, grid families and check per grid suite
 _GRID_SUITES = (
     ("palindrome", list(Family), _check_palindrome),
     ("spectral", [fam for fam in Family if fam.is_projective], _check_spectral),
     ("steenrod", [fam for fam in Family if not fam.is_projective], _check_steenrod),
-    ("cup", None, _check_cup),
+    ("cup", list(Family), _check_cup),
 )
 
 
-def run_suites(suite: str, max_n: int, jobs: int):
+def run_suites(suite: str, max_n: int):
     """(name, spaces, failures, warnings) of each suite that `suite` selects,
-    as it finishes: the grid suites up to max_n, each on its own pool of at
-    most `jobs` workers, then with `all` the single checks (spaces None)."""
+    as it finishes: the grid suites up to max_n, then with `all` the single
+    checks (spaces None)."""
     grid = range(2, max_n + 1)
     for name, families, check in _GRID_SUITES:
         if suite in (name, "all"):
-            items = _cup_items(grid) if families is None else catalog(families, grid)
-            results = _map_grid(check, items, jobs)
-            yield (name, len(items), [failure for failure, _ in results if failure is not None],
+            spaces = catalog(families, grid)
+            results = [check(space) for space in spaces]
+            yield (name, len(spaces), [failure for failure, _ in results if failure is not None],
                    [warning for _, found in results for warning in found])
     if suite == "all":
         for name, check in (("parity", _check_parity), ("equivariant", _check_equivariant)):

@@ -77,13 +77,8 @@ def cohomology(args: SimpleNamespace) -> None:
 def cuplength(args: SimpleNamespace) -> None:
     """Exact mod-2 cup length of SPACE_SPEC from its square chains."""
     space = SpaceId.parse(args.space_spec)
-    cup_mode = CupMode(args.mode)
     report = cup_report(space) if args.with_bounds else None
-    res = None
-    if report is not None:
-        res = report.exact if cup_mode is CupMode.GENERATOR_SEARCH else report.oracle
-    if res is None:
-        res = cup_length(presentation(space), cup_mode)
+    res = cup_length(presentation(space), CupMode(args.mode))
     warnings: list[str] = []
     result: dict = {"value": res.value, "witness": list(res.witness), "caveat": res.caveat}
     if report is not None:
@@ -148,7 +143,7 @@ def table(args: SimpleNamespace) -> None:
         print(json.dumps(rows, indent=2, sort_keys=True))
 
 
-# Largest n of the grids: `verify --suite all --max-n 16` takes about 6 s serially
+# Largest n of the grids: `verify --suite all --max-n 16` takes about 2.5 s
 # (2 vCPU; spectral 0.3 s of it), and the steenrod spaces at n = 17 cost 3x those at 16.
 _MAX_VERIFY_N = 16
 
@@ -167,12 +162,10 @@ def verify(args: SimpleNamespace) -> int | None:
         raise InvalidParameters("--max-n must be at least 2")
     if args.max_n > _MAX_VERIFY_N:
         raise InvalidParameters(f"--max-n must be at most {_MAX_VERIFY_N}")
-    if args.jobs < 1:
-        raise InvalidParameters("--jobs must be at least 1")
     failures: list[str] = []
     warnings: list[str] = []
     count = 0
-    for name, spaces, bad, found in checks.run_suites(args.suite, args.max_n, args.jobs):
+    for name, spaces, bad, found in checks.run_suites(args.suite, args.max_n):
         if spaces is None:  # a single check counts as one
             count += 1
             print(f"{name}: {'FAILED' if bad else 'ok'}")
@@ -235,7 +228,6 @@ _COMMANDS = {
         "--suite": ("suite", ("spectral", "palindrome", "steenrod", "cup", "all"), "all", False,
                     "Suites to run"),
         "--max-n": ("max_n", int, 8, False, f"Largest n of the grids, 2 to {_MAX_VERIFY_N}"),
-        "--jobs": ("jobs", int, 1, False, "Parallel workers for grid suites"),
     }),
 }
 

@@ -5,11 +5,14 @@ tensored with a simple system of generators: a basis of square-free
 products where squaring a generator either vanishes or lands on another
 generator of twice the degree.  Distinct generators square onto distinct
 targets, so the squares form chains j -> 2j -> 4j -> ... and the cup
-length has a closed form over them; an oracle re-derives it over generator words in (g+1)*N*2^g
-products.  Monomials are packed into single ints (a generator bitmask
-shifted over the y-exponent), so products, the oracle and Steenrod
-squares all run on machine words.  The y-exponent field of a code is
-sized per ring, to the bits of its truncation order.
+length has a closed form over them; an oracle re-derives it over generator
+words in (g+1)*N*2^g products.  The ring is the tensor product of y's
+factor and the chains, so tensor_blocks splits it into small blocks whose
+oracle values add up to the closed form.  Monomials are packed into
+single ints (a generator bitmask shifted over the y-exponent), so
+products, the oracle and Steenrod squares all run on machine words.  The
+y-exponent field of a code is sized per ring, to the bits of its
+truncation order.
 
 Steenrod squares follow one rule.  On an untruncated ring (RV, CV, HV)
 Borel's action Sq^t z = binom(deg z, t) * (the generator of degree
@@ -56,6 +59,7 @@ __all__ = [
     "poincare",
     "presentation_to_dict",
     "steenrod_sq",
+    "tensor_blocks",
 ]
 
 SQ_ZERO = "zero"
@@ -75,6 +79,10 @@ SERIES_WORK_CAP = 1 << 20
 # builds has 320 terms); the seed-1 random monomial of RV:40,39 reaches it
 # after 0.6 s at 81 MiB (2 vCPU).
 SQUARE_TERM_CAP = 1 << 18
+# Most basis monomials of a tensor block.  A block costs about as much to
+# build as a small ring to sweep: on the cup-grid benchmark (2 vCPU) 2^4
+# made the median item 17% slower than 2^6, and 2^8 the 90th percentile 60%.
+TENSOR_BLOCK_CAP = 1 << 6
 # Longest cup-length witness the chain closed form lists, one entry per
 # factor: the CLI prints it, and at 2^20 factors (RX:1048576,2) a query
 # takes 0.5 s and prints 11 MB (2 vCPU).
@@ -578,22 +586,48 @@ class CupResult(Record):
         setfield(self, "witness", witness)
 
 
+def _chains(p: AlgebraPresentation) -> list[list[int]]:
+    """The square chains r -> r^2 -> ... as generator bits, root first, by root."""
+    rules = p._rule_of_bit
+    targets = set(rules)
+    chains = [[bit] for bit in range(p.num_gens) if bit not in targets]
+    for chain in chains:
+        while rules[chain[-1]] >= 0:
+            chain.append(rules[chain[-1]])
+    return chains
+
+
+def tensor_blocks(p: AlgebraPresentation) -> tuple[AlgebraPresentation, ...]:
+    """The ring as a tensor product of square-closed blocks: y in the
+    first, each chain whole in one, longest first, while a block stays
+    within TENSOR_BLOCK_CAP monomials (y or a chain alone above it is a
+    block of its own; a ring within it is its own one block).  Over a field
+    cup(A (x) B) = cup(A) + cup(B).  Only a block's products are meant: one
+    after the first has no y, so it takes Borel's rule for its squares."""
+    if p.total_dimension <= TENSOR_BLOCK_CAP:
+        return (p,)
+    groups, bits, dim = [], [], p.order
+    for chain in sorted(_chains(p), key=len, reverse=True):
+        if dim > 1 and dim << len(chain) > TENSOR_BLOCK_CAP:
+            groups.append(bits)
+            bits, dim = [], 1
+        bits += chain
+        dim <<= len(chain)
+    groups.append(bits)
+    gens = p.simple_gens
+    return tuple(AlgebraPresentation(p.trunc if i == 0 else None,
+                                     tuple(gens[bit] for bit in sorted(bits)),
+                                     p.symbol, p.y_symbol)
+                 for i, bits in enumerate(groups))
+
+
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     """A chain r -> r^2 -> ... of L generators is a tensor factor
     Z2[r]/(r^(2^L)), so it adds 2^L - 1; y^(N-1) times each root to that
     power is the only longest generator product.  A witness of more than
     CUP_WITNESS_CAP factors raises WorkCapExceeded before it is listed."""
     factors = [(p.y_symbol, p.order - 1)]
-    rules = p._rule_of_bit
-    targets = {r for r in rules if r >= 0}
-    for bit, g in enumerate(p.simple_gens):
-        if bit in targets:
-            continue
-        length, last = 1, bit
-        while rules[last] >= 0:
-            last = rules[last]
-            length += 1
-        factors.append((f"{p.symbol}{g.label}", (1 << length) - 1))
+    factors += [(f"{p.symbol}{p.labels[chain[0]]}", (1 << len(chain)) - 1) for chain in _chains(p)]
     value = sum(count for _, count in factors)
     if value > CUP_WITNESS_CAP:
         raise WorkCapExceeded(f"cup-length witness of {value} factors exceeds cap {CUP_WITNESS_CAP}")
@@ -692,8 +726,7 @@ def cup_length(
     Three flat arrays indexed by code hold its state, at most 14 bytes per
     basis monomial.  It refuses rings of total dimension above
     ORACLE_DIMENSION_CAP with DimensionCapExceeded before any product.
-    cup_report runs both modes on small rings and keeps both results, so
-    callers that need the cross-check read it there instead of rerunning.
+    cup_report checks the closed form with the oracle on tensor_blocks.
 
     Every square is a generator or zero, so both modes give the exact cup
     length of the ring; the result's caveat is always False.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
-from .gralg import CupMode, CupResult, cup_length
+from .gralg import ORACLE_DIMENSION_CAP, CupMode, CupResult, cup_length, tensor_blocks
 from .spaces import SpaceId, dimension, fiber_range, presentation, truncation_order
 
 __all__ = [
@@ -189,51 +189,44 @@ def cup_bound_dim_minus_index(space: SpaceId) -> int | None:
 
 
 class CupReport(Record):
-    """What cup_report found; ``oracle`` is None above its cross-check dimension."""
+    """What cup_report found."""
 
-    __slots__ = ("space", "exact", "oracle", "bounds", "violations")
+    __slots__ = ("space", "exact", "bounds", "violations")
 
-    def __init__(self, space: SpaceId, exact: CupResult, oracle: CupResult | None,
-                 bounds: tuple[tuple[str, int], ...], violations: tuple[str, ...]):
+    def __init__(self, space: SpaceId, exact: CupResult, bounds: tuple[tuple[str, int], ...],
+                 violations: tuple[str, ...]):
         setfield(self, "space", space)
         setfield(self, "exact", exact)
-        setfield(self, "oracle", oracle)
         setfield(self, "bounds", bounds)
         setfield(self, "violations", violations)
 
 
-# Largest total dimension on which cup_report re-derives the cup length
-# with the exhaustive oracle by default.  A query or a grid keeps to it;
-# verify asks for rings up to gralg.ORACLE_DIMENSION_CAP.
-ORACLE_CROSS_CHECK_MAX_DIMENSION = 1 << 13
-
-
-def cup_report(space: SpaceId, *,
-               oracle_max_dimension: int = ORACLE_CROSS_CHECK_MAX_DIMENSION) -> CupReport:
+def cup_report(space: SpaceId) -> CupReport:
     """Exact cup length with its oracle cross-check, the catalog bound and
     any violations.
 
-    The exact value comes from the square-chain closed form.  When the total
-    dimension is at most oracle_max_dimension the exhaustive oracle
-    re-derives it once, its result is kept in `oracle` for callers
-    to read, and a disagreement in value raises TopoinvError (an
-    internal error, not a report); above that dimension `oracle` is None.
+    The exact value comes from the square-chain closed form.  The
+    exhaustive oracle re-derives it as the sum of its values on the ring's
+    tensor blocks, and a disagreement raises TopoinvError (an internal
+    error, not a report).  The check is skipped only when the blocks'
+    dimensions sum past ORACLE_DIMENSION_CAP, which is tested before any
+    block is swept; no catalog space with n <= 64 comes near it.
     A bound smaller than the exact value is recorded as a violation, never
     suppressed: over all catalog spaces with n <= 40 the
     dimension-minus-index bound is exceeded exactly on RX:n,2 with n odd.
     """
     p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
-    oracle = None
-    if p.total_dimension <= oracle_max_dimension:
-        oracle = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
-        if oracle.value != exact.value:
+    blocks = tensor_blocks(p)
+    if sum(block.total_dimension for block in blocks) <= ORACLE_DIMENSION_CAP:
+        oracle = sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value for block in blocks)
+        if oracle != exact.value:
             raise TopoinvError(
-                f"{space}: closed form gave {exact.value} but the oracle gave {oracle.value}"
+                f"{space}: closed form gave {exact.value} but the oracle gave {oracle}"
             )
     bounds: list[tuple[str, int]] = []
     catalog_bound = cup_bound_dim_minus_index(space)
     if catalog_bound is not None:
         bounds.append((DIM_MINUS_INDEX_BOUND, catalog_bound))
     violations = tuple(name for name, value in bounds if value < exact.value)
-    return CupReport(space, exact, oracle, tuple(bounds), violations)
+    return CupReport(space, exact, tuple(bounds), violations)

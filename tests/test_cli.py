@@ -266,9 +266,7 @@ def test_usage_errors_name_what_is_wrong():
         (("table", "ucharrank", "RX"), "the following arguments are required: --n"),
         (("table", "ucharrank", "RX", "--n"), "argument --n: expected one argument"),
         (("table", "ucharrank", "RX", "--n", "3", "--jobs", "2"), "unrecognized arguments: --jobs"),
-        (("verify", "--jobs", "x"), "argument --jobs: invalid int value: 'x'"),
-        (("verify", "--jobs", "0"), "--jobs must be at least 1"),
-        (("verify", "--jobs", "-5"), "--jobs must be at least 1"),
+        (("verify", "--jobs", "2"), "unrecognized arguments: --jobs"),
         (("cuplength", "RX:5,2", "--with"), "unrecognized arguments: --with"),
         (("cuplength", "RX:5,2", "--mode", "exact"), "invalid choice: 'exact'"),
         (("cuplength", "RX:5,2", "--with-bounds=yes"), "unrecognized arguments: --with-bounds=yes"),
@@ -359,28 +357,6 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr():
         assert (out.returncode, out.stderr) == (1, ""), args
 
 
-def test_jobs_clamped_to_cpu_count_and_grid(monkeypatch):
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert run("verify", "--suite", "palindrome", "--max-n", "4", "--jobs", "100000").exit_code == 0
-    assert pools == [3]
-
-
 def test_table_deterministic_and_parallel():
     args = ("table", "ucharrank", "RX", "--n", "3..10", "--k", "2..9", "--format", "csv")
     first = run(*args)
@@ -441,13 +417,6 @@ def test_verify_suite_choices_are_the_grid_suites():
     assert res.stdout.startswith("cup: ") and "verify: PASS" in res.stdout, res.stdout
 
 
-def test_verify_parallel_matches_serial():
-    serial = run("verify", "--suite", "spectral", "--max-n", "5")
-    parallel = run("verify", "--suite", "spectral", "--max-n", "5", "--jobs", "2")
-    assert serial.exit_code == 0
-    assert parallel.output == serial.output
-
-
 def test_query_payloads_share_the_schema():
     for args in (
         ("ucharrank", "RX:7,2"),
@@ -482,21 +451,16 @@ def test_work_cap_environment_variable_is_ignored(monkeypatch):
     assert payload(res)["result"]["value"] == 4
 
 
-def test_oracle_mode_with_bounds_runs_the_oracle_once(monkeypatch):
-    import topoinv.gralg
-
-    calls = []
-    oracle = topoinv.gralg._cup_oracle
-
-    def counted(p):
-        calls.append(p)
-        return oracle(p)
-
-    monkeypatch.setattr(topoinv.gralg, "_cup_oracle", counted)
-    data = payload(run("cuplength", "RX:5,2", "--mode", "oracle", "--with-bounds"))
-    assert len(calls) == 1
-    assert data["result"]["value"] == 4
-    assert data["result"]["violations"] == ["dim-minus-index"]
+def test_with_bounds_only_adds_the_bounds():
+    # in either mode the value and witness are cup_length's, with or without bounds
+    for mode in ("generators", "oracle"):
+        plain = payload(run("cuplength", "RX:5,2", "--mode", mode))
+        bounded = payload(run("cuplength", "RX:5,2", "--mode", mode, "--with-bounds"))
+        assert bounded["result"].pop("bounds") == [{"name": "dim-minus-index", "value": 3}]
+        assert bounded["result"].pop("violations") == ["dim-minus-index"]
+        assert bounded.pop("warnings") == ["bound dim-minus-index=3 exceeded by exact value 4"]
+        assert plain.pop("warnings") == []
+        assert bounded == plain, mode
 
 
 def test_table_answers_spheres_as_uncovered():
@@ -531,17 +495,20 @@ def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
 
 
 def test_verify_cross_checks_cup_length_up_to_the_oracle_cap(monkeypatch):
-    # CX:16,11 has total dimension 2^14: above cup_report's default 2^13,
-    # within the oracle's cap, so only verify's cup check runs its oracle
+    # cup_report sums the oracle over tensor blocks, so it checks CX:16,11
+    # (2^14) and RV:18,17 (2^17, above the whole-ring oracle's cap) alike
     from topoinv.checks import _check_cup
+    from topoinv.errors import TopoinvError
     from topoinv.invariants import cup_report
 
-    space = SpaceId.parse("CX:16,11")
-    assert cup_report(space).oracle is None
-    assert _check_cup((space, None)) == (None, [])
+    for spec in ("CX:16,11", "RV:18,17"):
+        assert _check_cup(SpaceId.parse(spec)) == (None, [])
     _wrong_oracle(monkeypatch)
-    failure, _ = _check_cup((space, None))
-    assert failure.startswith("CX:16,11: closed form gave")
+    for spec in ("CX:16,11", "RV:18,17"):
+        with pytest.raises(TopoinvError, match=f"{spec}: closed form gave"):
+            cup_report(SpaceId.parse(spec))
+        failure, _ = _check_cup(SpaceId.parse(spec))
+        assert failure.startswith(f"{spec}: closed form gave"), failure
 
 
 def test_cup_disagreement_in_a_query_exits_1_without_traceback(monkeypatch):
@@ -560,7 +527,7 @@ def test_verify_fails_a_broken_catalog_ring_with_exit_1(monkeypatch):
 
     monkeypatch.setattr(topoinv.spaces, "SimpleGenerator",
                         lambda label, degree, square: SimpleGenerator(label, degree, SQ_ZERO))
-    res = run("verify", "--suite", "all", "--max-n", "4", "--jobs", "1")
+    res = run("verify", "--suite", "all", "--max-n", "4")
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output and "error:" not in res.stderr
     assert "FAIL: RV:3,2: Borel's rule needs the square of generator 1" in res.stderr
@@ -596,7 +563,7 @@ def test_verify_catches_a_planted_coefficient(monkeypatch, family, top, failures
                 for label, degree, m, _ in rows]
 
     monkeypatch.setattr(topoinv.spaces, "_fiber", planted)
-    res = run("verify", "--suite", "all", "--max-n", "12", "--jobs", "1")
+    res = run("verify", "--suite", "all", "--max-n", "12")
     assert res.exit_code == 1
     assert f"spectral: 217 spaces, {failures} failures" in res.stdout, res.stdout
     lines = res.stderr.splitlines()
@@ -614,11 +581,62 @@ def test_verify_fails_the_single_checks(monkeypatch):
     monkeypatch.setattr(topoinv.checks, "feasibility",
                         lambda source, target: FeasibilityVerdict("impossible", "planted", "planted")
                         if source == target == StiefelH(3, 2) else feasibility(source, target))
-    res = run("verify", "--suite", "all", "--max-n", "2", "--jobs", "1")
+    res = run("verify", "--suite", "all", "--max-n", "2")
     assert res.exit_code == 1
     assert "parity: FAILED\nequivariant: FAILED\n" in res.stdout, res.stdout
     assert res.stderr == ("FAIL: parity mismatch at (64, 32) [parity]\n"
                           "FAIL: identity map ruled out on HV:3,2 [equivariant]\n")
+
+
+def test_verify_checks_the_index_against_exact_binomials(monkeypatch):
+    # a mod-2 index read at the start of the fiber's range is wrong on 1,414
+    # of the 2,080 pairs 1 <= k <= n <= 64; the first is HV:2,2
+    import topoinv.equivariant
+    from topoinv.spaces import fiber_range
+
+    monkeypatch.setattr(topoinv.equivariant, "truncation_order",
+                        lambda space: fiber_range(space).start)
+    res = run("verify", "--suite", "all", "--max-n", "2")
+    assert res.exit_code == 1
+    assert "equivariant: FAILED\n" in res.stdout, res.stdout
+    assert res.stderr == "FAIL: mod-2 index of HV:2,2 is alpha^1, not alpha^2 [equivariant]\n"
+
+
+def test_verify_multiplies_out_the_cup_witness(monkeypatch):
+    # a witness of the right length, one more y and one fewer chain root,
+    # vanishes in every ring with a generator: y^N = 0, and a Stiefel ring
+    # has no y; the value still agrees with the oracle
+    import topoinv.invariants
+    from topoinv.gralg import CupMode, CupResult, cup_length
+    from topoinv.spaces import presentation
+
+    def planted(p, mode=CupMode.GENERATOR_SEARCH):
+        res = cup_length(p, mode)
+        if CupMode(mode) is CupMode.GENERATOR_SEARCH and p.num_gens:
+            return CupResult(res.value, (p.y_symbol,) + res.witness[:-1])
+        return res
+
+    monkeypatch.setattr(topoinv.invariants, "cup_length", planted)
+    res = run("verify", "--suite", "cup", "--max-n", "5")
+    spaces = catalog(["RV", "CV", "HV", "RX", "FV", "CX", "HX"], range(2, 6))
+    failures = sum(1 for space in spaces if presentation(space).num_gens)
+    assert res.exit_code == 1
+    assert f"cup: {len(spaces)} spaces, {failures} failures" in res.stdout, res.stdout
+    lines = res.stderr.splitlines()
+    assert len(lines) == failures and all(line.endswith(" [cup]") for line in lines), lines
+    assert "FAIL: RX:5,2: witness product vanishes at factor 4 (y) [cup]" in lines
+    assert "FAIL: RV:3,2: witness product vanishes at factor 1 (y) [cup]" in lines
+
+
+def test_verify_loads_no_process_pool():
+    code = ("import sys; before = set(sys.modules); import topoinv.cli; "
+            "topoinv.cli.main(['verify', '--suite', 'all', '--max-n', '2']); "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    assert "verify: PASS" in out.stdout, out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_steenrod_never_lists_the_basis(monkeypatch):

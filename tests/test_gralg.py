@@ -15,6 +15,7 @@ from topoinv.gralg import (
     ORACLE_DIMENSION_CAP,
     SERIES_WORK_CAP,
     SQ_ZERO,
+    TENSOR_BLOCK_CAP,
     AlgebraPresentation,
     CupMode,
     Element,
@@ -22,6 +23,7 @@ from topoinv.gralg import (
     Trunc,
     cup_length,
     poincare,
+    tensor_blocks,
 )
 from topoinv.spaces import Family, SpaceId, catalog, presentation
 
@@ -466,3 +468,43 @@ def test_presentation_identity_is_the_ring():
     p = P("RX:5,2")
     assert p == AlgebraPresentation(Trunc(1, 4), (SimpleGenerator(4, 4, SQ_ZERO),),
                                     symbol="y", y_symbol="y")
+
+
+# -- tensor blocks --------------------------------------------------------------
+
+_BLOCK_CATALOG = catalog(list(Family), range(2, 33))
+
+
+def test_tensor_blocks_split_the_ring_into_square_closed_blocks():
+    assert len(_BLOCK_CATALOG) == 3247
+    for space in _BLOCK_CATALOG:
+        p = presentation(space)
+        blocks = tensor_blocks(p)
+        product = 1
+        for i, block in enumerate(blocks):
+            product *= block.total_dimension
+            labels = set(block.labels)
+            # square-closed: every square target lies in the same block
+            assert all(g.square == SQ_ZERO or g.square in labels for g in block.simple_gens)
+            # y only in the first block
+            assert block.trunc == (p.trunc if i == 0 else None), space
+            # within the cap, unless y or one chain alone is larger
+            targets = {g.square for g in block.simple_gens}
+            roots = [g for g in block.simple_gens if g.label not in targets]
+            alone = len(roots) + (block.order > 1) == 1
+            assert block.total_dimension <= TENSOR_BLOCK_CAP or alone, space
+        assert product == p.total_dimension, space
+        # every generator in exactly one block, with its own square
+        gens = [g for block in blocks for g in block.simple_gens]
+        assert sorted(gens, key=lambda g: g.label) == list(p.simple_gens), space
+    p = P("RX:5,2")
+    assert p.total_dimension <= TENSOR_BLOCK_CAP and tensor_blocks(p) == (p,)
+    assert tensor_blocks(P("RV:16,15"))[0].trunc is None
+
+
+def test_tensor_blocks_oracle_sum_is_the_closed_form_up_to_n_32():
+    for space in _BLOCK_CATALOG:
+        p = presentation(space)
+        total = sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value
+                    for block in tensor_blocks(p))
+        assert total == cup_length(p).value, space

@@ -183,14 +183,10 @@ def test_cup_report_without_violations():
     assert ext.bounds == ()
 
 
-def test_cup_report_keeps_its_oracle_run_and_checks_the_value(monkeypatch):
+def test_cup_report_checks_the_value_with_the_block_oracle(monkeypatch):
     import topoinv.invariants
     from topoinv.errors import TopoinvError
     from topoinv.gralg import CupMode, CupResult, cup_length
-
-    report = cup_report(SpaceId.parse("RX:5,2"))
-    assert report.oracle is not None and report.oracle.value == report.exact.value
-    assert cup_report(SpaceId.parse("RV:16,15")).oracle is None  # 2^15 > 2^13
 
     def oracle_one_short(p, mode=CupMode.GENERATOR_SEARCH):
         res = cup_length(p, mode)
@@ -201,6 +197,9 @@ def test_cup_report_keeps_its_oracle_run_and_checks_the_value(monkeypatch):
     monkeypatch.setattr(topoinv.invariants, "cup_length", oracle_one_short)
     with pytest.raises(TopoinvError, match="RX:5,2: closed form gave 4 but the oracle gave 3"):
         cup_report(SpaceId.parse("RX:5,2"))
+    # a ring of several blocks is checked too: each block's oracle is one short
+    with pytest.raises(TopoinvError, match="RV:16,15: closed form gave 32 but the oracle gave 29"):
+        cup_report(SpaceId.parse("RV:16,15"))
 
 
 def test_cup_report_floor_for_projective_spaces():
