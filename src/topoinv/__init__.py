@@ -5,8 +5,7 @@ quaternionic Stiefel manifolds, of their projective quotients, and of the
 flip Stiefel manifolds, as finite graded Z2-algebras.  On top of the ring
 engine it evaluates upper characteristic ranks, exact cup lengths with
 catalog bounds, Steenrod-square actions, spectral-sequence consistency
-checks, and feasibility of unit-quaternion equivariant maps via index
-ideals.
+checks, and feasibility screens for unit-quaternion equivariant maps.
 """
 
 from .errors import (
@@ -30,6 +29,7 @@ from .gralg import (
     poincare,
     presentation_to_dict,
     steenrod_sq,
+    tensor_blocks,
 )
 from .spaces import (
     Family,
@@ -53,14 +53,9 @@ from .invariants import (
 from .equivariant import (
     FeasibilityVerdict,
     GSpace,
-    IndexIdeal,
     Sphere,
-    StiefelH,
     SymplecticGroup,
     feasibility,
-    ideal_contains,
-    index_sphere,
-    index_stiefel_mod2,
     parse_gspace,
 )
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import TopoinvError
 from .gralg import AlgebraPresentation, Element, poincare, steenrod_sq
 from .invariants import cup_report
-from .equivariant import feasibility, index_stiefel_mod2
-from .parity import binom_parity, parity_row
+from .equivariant import Sphere, SymplecticGroup, feasibility
+from .parity import binom_divides, binom_parity, parity_row
 from .spaces import (Family, SpaceId, catalog, dimension, presentation, serre_verify,
                      truncation_order)
 
@@ -165,13 +165,11 @@ def _check_parity() -> str | None:
 def _check_equivariant() -> str | None:
     import math
 
-    from .equivariant import Sphere, StiefelH, SymplecticGroup
-
     for n in range(1, 65):
         for k in range(1, n + 1):
             # the least m in the fiber's range with binom(n, m) odd, exactly
             want = next(m for m in range(n - k + 1, n + 1) if math.comb(n, m) % 2)
-            if (got := index_stiefel_mod2(n, k).exponent) != want:
+            if (got := truncation_order(SpaceId(Family.HV, n, k))) != want:
                 return f"mod-2 index of HV:{n},{k} is alpha^{got}, not alpha^{want}"
     for n in range(1, 33):
         for m in range(1, 33):
@@ -181,10 +179,16 @@ def _check_equivariant() -> str | None:
             sph = feasibility(Sphere(n), Sphere(m))
             if (sph.status == "possible") != (n <= m):
                 return f"sphere verdict wrong at ({n}, {m})"
+            # every equal-gap pair HV:n,k -> HV:m,l, against exact binomials
+            for k in range(max(n - m, 0) + 1, n + 1):
+                l, j = m - n + k, n - k + 1
+                if binom_divides(n, k, m, l) != (math.comb(m, j) % math.comb(n, j) == 0):
+                    return f"binom_divides wrong at ({n}, {k}, {m}, {l})"
     for n in range(1, 17):
         for k in range(1, n + 1):
-            if feasibility(StiefelH(n, k), StiefelH(n, k)).status == "impossible":
-                return f"identity map ruled out on HV:{n},{k}"
+            space = SpaceId(Family.HV, n, k)
+            if feasibility(space, space).status == "impossible":
+                return f"identity map ruled out on {space}"
     return None
 
 

@@ -143,8 +143,9 @@ def table(args: SimpleNamespace) -> None:
         print(json.dumps(rows, indent=2, sort_keys=True))
 
 
-# Largest n of the grids: `verify --suite all --max-n 16` takes about 2.5 s
-# (2 vCPU; spectral 0.3 s of it), and the steenrod spaces at n = 17 cost 3x those at 16.
+# Largest n of the grids: `verify --suite all --max-n 16` takes about 1.5 s in
+# process (2 vCPU, median of 7; steenrod 1.0 s, spectral 0.25 s, cup 0.13 s of
+# it), and the steenrod spaces at n = 17 cost 3x those at 16.
 _MAX_VERIFY_N = 16
 
 

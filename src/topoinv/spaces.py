@@ -106,13 +106,14 @@ class SpaceId(Record):
         return f"{self.family.value}:{self.n},{self.k}"
 
     @staticmethod
-    def parse(spec: str) -> "SpaceId":
+    def parse(spec: str, what: str = "space") -> "SpaceId":
+        """The space of FAMILY:n,k; unreadable text is a `cannot parse {what} spec` error."""
         try:
             fam, rest = spec.split(":", 1)
             n, k = rest.split(",", 1)
             family, n, k = Family(fam.strip()), int(n), int(k)
         except ValueError as exc:
-            raise InvalidParameters(f"cannot parse space spec {spec!r}") from exc
+            raise InvalidParameters(f"cannot parse {what} spec {spec!r}") from exc
         return SpaceId(family, n, k)
 
 

@@ -11,16 +11,10 @@ import random
 
 from topoinv.gralg import CupMode, Element, cup_length, poincare, steenrod_sq
 from topoinv.invariants import DIM_MINUS_INDEX_BOUND, cup_report, ucharrank
-from topoinv.equivariant import (
-    Sphere,
-    StiefelH,
-    SymplecticGroup,
-    feasibility,
-    index_sphere,
-    index_stiefel_mod2,
-)
+from topoinv.equivariant import Sphere, SymplecticGroup, feasibility
 from topoinv.parity import binom_parity, parity_row
-from topoinv.spaces import Family, SpaceId, catalog, dimension, presentation, serre_verify
+from topoinv.spaces import (Family, SpaceId, catalog, dimension, presentation, serre_verify,
+                            truncation_order)
 
 from cli_runner import run
 
@@ -205,15 +199,15 @@ def test_criterion_07_cup_length_exact_and_flagged():
 
 def test_criterion_08_equivariant_feasibility():
     for n in range(1, 65):
-        assert index_stiefel_mod2(n, 1) == index_sphere(n)
+        assert truncation_order(SpaceId(Family.HV, n, 1)) == n
         for m in range(1, 65):
             sp = feasibility(SymplecticGroup(n), SymplecticGroup(m))
             assert (sp.status == "possible") == (m % n == 0), (n, m)
             assert sp.status in ("possible", "impossible")
             sph = feasibility(Sphere(n), Sphere(m))
             assert (sph.status == "possible") == (n <= m), (n, m)
-    assert feasibility(StiefelH(6, 2), StiefelH(5, 2)).status == "impossible"
-    assert feasibility(Sphere(5), StiefelH(6, 2)).status == "not-ruled-out"
+    assert feasibility(SpaceId(Family.HV, 6, 2), SpaceId(Family.HV, 5, 2)).status == "impossible"
+    assert feasibility(Sphere(5), SpaceId(Family.HV, 6, 2)).status == "not-ruled-out"
     _report(8, "group/sphere verdicts exact on n,m<=64; frame screens as derived")
 
 

@@ -205,7 +205,7 @@ def test_out_of_range_spec_says_so():
     assert res.exit_code == 2
     assert res.stderr == "error: cannot parse space spec 'RX:3'\n"
     for source, target, message in (
-        ("HV:2,3", "Sp:2", "needs 1 <= k <= n, got (2, 3)"),
+        ("HV:2,3", "Sp:2", "parameters out of range for HV:2,3"),
         ("S4n-1:0", "Sp:2", "sphere parameter must be positive, got 0"),
         ("Sp:2", "Sp:-1", "group parameter must be positive, got -1"),
     ):
@@ -573,14 +573,16 @@ def test_verify_catches_a_planted_coefficient(monkeypatch, family, top, failures
 def test_verify_fails_the_single_checks(monkeypatch):
     # a wrong binomial parity and an identity map ruled out
     import topoinv.checks
-    from topoinv.equivariant import FeasibilityVerdict, StiefelH
+    from topoinv.equivariant import FeasibilityVerdict
+    from topoinv.spaces import Family, SpaceId
 
     parity, feasibility = topoinv.checks.binom_parity, topoinv.checks.feasibility
     monkeypatch.setattr(topoinv.checks, "binom_parity",
                         lambda n, j: 1 - parity(n, j) if (n, j) == (64, 32) else parity(n, j))
     monkeypatch.setattr(topoinv.checks, "feasibility",
                         lambda source, target: FeasibilityVerdict("impossible", "planted", "planted")
-                        if source == target == StiefelH(3, 2) else feasibility(source, target))
+                        if source == target == SpaceId(Family.HV, 3, 2)
+                        else feasibility(source, target))
     res = run("verify", "--suite", "all", "--max-n", "2")
     assert res.exit_code == 1
     assert "parity: FAILED\nequivariant: FAILED\n" in res.stdout, res.stdout
@@ -591,15 +593,42 @@ def test_verify_fails_the_single_checks(monkeypatch):
 def test_verify_checks_the_index_against_exact_binomials(monkeypatch):
     # a mod-2 index read at the start of the fiber's range is wrong on 1,414
     # of the 2,080 pairs 1 <= k <= n <= 64; the first is HV:2,2
-    import topoinv.equivariant
+    import topoinv.checks
     from topoinv.spaces import fiber_range
 
-    monkeypatch.setattr(topoinv.equivariant, "truncation_order",
+    monkeypatch.setattr(topoinv.checks, "truncation_order",
                         lambda space: fiber_range(space).start)
     res = run("verify", "--suite", "all", "--max-n", "2")
     assert res.exit_code == 1
     assert "equivariant: FAILED\n" in res.stdout, res.stdout
     assert res.stderr == "FAIL: mod-2 index of HV:2,2 is alpha^1, not alpha^2 [equivariant]\n"
+
+
+def test_verify_checks_binom_divides_against_exact_binomials(monkeypatch):
+    # the equal-gap pair (l - 1, m - n) of binom_divides planted as (l, m - n):
+    # no identity map reaches it (m = n returns first), and it is wrong on 404
+    # of the 11,440 equal-gap tuples with n, m <= 32
+    import inspect
+    import math
+
+    import topoinv.checks
+    import topoinv.parity
+
+    source = inspect.getsource(topoinv.parity.binom_divides)
+    assert source.count("((l - 1, m - n), (m, m - n))") == 1
+    namespace = dict(vars(topoinv.parity))
+    exec(source.replace("((l - 1, m - n)", "((l, m - n)"), namespace)
+    planted = namespace["binom_divides"]
+    tuples = [(n, k, m, m - n + k) for n in range(1, 33) for m in range(1, 33)
+              for k in range(max(n - m, 0) + 1, n + 1)]
+    wrong = [(n, k, m, l) for n, k, m, l in tuples
+             if planted(n, k, m, l) != (math.comb(m, n - k + 1) % math.comb(n, n - k + 1) == 0)]
+    assert (len(tuples), len(wrong)) == (11440, 404)
+    monkeypatch.setattr(topoinv.checks, "binom_divides", planted)
+    res = run("verify", "--suite", "all", "--max-n", "2")
+    assert res.exit_code == 1
+    assert "equivariant: FAILED\n" in res.stdout, res.stdout
+    assert res.stderr == f"FAIL: binom_divides wrong at {wrong[0]} [equivariant]\n"
 
 
 def test_verify_multiplies_out_the_cup_witness(monkeypatch):

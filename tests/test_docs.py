@@ -34,3 +34,21 @@ def test_every_cap_is_documented():
     assert raised_all and raised_all <= defined_all
     for name in raised_all:
         assert name in WorkCapExceeded.__doc__, f"{name} is not in WorkCapExceeded's docstring"
+
+
+def test_package_reexports_exactly_the_module_exports():
+    import types
+
+    import topoinv
+    from topoinv import equivariant, errors, gralg, invariants, parity, spaces
+
+    exported = set().union(*(module.__all__
+                             for module in (parity, gralg, spaces, invariants, equivariant)))
+    errors_names = {name for name, value in vars(errors).items()
+                    if isinstance(value, type) and issubclass(value, Exception)}
+    public = {name for name, value in vars(topoinv).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public - errors_names == exported
+    for module in (parity, gralg, spaces, invariants, equivariant):
+        for name in module.__all__:
+            assert getattr(topoinv, name) is getattr(module, name), name

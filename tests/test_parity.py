@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from topoinv.equivariant import index_stiefel_mod2
 from topoinv.errors import InvalidParameters, WorkCapExceeded
 from topoinv.parity import BINOM_INDEX_CAP, binom_divides, binom_parity, parity_row
 from topoinv.spaces import Family, SpaceId, truncation_order
@@ -118,7 +117,7 @@ def test_index_of_the_full_frame_space_matches_the_definition():
     # k = n has no quotient space: HV:n,n's index is read off its fiber table
     for n in range(1, 65):
         lowest_odd = next(m for m in range(1, n + 1) if math.comb(n, m) % 2)
-        assert index_stiefel_mod2(n, n).exponent == lowest_odd, n
+        assert truncation_order(SpaceId(Family.HV, n, n)) == lowest_odd, n
 
 
 def test_binom_divides_examples():

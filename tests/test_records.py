@@ -7,13 +7,7 @@ import pickle
 import pytest
 
 from topoinv._record import Record
-from topoinv.equivariant import (
-    FeasibilityVerdict,
-    IndexIdeal,
-    Sphere,
-    StiefelH,
-    SymplecticGroup,
-)
+from topoinv.equivariant import FeasibilityVerdict, Sphere, SymplecticGroup
 from topoinv.errors import InvalidParameters
 from topoinv.gralg import AlgebraPresentation, CupResult, SimpleGenerator, Trunc, cup_length
 from topoinv.invariants import RankResult, cup_report, ucharrank
@@ -25,8 +19,7 @@ def one_of_each():
     p = presentation(space)
     return [
         SimpleGenerator(4, 4), Trunc(1, 6), p, cup_length(p), space, serre_verify(space),
-        ucharrank(space), cup_report(space), IndexIdeal(2), Sphere(2), StiefelH(3, 2),
-        SymplecticGroup(2), FeasibilityVerdict("possible", "sphere-sphere", "2 <= 3"),
+        ucharrank(space), cup_report(space), Sphere(2), SymplecticGroup(2), FeasibilityVerdict("possible", "sphere-sphere", "2 <= 3"),
     ]
 
 
@@ -34,7 +27,7 @@ def test_equality_holds_only_within_a_class():
     assert Sphere(3) == Sphere(3)
     assert Sphere(3) != SymplecticGroup(3)
     assert Sphere(3) != Sphere(4)
-    assert StiefelH(3, 3) != SymplecticGroup(3)
+    assert SpaceId(Family.HV, 3, 3) != SymplecticGroup(3)
     space = SpaceId(Family.RV, 8, 3)
     assert space != (Family.RV, 8, 3)
     assert space != ("RV", 8, 3)
@@ -97,9 +90,7 @@ def test_fields_are_read_only():
 @pytest.mark.parametrize("build, message", [
     (lambda: SpaceId(Family.RV, 0, 1), "RV:0,1: n and k must be positive"),
     (lambda: SpaceId(Family.RX, 3, 9), "parameters out of range for RX:3,9"),
-    (lambda: IndexIdeal(0), "bad index ideal IndexIdeal(exponent=0)"),
     (lambda: Sphere(0), "sphere parameter must be positive, got 0"),
-    (lambda: StiefelH(2, 3), "needs 1 <= k <= n, got (2, 3)"),
     (lambda: SymplecticGroup(-1), "group parameter must be positive, got -1"),
     (lambda: FeasibilityVerdict("maybe", "r"), "bad verdict status 'maybe'"),
     (lambda: FeasibilityVerdict("impossible", "r"),
@@ -149,7 +140,7 @@ def test_equality_reads_every_field():
 
 def test_record_alone_defines_equality_and_hash():
     records = [cls for cls in Record.__subclasses__() if cls.__module__.startswith("topoinv.")]
-    assert {type(record) for record in one_of_each()} <= set(records)
-    assert len(records) == 13
+    assert {type(record) for record in one_of_each()} == set(records)
+    assert len(records) == 11
     for cls in records:
         assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls.__name__
