@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import TopoinvError
 from .gralg import AlgebraPresentation, Element, poincare, steenrod_sq
-from .invariants import cup_report
+from .invariants import _cup_report
 from .equivariant import Sphere, SymplecticGroup, feasibility
 from .parity import binom_divides, binom_parity, parity_row
 from .spaces import (Family, SpaceId, catalog, dimension, presentation, serre_verify,
@@ -123,9 +123,9 @@ def _check_cup(space: SpaceId) -> tuple[str | None, list[str]]:
     """Cross-check one space through cup_report, whose oracle runs on the
     ring's tensor blocks, and the closed form against the ring's own
     product: its value is at least the floor (N-1) + g, and its witness
-    multiplies out to a nonzero class."""
+    multiplies out to a nonzero class.  The ring is built once, here."""
     p = presentation(space)
-    report = cup_report(space)
+    report = _cup_report(space, p)
     exact = report.exact
     # the product of y^(N-1) and every generator is the top class
     floor = (p.order - 1) + p.num_gens

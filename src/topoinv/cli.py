@@ -143,9 +143,10 @@ def table(args: SimpleNamespace) -> None:
         print(json.dumps(rows, indent=2, sort_keys=True))
 
 
-# Largest n of the grids: `verify --suite all --max-n 16` takes about 1.5 s in
-# process (2 vCPU, median of 7; steenrod 1.0 s, spectral 0.25 s, cup 0.13 s of
-# it), and the steenrod spaces at n = 17 cost 3x those at 16.
+# Largest n of the grids: `verify --suite all --max-n 16` takes about 1.3-1.6 s
+# in process (2 vCPU, medians of 7 in two rounds; steenrod 0.9-1.2 s, spectral
+# 0.25-0.3 s, cup 0.05-0.07 s of it), and the steenrod spaces at n = 17 cost 3x
+# those at 16.
 _MAX_VERIFY_N = 16
 
 

@@ -484,6 +484,8 @@ def _wrong_oracle(monkeypatch):
         return res
 
     monkeypatch.setattr(topoinv.invariants, "cup_length", wrong_oracle)
+    # forget the shapes swept before the fault, so every block is swept again
+    monkeypatch.setattr(topoinv.invariants, "_ORACLE_OF_SHAPE", {})
 
 
 def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
@@ -509,6 +511,47 @@ def test_verify_cross_checks_cup_length_up_to_the_oracle_cap(monkeypatch):
             cup_report(SpaceId.parse(spec))
         failure, _ = _check_cup(SpaceId.parse(spec))
         assert failure.startswith(f"{spec}: closed form gave"), failure
+
+
+def test_verify_cup_suite_sweeps_each_block_shape_once(monkeypatch):
+    # the 791 spaces of the grid split into blocks of 103 shapes (order,
+    # square rules), and the oracle sweeps each shape once
+    import topoinv.gralg
+    from topoinv.invariants import cup_report
+
+    sweeps = []
+    oracle = topoinv.gralg._cup_oracle
+
+    def counted(p):
+        sweeps.append(p)
+        return oracle(p)
+
+    monkeypatch.setattr(topoinv.gralg, "_cup_oracle", counted)
+    res = run("verify", "--suite", "cup", "--max-n", "16")
+    assert res.exit_code == 0, res.output
+    assert "cup: 791 spaces, 0 failures" in res.stdout
+    assert len(sweeps) == 103
+    sweeps.clear()
+    cup_report(SpaceId.parse("RV:16,15"))
+    assert sweeps == []
+
+
+def test_verify_cup_suite_builds_each_ring_once(monkeypatch):
+    import topoinv.checks
+    import topoinv.invariants
+    import topoinv.spaces
+
+    built = []
+
+    def counted(space):
+        built.append(space)
+        return topoinv.spaces.presentation(space)
+
+    for module in (topoinv.checks, topoinv.invariants):
+        monkeypatch.setattr(module, "presentation", counted)
+    res = run("verify", "--suite", "cup", "--max-n", "16")
+    assert res.exit_code == 0, res.output
+    assert len(built) == len(set(built)) == 791
 
 
 def test_cup_disagreement_in_a_query_exits_1_without_traceback(monkeypatch):

@@ -503,6 +503,8 @@ def test_tensor_blocks_split_the_ring_into_square_closed_blocks():
 
 
 def test_tensor_blocks_oracle_sum_is_the_closed_form_up_to_n_32():
+    # every block swept directly, one sweep per block: the route that
+    # cup_report's memo of one value per block shape does not cover
     for space in _BLOCK_CATALOG:
         p = presentation(space)
         total = sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value

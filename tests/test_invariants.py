@@ -202,6 +202,44 @@ def test_cup_report_checks_the_value_with_the_block_oracle(monkeypatch):
         cup_report(SpaceId.parse("RV:16,15"))
 
 
+def test_oracle_memo_holds_a_fresh_sweep_of_every_shape_up_to_n_32():
+    import topoinv.invariants
+    from topoinv.gralg import CupMode, cup_length, tensor_blocks
+
+    block_of_shape = {}
+    for space in catalog(list(Family), range(1, 33)):
+        cup_report(space)
+        for block in tensor_blocks(presentation(space)):
+            block_of_shape.setdefault((block.order, block._rule_of_bit), block)
+    memo = topoinv.invariants._ORACLE_OF_SHAPE
+    assert memo.keys() == block_of_shape.keys() and len(memo) == 150
+    for shape, block in block_of_shape.items():
+        assert memo[shape] == cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value, shape
+
+
+def test_cup_report_catches_a_closed_form_fault_on_shapes_already_swept(monkeypatch):
+    import topoinv.invariants
+    from topoinv.errors import TopoinvError
+    from topoinv.gralg import CupMode, CupResult, cup_length
+
+    specs = {"RX:5,2": 4, "RV:16,15": 32}
+    for spec, value in specs.items():
+        assert cup_report(SpaceId.parse(spec)).exact.value == value
+
+    def closed_form_one_over(p, mode=CupMode.GENERATOR_SEARCH):
+        res = cup_length(p, mode)
+        if CupMode(mode) is CupMode.GENERATOR_SEARCH:
+            return CupResult(res.value + 1, res.witness + res.witness[-1:])
+        return res
+
+    # the memo keeps its values: the fault must be caught from them
+    monkeypatch.setattr(topoinv.invariants, "cup_length", closed_form_one_over)
+    for spec, value in specs.items():
+        with pytest.raises(TopoinvError,
+                           match=f"{spec}: closed form gave {value + 1} but the oracle gave {value}"):
+            cup_report(SpaceId.parse(spec))
+
+
 def test_cup_report_floor_for_projective_spaces():
     from topoinv.spaces import presentation
 
