@@ -35,8 +35,10 @@ RV:64,63, takes about 1.4 s and 91 MiB of peak RSS (2 vCPU).
 from __future__ import annotations
 
 import enum
+import sys
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from math import isqrt
 
 from ._record import Record, setfield
 from .errors import (
@@ -69,8 +71,9 @@ SQ_ZERO = "zero"
 # and its longest word, cap - 1 in Z2[y]/(y^cap), still fits the oracle's
 # 16-bit length array.
 ORACLE_DIMENSION_CAP = 1 << 16
-# Largest (generators + 1) * (series length) poincare accepts: one pass per
-# generator, and the CLI prints one JSON entry per degree.
+# Largest (generators + 1) * (series length) poincare accepts: it bounds the
+# bits of the one int the series is packed into, and the CLI prints one JSON
+# entry per degree.
 SERIES_WORK_CAP = 1 << 20
 # Most terms, summed over the indices, a Steenrod pass may hold after a
 # sweep: past it a pass raises WorkCapExceeded.  It is also the budget of
@@ -90,6 +93,8 @@ CUP_WITNESS_CAP = 1 << 20
 
 # Internal square-rule encoding per generator bit: the target's bit, or this.
 _RULE_ZERO = -1
+# memoryview format of an unsigned machine word of each byte size
+_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class SimpleGenerator(Record):
@@ -356,8 +361,10 @@ class Element:
     """Z2-linear combination of basis monomials of one presentation.
 
     ``_squares`` is the element's table of Steenrod squares {t: Sq^t} as
-    frozensets of codes, a missing t being zero, or None until steenrod_sq
-    first fills it whole from the tracks its presentation keeps.
+    elements, a missing t being zero, or None until steenrod_sq first fills
+    it whole from the tracks its presentation keeps.  An element's codes
+    never change, so a sum with zero is the other operand itself, a product
+    with zero is the zero operand, and a square is the table's own element.
     """
 
     __slots__ = ("presentation", "codes", "_squares")
@@ -365,7 +372,7 @@ class Element:
     def __init__(self, presentation: AlgebraPresentation, codes: frozenset[int]):
         self.presentation = presentation
         self.codes = codes
-        self._squares: dict[int, frozenset[int]] | None = None
+        self._squares: dict[int, Element] | None = None
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -376,10 +383,18 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
+        if not self.codes:
+            return other
+        if not other.codes:
+            return self
         return Element(self.presentation, self.codes ^ other.codes)
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
+        if not self.codes:
+            return self
+        if not other.codes:
+            return other
         p = self.presentation
         acc: set[int] = set()
         mul_codes = p.mul_codes
@@ -423,6 +438,24 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     max_deg, so it also bounds a caller's zero padding up to max_deg.  When
     (generators + 1) times that length exceeds SERIES_WORK_CAP it raises
     WorkCapExceeded before anything is built.
+
+    The series is the product (1 + t^d + ... + t^(d(T-1))) * prod (1 + t^deg)
+    over the generators of degree at most top, T = min(N, top//d + 1) the
+    y-powers in range (1 without y), taken at t = 2^B as one int: the y part
+    is a repunit in base 2^(B*d), and each generator costs one shift, one add
+    and one mask.  It is exact.  Evaluation at 2^B is a ring map Z[t] -> Z,
+    so every product is computed exactly; the mask is truncation mod
+    t^(top+1); and decoding reads the coefficients back as B-bit fields
+    when each one up to top is below 2^B.  The width is a proven bound.  A
+    coefficient sums, over at most T y-powers, the subsets of the g
+    generators with a given degree sum: at most 2^g of them.  When their
+    degrees are distinct such a subset is a partition of some e <= top into
+    distinct parts, and q(e) <= p(e) < e^(pi*sqrt(2e/3)) < 2^(3.71*sqrt(e))
+    (Hardy-Ramanujan, Apostol Thm 14.5), below 2^(4*isqrt(top) + 4).  So a
+    coefficient is at most T * 2^min(g, that) < 2^B with
+    B = min(g, that) + T.bit_length(), rounded up to whole bytes (to 1, 2,
+    4 or 8 when it fits a machine word, so the fields unpack through a
+    typed memoryview).
     """
     length = (p.top_degree if max_deg is None else max_deg) + 1
     work = (p.num_gens + 1) * length
@@ -431,15 +464,28 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
             f"series of {length} degrees: work {work} exceeds cap {SERIES_WORK_CAP}"
         )
     top = p.top_degree if max_deg is None else min(max_deg, p.top_degree)
-    coeffs = [0] * (top + 1)
-    for e in range(p.order):
-        if e * p.y_degree > top:
-            break
-        coeffs[e * p.y_degree] = 1
-    for g in p.simple_gens:
-        for d in range(top, g.degree - 1, -1):
-            coeffs[d] += coeffs[d - g.degree]
-    return coeffs
+    if top < 0:
+        return []
+    degrees = [deg for deg in p._degree_of_bit if deg <= top]
+    bits = len(degrees)
+    partitions = 4 * isqrt(top) + 4
+    if bits > partitions and len(set(degrees)) == bits:
+        bits = partitions
+    d = p.y_degree
+    terms = min(p.order, top // d + 1) if d else 1
+    size = (bits + terms.bit_length() + 7) // 8
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    b = 8 * size
+    c = ((1 << b * d * terms) - 1) // ((1 << b * d) - 1) if d else 1
+    mask = (1 << b * (top + 1)) - 1
+    for deg in degrees:
+        c = (c + (c << b * deg)) & mask
+    packed = c.to_bytes(size * (top + 1), sys.byteorder)
+    if size <= 8:
+        return memoryview(packed).cast(_WORD_FORMAT[size]).tolist()
+    return [int.from_bytes(packed[i:i + size], sys.byteorder)
+            for i in range(0, len(packed), size)]
 
 
 # -- Steenrod squares --------------------------------------------------------
@@ -526,11 +572,12 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
 
     The first ask with i > 0 stores the element's whole table {t: Sq^t},
     grouped by t from its monomials' flat tracks; every later index, in any
-    order, is a lookup.  Each monomial's track comes from one _total_square
-    pass per presentation: p keeps it for every later element, while the
-    tracks it keeps hold at most SQUARE_TERM_CAP terms in all, and past that
-    budget a track is computed but not kept.  A pass whose track outgrows
-    SQUARE_TERM_CAP raises WorkCapExceeded and keeps nothing.
+    order, is a lookup that returns the stored element.  Each monomial's
+    track comes from one _total_square pass per presentation: p keeps it for
+    every later element, while the tracks it keeps hold at most
+    SQUARE_TERM_CAP terms in all, and past that budget a track is computed
+    but not kept.  A pass whose track outgrows SQUARE_TERM_CAP raises
+    WorkCapExceeded and keeps nothing.
     """
     if a.presentation is not p and a.presentation != p:
         raise MixedPresentations("element does not belong to the given presentation")
@@ -562,8 +609,9 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
                     got.remove(c)
                 else:
                     got.add(c)
-        table = a._squares = {t: frozenset(got) for t, got in sums.items()}
-    return Element(p, table.get(i, frozenset()))
+        table = a._squares = {t: Element(p, frozenset(got)) for t, got in sums.items()}
+    got = table.get(i)
+    return got if got is not None else Element(p, frozenset())
 
 
 # -- cup length --------------------------------------------------------------

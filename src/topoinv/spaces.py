@@ -13,8 +13,9 @@ quotient or not, fiber generators per k, the least (n, k) it admits and
 its symbols.  fiber_range(space) is the one place that knows the fiber's
 exponents, [n-k+1, n] or [n-2k+1, n] on FV.  Every ring is read from the
 table of its Stiefel fiber (_fiber), whose generator m transgresses onto
-y^m in the quotient.  The truncation order N is the least m with an odd
-coefficient, found by bit arithmetic without listing the fiber
+y^m in the quotient with a binomial coefficient (_coefficient_parity,
+read only by serre_verify).  The truncation order N is the least m with
+an odd coefficient, found by bit arithmetic without listing the fiber
 (truncation_order).  A Stiefel ring is the fiber's simple system; a
 quotient ring is Z2[y]/(y^N) tensored with the fiber minus its generator
 m = N.  serre_verify rebuilds a quotient ring from the transgression
@@ -135,30 +136,33 @@ def fiber_range(space: SpaceId) -> range:
 
 # Longest fiber _fiber lists, so presentation and serre_verify refuse a
 # longer one before any list is built.  At the cap the slowest query,
-# `cohomology RV:16385,16384 --max-deg 3`, takes 0.27 s and 34 MiB; at 2^16,
-# 0.63 s and 91 MiB (2 vCPU).  ucharrank and the S^3-map screens list no fiber.
+# `cohomology RV:16385,16384 --max-deg 3`, takes about 0.2 s and 34 MiB; at
+# 2^16, 0.6 s and 91 MiB (2 vCPU, median of 7 fresh processes).  ucharrank
+# and the S^3-map screens list no fiber.
 FIBER_CAP = 1 << 14
 
 
-def _fiber(space: SpaceId) -> list[tuple[int, int, int, int]]:
-    """(label, degree, target exponent m, coefficient parity) per fiber generator.
+def _fiber(space: SpaceId) -> list[tuple[int, int, int]]:
+    """(label, degree, target exponent m) per fiber generator.
 
     The Stiefel fiber of every family has one generator per m in
-    fiber_range, of degree d*m - 1 with d = 1, 2, 4 over R, C, H.  In the
-    quotient it transgresses onto y^m with coefficient binom(n, m), or
-    binom(k+m-1, m) on FV: the coefficient of the total characteristic
-    class of the classifying bundle.  Real labels are m - 1, the degree;
-    complex and quaternionic labels are m.  A fiber of more than
-    FIBER_CAP generators raises WorkCapExceeded.
+    fiber_range, of degree d*m - 1 with d = 1, 2, 4 over R, C, H.  Real
+    labels are m - 1, the degree; complex and quaternionic labels are m.  A
+    fiber of more than FIBER_CAP generators raises WorkCapExceeded.
     """
-    fam, n, k = space.family, space.n, space.k
-    d = fam.base_degree
-    flip = fam is Family.FV
+    d = space.family.base_degree
     ms = fiber_range(space)
     if len(ms) > FIBER_CAP:
         raise WorkCapExceeded(f"{space}: {len(ms)} fiber generators exceed cap {FIBER_CAP}")
-    return [(m - 1 if d == 1 else m, d * m - 1, m, binom_parity(k + m - 1 if flip else n, m))
-            for m in ms]
+    return [(m - 1 if d == 1 else m, d * m - 1, m) for m in ms]
+
+
+def _coefficient_parity(space: SpaceId, m: int) -> int:
+    """Parity of the coefficient with which fiber generator m transgresses
+    onto y^m in the quotient: binom(n, m), or binom(k+m-1, m) on FV, the
+    coefficient of the total characteristic class of the classifying
+    bundle."""
+    return binom_parity(space.k + m - 1 if space.family is Family.FV else space.n, m)
 
 
 def truncation_order(space: SpaceId) -> int:
@@ -202,13 +206,13 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
     """
     fam = space.family
     fiber = _fiber(space)
-    label_of_degree = {degree: label for label, degree, _, _ in fiber}
+    label_of_degree = {degree: label for label, degree, _ in fiber}
     trunc, order = None, 0
     if fam.is_projective:
         order = truncation_order(space)
         trunc = Trunc(fam.base_degree, order)
     gens = tuple(SimpleGenerator(label, degree, label_of_degree.get(2 * degree, SQ_ZERO))
-                 for label, degree, m, _ in fiber if m != order)
+                 for label, degree, m in fiber if m != order)
     return AlgebraPresentation(trunc, gens, symbol=fam.symbol, y_symbol=fam.y_symbol)
 
 
@@ -269,7 +273,15 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     if w < 0:
         raise InvalidParameters("window must be nonnegative")
 
-    odd = [(d, m) for _, d, m, c in fiber if c and d <= w]
+    # (degree, m) of each odd-coefficient generator in the window, and the
+    # degree of each even one
+    odd, even = [], []
+    for _, d, m in fiber:
+        if d <= w:
+            if _coefficient_parity(space, m):
+                odd.append((d, m))
+            else:
+                even.append(d)
     estimate = (1 << len(odd)) * ((w + 1) // t + 1)
     if estimate > SS_WORK_CAP:
         raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {SS_WORK_CAP}")
@@ -301,10 +313,9 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
         gain[d] += gain[d - t]
     betti = [size[d] - gain[d] - (gain[d - 1] if d else 0) for d in range(w + 1)]
     # Kunneth: times (1 + x^deg) for each even-coefficient generator
-    for _, fdeg, _, c in fiber:
-        if not c:
-            for d in range(w, fdeg - 1, -1):
-                betti[d] += betti[d - fdeg]
+    for fdeg in even:
+        for d in range(w, fdeg - 1, -1):
+            betti[d] += betti[d - fdeg]
 
     # t * m = d + 1, so every generator left in `odd` is visible
     first_page = min((t * m for _, m in odd), default=0)

@@ -554,6 +554,24 @@ def test_verify_cup_suite_builds_each_ring_once(monkeypatch):
     assert len(built) == len(set(built)) == 791
 
 
+def test_cuplength_with_bounds_builds_the_ring_once(monkeypatch):
+    import topoinv.cli
+    import topoinv.invariants
+    import topoinv.spaces
+
+    built = []
+
+    def counted(space):
+        built.append(space)
+        return topoinv.spaces.presentation(space)
+
+    for module in (topoinv.cli, topoinv.invariants):
+        monkeypatch.setattr(module, "presentation", counted)
+    res = run("cuplength", "RX:5,2", "--with-bounds")
+    assert res.exit_code == 0, res.output
+    assert built == [SpaceId.parse("RX:5,2")]
+
+
 def test_cup_disagreement_in_a_query_exits_1_without_traceback(monkeypatch):
     _wrong_oracle(monkeypatch)
     res = run("cuplength", "RV:3,2", "--with-bounds")
@@ -591,21 +609,19 @@ def test_verify_fails_a_broken_catalog_ring_with_exit_1(monkeypatch):
     ("HX", lambda space, m: space.n | 1, 6),  # binom(n|1, m) for binom(n, m)
 ], ids=["FV", "HX"])
 def test_verify_catches_a_planted_coefficient(monkeypatch, family, top, failures):
-    # the fiber table of `family` reads coefficient binom(top(space, m), m),
-    # which only the spectral route sees
+    # the coefficients of `family` read binom(top(space, m), m), which only
+    # the spectral route sees
     import topoinv.spaces
     from topoinv.parity import binom_parity
 
-    fiber = topoinv.spaces._fiber
+    parity = topoinv.spaces._coefficient_parity
 
-    def planted(space):
-        rows = fiber(space)
+    def planted(space, m):
         if space.family.value != family:
-            return rows
-        return [(label, degree, m, binom_parity(top(space, m), m))
-                for label, degree, m, _ in rows]
+            return parity(space, m)
+        return binom_parity(top(space, m), m)
 
-    monkeypatch.setattr(topoinv.spaces, "_fiber", planted)
+    monkeypatch.setattr(topoinv.spaces, "_coefficient_parity", planted)
     res = run("verify", "--suite", "all", "--max-n", "12")
     assert res.exit_code == 1
     assert f"spectral: 217 spaces, {failures} failures" in res.stdout, res.stdout

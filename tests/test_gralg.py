@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -23,6 +24,7 @@ from topoinv.gralg import (
     Trunc,
     cup_length,
     poincare,
+    steenrod_sq,
     tensor_blocks,
 )
 from topoinv.spaces import Family, SpaceId, catalog, presentation
@@ -85,6 +87,22 @@ def test_mixed_presentations_rejected():
     b = P("RV:7,3").gen(4)
     with pytest.raises(MixedPresentations):
         a * b  # noqa: B018
+    # the zero fast paths come after the check
+    zero_a, zero_b = P("RV:6,3").zero(), P("RV:7,3").zero()
+    for x, y in ((zero_a, zero_b), (zero_a, b), (a, zero_b)):
+        with pytest.raises(MixedPresentations):
+            x + y  # noqa: B018
+        with pytest.raises(MixedPresentations):
+            x * y  # noqa: B018
+
+
+def test_zero_operands_and_stored_squares_build_no_new_element():
+    p = P("RV:6,3")
+    a, zero = p.gen(3) + p.gen(4), p.zero()
+    assert a + zero is a and zero + a is a
+    assert a * zero is zero and zero * a is zero
+    square = steenrod_sq(p, 1, a)
+    assert square == p.gen(4) and steenrod_sq(p, 1, a) is square
 
 
 _CATALOG = ["RV:5,2", "RV:8,5", "RV:12,11", "CV:4,3", "HV:4,2", "RX:5,2",
@@ -179,6 +197,65 @@ def test_poincare_work_cap():
         poincare(p, SERIES_WORK_CAP // 2)
     with pytest.raises(WorkCapExceeded):
         poincare(P("CV:1200,1200"))  # top degree 1440000
+
+
+def _poincare_per_degree(p, max_deg=None):
+    """Reference for poincare: the y-powers as a list, then each generator
+    multiplies by (1 + t^deg) one degree at a time."""
+    top = p.top_degree if max_deg is None else min(max_deg, p.top_degree)
+    coeffs = [0] * (top + 1)
+    for e in range(p.order):
+        if e * p.y_degree > top:
+            break
+        coeffs[e * p.y_degree] = 1
+    for g in p.simple_gens:
+        for d in range(top, g.degree - 1, -1):
+            coeffs[d] += coeffs[d - g.degree]
+    return coeffs
+
+
+def test_poincare_matches_the_per_degree_loop_on_repeated_degrees():
+    # truncated rings may repeat degrees, so only the subset-count width
+    # holds; with more than 64 generators some coefficients pass 64 bits
+    rng = random.Random(7)
+    wide = 0
+    for _ in range(120):
+        degrees = sorted(rng.randrange(1, 12) for _ in range(rng.randrange(65, 100)))
+        p = AlgebraPresentation(Trunc(rng.randrange(1, 5), rng.randrange(1, 40)),
+                                tuple(SimpleGenerator(j, d) for j, d in enumerate(degrees)))
+        for max_deg in (0, rng.randrange(1, 60), rng.randrange(60, 400)):
+            want = _poincare_per_degree(p, max_deg)
+            wide += max(want).bit_length() > 64
+            assert poincare(p, max_deg) == want, (p, max_deg)
+    assert wide == 93
+
+
+@pytest.mark.parametrize("gens", [7, 8, 15, 16, 31, 32, 63, 64, 65, 120])
+def test_poincare_width_holds_where_a_coefficient_reaches_the_bound(gens):
+    # g generators of degree 1 and g + 1 powers of y in degree 1: the
+    # coefficient of t^g is the sum of binom(g, i), exactly 2^g, which needs
+    # the bits of the y-powers on top of the generators' g
+    p = AlgebraPresentation(Trunc(1, gens + 1),
+                            tuple(SimpleGenerator(j, 1) for j in range(gens)))
+    series = poincare(p)
+    assert series[gens] == 1 << gens
+    assert series == _poincare_per_degree(p)
+
+
+def test_poincare_matches_the_per_degree_loop_on_the_catalog():
+    spaces = catalog(list(Family), range(1, 25))
+    for space in spaces:
+        p = presentation(space)
+        top = p.top_degree
+        for max_deg in (None, 0, top // 3, top - 1, top + 4):
+            assert poincare(p, max_deg) == _poincare_per_degree(p, max_deg), (space, max_deg)
+    assert len(spaces) == 1813
+
+
+def test_poincare_matches_the_per_degree_loop_with_many_generators():
+    # 299 distinct degrees, 200 of them in range: the partition width holds
+    p = P("RV:300,299")
+    assert poincare(p, 200) == _poincare_per_degree(p, 200)
 
 
 def test_poincare_total_is_algebra_dimension():

@@ -8,6 +8,7 @@ from topoinv.spaces import (
     FIBER_CAP,
     Family,
     SpaceId,
+    _coefficient_parity,
     _fiber,
     catalog,
     dimension,
@@ -130,7 +131,8 @@ def test_truncation_order_is_the_fiber_tables_least_odd_coefficient():
     # the closed form against the table presentation and serre_verify read
     spaces = catalog(list(Family), range(1, 65))
     for s in spaces:
-        assert truncation_order(s) == next(m for _, _, m, odd in _fiber(s) if odd), str(s)
+        assert truncation_order(s) == next(m for _, _, m in _fiber(s)
+                                           if _coefficient_parity(s, m)), str(s)
     assert len(spaces) == 13153
 
 
@@ -211,7 +213,7 @@ def _serre_series_per_degree(space, w):
     from scratch, then the even-coefficient generators' exterior factor."""
     fiber = _fiber(space)
     t = space.family.base_degree
-    odd = [(d, m) for _, d, m, c in fiber if c and d <= w]
+    odd = [(d, m) for _, d, m in fiber if _coefficient_parity(space, m) and d <= w]
     levels = [[] for _ in range(w + 1)]
     rows = []
     for mask in range(1 << len(odd)):
@@ -232,8 +234,8 @@ def _serre_series_per_degree(space, w):
 
     ranks = [rank(level) for level in levels]
     betti = [len(levels[d]) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(w + 1)]
-    for _, fdeg, _, c in fiber:
-        if not c:
+    for _, fdeg, m in fiber:
+        if not _coefficient_parity(space, m):
             for d in range(w, fdeg - 1, -1):
                 betti[d] += betti[d - fdeg]
     return tuple(betti), min((t * m for _, m in odd), default=0)
