@@ -2,14 +2,17 @@
 
 Each grid suite maps one check over catalog spaces in this process; a
 check returns its failure, if any, as a message, and its expected
-warnings.  A TopoinvError raised while a check builds or reads a
+warnings.  A cap refusal (WorkCapExceeded, DimensionCapExceeded) skips its
+space; any other TopoinvError raised while a check builds or reads a
 catalog ring is that space's failure: a broken catalog fails the suite, it
 is not bad input.  Only `verify` imports this module; no other command does.
 """
 
 from __future__ import annotations
 
-from .errors import TopoinvError
+import time
+
+from .errors import DimensionCapExceeded, TopoinvError, WorkCapExceeded
 from .gralg import AlgebraPresentation, Element, poincare, steenrod_sq
 from .invariants import _cup_report
 from .equivariant import Sphere, SymplecticGroup, feasibility
@@ -18,15 +21,23 @@ from .spaces import (Family, SpaceId, catalog, dimension, presentation, serre_ve
                      truncation_order)
 
 
+def _named(space: SpaceId, exc: TopoinvError) -> str:
+    """The message of `exc`, naming `space` once."""
+    message = str(exc)
+    return message if message.startswith(f"{space}:") else f"{space}: {message}"
+
+
 def _space_check(check):
-    """`check` with a TopoinvError as the failure of its space, named once."""
+    """`check` with a TopoinvError as the failure of its space; a cap refusal
+    passes through, for run_suites to skip the space."""
 
     def guarded(space):
         try:
             return check(space)
+        except (WorkCapExceeded, DimensionCapExceeded):
+            raise
         except TopoinvError as exc:
-            message = str(exc)
-            return (message if message.startswith(f"{space}:") else f"{space}: {message}"), []
+            return _named(space, exc), []
 
     return guarded
 
@@ -202,17 +213,32 @@ _GRID_SUITES = (
 
 
 def run_suites(suite: str, max_n: int):
-    """(name, spaces, failures, warnings) of each suite that `suite` selects,
-    as it finishes: the grid suites up to max_n, then with `all` the single
-    checks (spaces None)."""
+    """(name, spaces, failures, warnings, skips, seconds, slowest) of each
+    suite that `suite` selects, as it finishes: the grid suites up to max_n,
+    then with `all` the single checks (spaces None).  A skip is a space a
+    cap refused; slowest holds the (seconds, space) of a grid suite's three
+    slowest spaces."""
     grid = range(2, max_n + 1)
     for name, families, check in _GRID_SUITES:
         if suite in (name, "all"):
             spaces = catalog(families, grid)
-            results = [check(space) for space in spaces]
-            yield (name, len(spaces), [failure for failure, _ in results if failure is not None],
-                   [warning for _, found in results for warning in found])
+            failures, warnings, skips, times = [], [], [], []
+            for space in spaces:
+                start = time.perf_counter()
+                try:
+                    failure, found = check(space)
+                except (WorkCapExceeded, DimensionCapExceeded) as exc:
+                    skips.append(_named(space, exc))
+                else:
+                    if failure is not None:
+                        failures.append(failure)
+                    warnings += found
+                times.append((time.perf_counter() - start, str(space)))
+            yield (name, len(spaces), failures, warnings, skips,
+                   sum(seconds for seconds, _ in times), sorted(times, reverse=True)[:3])
     if suite == "all":
         for name, check in (("parity", _check_parity), ("equivariant", _check_equivariant)):
+            start = time.perf_counter()
             failure = check()
-            yield name, None, [] if failure is None else [failure], []
+            yield (name, None, [] if failure is None else [failure], [], [],
+                   time.perf_counter() - start, [])

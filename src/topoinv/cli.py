@@ -144,10 +144,10 @@ def table(args: SimpleNamespace) -> None:
         print(json.dumps(rows, indent=2, sort_keys=True))
 
 
-# Largest n of the grids: `verify --suite all --max-n 16` takes about 1.3-1.6 s
-# in process (2 vCPU, medians of 7 in two rounds; steenrod 0.9-1.2 s, spectral
-# 0.25-0.3 s, cup 0.05-0.07 s of it), and the steenrod spaces at n = 17 cost 3x
-# those at 16.
+# Largest n of the grids: `verify --suite all --max-n 16` takes about 1.0-1.2 s
+# in process (2 vCPU, medians of 7 in two rounds; by `--meta`, steenrod
+# 0.74-0.82 s, spectral 0.20-0.23 s, cup 0.04 s of it), and the steenrod
+# spaces at n = 17 cost 3x those at 16.
 _MAX_VERIFY_N = 16
 
 
@@ -156,7 +156,9 @@ def verify(args: SimpleNamespace) -> int | None:
 
     Documented discrepancies (the dimension-minus-index cup bound falling
     below the exact cup length) are listed as expected warnings and do not
-    fail the run.
+    fail the run.  A space a work or dimension cap refuses is skipped: it is
+    named on stderr and counted, when any is, in its suite's line.  With
+    --meta, each suite's time and its three slowest spaces go to stderr.
     """
     from . import checks  # only verify loads the suites
 
@@ -167,25 +169,36 @@ def verify(args: SimpleNamespace) -> int | None:
         raise InvalidParameters(f"--max-n must be at most {_MAX_VERIFY_N}")
     failures: list[str] = []
     warnings: list[str] = []
+    skips: list[str] = []
     count = 0
-    for name, spaces, bad, found in checks.run_suites(args.suite, args.max_n):
+    for name, spaces, bad, found, skipped, seconds, slowest in checks.run_suites(args.suite,
+                                                                                args.max_n):
         if spaces is None:  # a single check counts as one
             count += 1
             print(f"{name}: {'FAILED' if bad else 'ok'}")
         else:
-            count += spaces
-            print(f"{name}: {spaces} spaces, {len(bad)} failures")
+            count += spaces - len(skipped)
+            print(f"{name}: {spaces} spaces, {len(bad)} failures"
+                  + (f", {len(skipped)} skipped" if skipped else ""))
+        if args.meta:
+            print(f"time: {name} {1e3 * seconds:.1f} ms"
+                  + "".join(f"; {space} {1e3 * took:.2f} ms" for took, space in slowest),
+                  file=sys.stderr)
         failures += [f"{failure} [{name}]" for failure in bad]
         warnings += found
+        skips += [f"{skip} [{name}]" for skip in skipped]
 
     for w in warnings:
         print(f"expected warning: {w}")
+    for s in skips:
+        print(f"skipped: {s}", file=sys.stderr)
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
+    skipped = f", {len(skips)} skipped" if skips else ""
     if failures:
-        print(f"verify: FAIL ({count} checks, {len(failures)} failures)")
+        print(f"verify: FAIL ({count} checks, {len(failures)} failures{skipped})")
         return 1
-    print(f"verify: PASS ({count} checks, {len(warnings)} expected warnings)")
+    print(f"verify: PASS ({count} checks, {len(warnings)} expected warnings{skipped})")
     return None
 
 
@@ -198,7 +211,8 @@ Space specs are FAMILY:n,k with families RV, CV, HV (Stiefel), RX, CX, HX
 for s3map are S4n-1:n (the sphere S^{4n-1}), HV:n,k and Sp:n."""
 
 _TOP_OPTIONS = {"--help": "Show this message and exit", "--version": "Show the version and exit",
-                "--meta": "Wrap output with a timestamped meta envelope"}
+                "--meta": "Wrap output with a timestamped meta envelope (verify: time "
+                          "each suite on stderr)"}
 
 # Per command: its function, its positionals as (dest, kind), and its options
 # as flag: (dest, kind, default, required, help).  A kind is bool for a switch,

@@ -430,6 +430,52 @@ class Element:
 # -- ring operations ---------------------------------------------------------
 
 
+def _field_bytes(bits: int) -> int:
+    """Bytes per field of a packed series whose values are below 2^bits:
+    1, 2, 4 or 8, a machine word that _field_view reads, or whole bytes
+    past 8."""
+    size = (bits + 7) // 8
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def _partition_bits(top: int) -> int:
+    """Bits above every q(e), e <= top, the number of partitions of e into
+    distinct parts, that is of subsets of distinct degrees summing to e.
+
+    For 0 < x < 1, x^e q(e) <= prod (1 + x^k), and at x = e^(-s) the log of
+    the product is at most the integral of log(1 + e^(-s u)) over u > 0,
+    pi^2/(12 s).  So log q(e) <= e s + pi^2/(12 s), at least pi*sqrt(e/3)
+    at its minimum, and q(e) <= e^(pi*sqrt(e/3)) < 2^(2.62*sqrt(e)) <=
+    2^(isqrt(7e) + 1).
+    """
+    return isqrt(7 * top) + 1
+
+
+def _field_view(buf, size: int) -> memoryview:
+    """The size-byte fields of buf (size 1, 2, 4 or 8) as machine words
+    indexed by degree, the packed int being int.from_bytes(buf, sys.byteorder)."""
+    view = memoryview(buf).cast(_WORD_FORMAT[size])
+    return view if sys.byteorder == "little" else view[::-1]
+
+
+def _unpack(packed: int, size: int, length: int) -> list[int]:
+    """The `length` fields of `size` bytes of a packed series, lowest first:
+    through a typed view for a machine word, by int.from_bytes slices past it."""
+    if size <= 8:
+        return _field_view(packed.to_bytes(size * length, sys.byteorder), size).tolist()
+    data = packed.to_bytes(size * length, "little")
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+
+
+def _widen(packed: int, size: int, wider: int, length: int) -> int:
+    """A packed series of `length` fields of `size` bytes, in fields of
+    `wider` bytes: one strided copy per byte of a field."""
+    narrow, wide = packed.to_bytes(size * length, "little"), bytearray(wider * length)
+    for i in range(size):
+        wide[i::wider] = narrow[i::size]
+    return int.from_bytes(wide, "little")
+
+
 def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     """Dimension of each graded piece, indexed by degree up to the top
     degree, or up to max_deg when that is lower.
@@ -448,14 +494,11 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     t^(top+1); and decoding reads the coefficients back as B-bit fields
     when each one up to top is below 2^B.  The width is a proven bound.  A
     coefficient sums, over at most T y-powers, the subsets of the g
-    generators with a given degree sum: at most 2^g of them.  When their
-    degrees are distinct such a subset is a partition of some e <= top into
-    distinct parts, and q(e) <= p(e) < e^(pi*sqrt(2e/3)) < 2^(3.71*sqrt(e))
-    (Hardy-Ramanujan, Apostol Thm 14.5), below 2^(4*isqrt(top) + 4).  So a
-    coefficient is at most T * 2^min(g, that) < 2^B with
-    B = min(g, that) + T.bit_length(), rounded up to whole bytes (to 1, 2,
-    4 or 8 when it fits a machine word, so the fields unpack through a
-    typed memoryview).
+    generators with a given degree sum: at most 2^g of them, and when their
+    degrees are distinct at most q(e) < 2^_partition_bits(top), a subset
+    being a partition of some e <= top into distinct parts.  So a
+    coefficient is below 2^B with B = min(g, that) + T.bit_length(), in
+    the fields of _field_bytes.
     """
     length = (p.top_degree if max_deg is None else max_deg) + 1
     work = (p.num_gens + 1) * length
@@ -468,24 +511,18 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
         return []
     degrees = [deg for deg in p._degree_of_bit if deg <= top]
     bits = len(degrees)
-    partitions = 4 * isqrt(top) + 4
+    partitions = _partition_bits(top)
     if bits > partitions and len(set(degrees)) == bits:
         bits = partitions
     d = p.y_degree
     terms = min(p.order, top // d + 1) if d else 1
-    size = (bits + terms.bit_length() + 7) // 8
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
+    size = _field_bytes(bits + terms.bit_length())
     b = 8 * size
     c = ((1 << b * d * terms) - 1) // ((1 << b * d) - 1) if d else 1
     mask = (1 << b * (top + 1)) - 1
     for deg in degrees:
         c = (c + (c << b * deg)) & mask
-    packed = c.to_bytes(size * (top + 1), sys.byteorder)
-    if size <= 8:
-        return memoryview(packed).cast(_WORD_FORMAT[size]).tolist()
-    return [int.from_bytes(packed[i:i + size], sys.byteorder)
-            for i in range(0, len(packed), size)]
+    return _unpack(c, size, top + 1)
 
 
 # -- Steenrod squares --------------------------------------------------------

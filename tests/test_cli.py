@@ -335,7 +335,7 @@ def test_import_leaves_the_process_pool_unloaded():
     code = ("import sys; before = set(sys.modules); import topoinv.cli; "
             "print(sorted(m for m in set(sys.modules) - before if m in ('dataclasses', "
             "'inspect', 'datetime', 'multiprocessing', 'concurrent.futures.process', 'click', "
-            "'argparse', 'gettext', 'topoinv.checks')))")
+            "'argparse', 'gettext', 'array', 'struct', 'topoinv.checks')))")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -627,6 +627,46 @@ def test_verify_catches_a_planted_coefficient(monkeypatch, family, top, failures
     assert f"spectral: 217 spaces, {failures} failures" in res.stdout, res.stdout
     lines = res.stderr.splitlines()
     assert len(lines) == failures and all(line.endswith(" [spectral]") for line in lines), lines
+
+
+def test_verify_counts_a_cap_refusal_as_skipped(monkeypatch):
+    # a lowered work cap refuses the spectral check of the spaces with the
+    # most odd-coefficient generators: each is skipped and named, not failed
+    import topoinv.spaces
+    from topoinv.errors import WorkCapExceeded
+    from topoinv.spaces import serre_verify
+
+    monkeypatch.setattr(topoinv.spaces, "SS_WORK_CAP", 64)
+    spaces, refusals = catalog(["RX", "FV", "CX", "HX"], range(2, 9)), []
+    for space in spaces:
+        try:
+            serre_verify(space)
+        except WorkCapExceeded as exc:
+            refusals.append(str(exc))
+    total, skipped = len(spaces), len(refusals)
+    assert 0 < skipped < total
+    res = run("verify", "--suite", "spectral", "--max-n", "8")
+    assert res.exit_code == 0, res.output
+    assert res.stdout == (f"spectral: {total} spaces, 0 failures, {skipped} skipped\n"
+                          f"verify: PASS ({total - skipped} checks, 0 expected warnings, "
+                          f"{skipped} skipped)\n")
+    assert res.stderr.splitlines() == [f"skipped: {message} [spectral]" for message in refusals]
+
+
+def test_verify_meta_times_each_suite_on_stderr():
+    # stdout is that of a plain run; stderr holds one time line per suite,
+    # a grid suite's naming its three slowest spaces
+    plain = run("verify", "--suite", "all", "--max-n", "3")
+    res = run("--meta", "verify", "--suite", "all", "--max-n", "3")
+    assert res.exit_code == plain.exit_code == 0 and res.stdout == plain.stdout
+    lines = res.stderr.splitlines()
+    names = ["palindrome", "spectral", "steenrod", "cup", "parity", "equivariant"]
+    assert [line.split()[1] for line in lines] == names, lines
+    for line in lines:
+        parts = line.split("; ")
+        assert parts[0].startswith("time: ") and parts[0].endswith(" ms"), line
+        assert len(parts) == (1 if line.split()[1] in ("parity", "equivariant") else 4), line
+        assert all(SpaceId.parse(part.split()[0]) and part.endswith(" ms") for part in parts[1:])
 
 
 def test_verify_fails_the_single_checks(monkeypatch):

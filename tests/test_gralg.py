@@ -22,6 +22,8 @@ from topoinv.gralg import (
     Element,
     SimpleGenerator,
     Trunc,
+    _unpack,
+    _widen,
     cup_length,
     poincare,
     steenrod_sq,
@@ -253,9 +255,24 @@ def test_poincare_matches_the_per_degree_loop_on_the_catalog():
 
 
 def test_poincare_matches_the_per_degree_loop_with_many_generators():
-    # 299 distinct degrees, 200 of them in range: the partition width holds
-    p = P("RV:300,299")
-    assert poincare(p, 200) == _poincare_per_degree(p, 200)
+    # distinct degrees, so the partition width holds: 200 of RV:300,299's
+    # 299 in range; 1,000 of RV:1025,1024's, whose 73-bit coefficients take
+    # 88-bit fields; and HV:64,64's 64, whose 54-bit coefficients take 72
+    for spec, max_deg in (("RV:300,299", 200), ("RV:1025,1024", 1000), ("HV:64,64", None)):
+        p = P(spec)
+        assert poincare(p, max_deg) == _poincare_per_degree(p, max_deg), spec
+
+
+def test_widen_keeps_every_field():
+    # values of every byte length up to a machine word, into fields of 9, 10
+    # and 16 bytes
+    rng = random.Random(3)
+    values = [rng.getrandbits(rng.randrange(1, 65)) for _ in range(200)]
+    packed = sum(v << 64 * i for i, v in enumerate(values))
+    for wider in (9, 10, 16):
+        assert _widen(packed, 8, wider, len(values)) == sum(
+            v << 8 * wider * i for i, v in enumerate(values))
+        assert _unpack(_widen(packed, 8, wider, len(values)), wider, len(values)) == values
 
 
 def test_poincare_total_is_algebra_dimension():

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import isqrt
 
 import pytest
 
@@ -245,13 +246,45 @@ def test_serre_running_ranks_match_per_degree_reference():
     # windows that drop generators (0, 3, 7), the top degree, and past it;
     # base degrees 1, 2 and 4 give one, two and four residue classes
     spaces = catalog([Family.RX, Family.FV, Family.CX, Family.HX], range(2, 13))
-    for space in spaces:
-        dim = dimension(space)
-        for w in (0, 3, 7, dim, dim + 5):
-            report = serre_verify(space, w)
-            got = (report.e_infinity_series, report.first_nonzero_differential_page)
-            assert got == _serre_series_per_degree(space, w), (str(space), w)
+    cases = [(space, w) for space in spaces
+             for w in (0, 3, 7, dimension(space), dimension(space) + 5)]
     assert len(spaces) == 217
+    # packed fields of 8, 16, 32 and 64 bits filled, and of 65 and 72 bits,
+    # past a machine word, each with two odd-coefficient generators; the 74
+    # generators of HX:128,127 in its window are bounded by partitions
+    wide = [("RX:5,4", 10), ("CX:17,11", 40), ("CX:33,26", 100), ("RX:65,53", 2014),
+            ("RX:65,54", 2025), ("RX:65,60", 2070), ("HX:128,127", 300)]
+    bits = []
+    for spec, w in wide:
+        space = SpaceId.parse(spec)
+        g = sum(1 for _, d, _ in _fiber(space) if d <= w)
+        bits.append(min(g, isqrt(7 * w) + 1) + (w // space.family.base_degree + 1).bit_length())
+        cases.append((space, w))
+    assert bits == [8, 16, 32, 64, 65, 72, 53]
+    for space, w in cases:
+        report = serre_verify(space, w)
+        got = (report.e_infinity_series, report.first_nonzero_differential_page)
+        assert got == _serre_series_per_degree(space, w), (str(space), w)
+
+
+def test_serre_width_holds_where_the_limit_reaches_the_bound(monkeypatch):
+    # with every coefficient planted even nothing transgresses, and the limit
+    # is Z2[y] tensored with the exterior algebra on RX:65,64's 64 generators
+    # of degrees 1..64; every subset sums to at most the window, 2080, so
+    # degree 2080 counts all 2^64 of them and needs the bits of the base
+    # powers on top of the generators' 64
+    import topoinv.spaces
+
+    monkeypatch.setattr(topoinv.spaces, "_coefficient_parity", lambda space, m: 0)
+    space = SpaceId.parse("RX:65,64")
+    w = dimension(space)
+    want = [1] * (w + 1)
+    for _, fdeg, _ in _fiber(space):
+        for d in range(w, fdeg - 1, -1):
+            want[d] += want[d - fdeg]
+    report = serre_verify(space)
+    assert report.e_infinity_series == tuple(want)
+    assert (w, want[w]) == (2080, 1 << 64)
 
 
 def test_serre_costliest_space_up_to_sixteen():
