@@ -26,7 +26,8 @@ mul_codes.  The pass keeps a flat track {code: t}: in a graded ring a code
 fixes its degree, and so its index t.  The presentation keeps each
 monomial's track, up to SQUARE_TERM_CAP terms in all, so a monomial is
 squared once per ring whichever element asks; an element groups its
-monomials' tracks by t into its table {t: Sq^t} on its first ask.  A pass
+monomials' tracks by t into code sets on its first ask, and makes Sq^t an
+element on its first ask (the ring's one zero without terms).  A pass
 whose track holds more than SQUARE_TERM_CAP terms after a sweep raises
 WorkCapExceeded: the slowest refusal measured, on a random monomial of
 RV:64,63, takes about 1.4 s and 91 MiB of peak RSS (2 vCPU).
@@ -321,6 +322,11 @@ class AlgebraPresentation(Record):
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "Element":
+        return self._zero
+
+    # made on first use: one made in __init__ would put every ring in a cycle for the GC
+    @cached_property
+    def _zero(self) -> "Element":
         return Element(self, frozenset())
 
     def y_power(self, e: int) -> "Element":
@@ -360,11 +366,11 @@ class AlgebraPresentation(Record):
 class Element:
     """Z2-linear combination of basis monomials of one presentation.
 
-    ``_squares`` is the element's table of Steenrod squares {t: Sq^t} as
-    elements, a missing t being zero, or None until steenrod_sq first fills
-    it whole from the tracks its presentation keeps.  An element's codes
+    ``_squares`` is the element's table {t: Sq^t}, a missing t being zero,
+    or None until steenrod_sq fills it from its ring's tracks: a code set
+    per t, made an element and stored on its first ask.  An element's codes
     never change, so a sum with zero is the other operand itself, a product
-    with zero is the zero operand, and a square is the table's own element.
+    with zero is the zero operand, and a square asked again is that element.
     """
 
     __slots__ = ("presentation", "codes", "_squares")
@@ -372,30 +378,29 @@ class Element:
     def __init__(self, presentation: AlgebraPresentation, codes: frozenset[int]):
         self.presentation = presentation
         self.codes = codes
-        self._squares: dict[int, Element] | None = None
+        self._squares: dict[int, Element | set[int]] | None = None
 
     def is_zero(self) -> bool:
         return not self.codes
 
-    def _check(self, other: "Element") -> None:
-        if self.presentation is not other.presentation and self.presentation != other.presentation:
-            raise MixedPresentations("elements belong to different presentations")
-
     def __add__(self, other: "Element") -> "Element":
-        self._check(other)
+        p = self.presentation
+        if p is not other.presentation and p != other.presentation:
+            raise MixedPresentations("elements belong to different presentations")
         if not self.codes:
             return other
         if not other.codes:
             return self
-        return Element(self.presentation, self.codes ^ other.codes)
+        return Element(p, self.codes ^ other.codes)
 
     def __mul__(self, other: "Element") -> "Element":
-        self._check(other)
+        p = self.presentation
+        if p is not other.presentation and p != other.presentation:
+            raise MixedPresentations("elements belong to different presentations")
         if not self.codes:
             return self
         if not other.codes:
             return other
-        p = self.presentation
         acc: set[int] = set()
         mul_codes = p.mul_codes
         for a in self.codes:
@@ -608,13 +613,14 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
     UnsupportedPresentation before any pass.
 
     The first ask with i > 0 stores the element's whole table {t: Sq^t},
-    grouped by t from its monomials' flat tracks; every later index, in any
-    order, is a lookup that returns the stored element.  Each monomial's
-    track comes from one _total_square pass per presentation: p keeps it for
-    every later element, while the tracks it keeps hold at most
-    SQUARE_TERM_CAP terms in all, and past that budget a track is computed
-    but not kept.  A pass whose track outgrows SQUARE_TERM_CAP raises
-    WorkCapExceeded and keeps nothing.
+    grouped by t from its monomials' flat tracks as code sets; an entry
+    becomes an element, stored, on the first ask of its index, so a later
+    ask returns that object, and an index with no term returns p.zero().
+    Each monomial's track comes from one _total_square pass per
+    presentation: p keeps it for every later element, while the tracks it
+    keeps hold at most SQUARE_TERM_CAP terms in all, and past that budget a
+    track is computed but not kept.  A pass whose track outgrows
+    SQUARE_TERM_CAP raises WorkCapExceeded and keeps nothing.
     """
     if a.presentation is not p and a.presentation != p:
         raise MixedPresentations("element does not belong to the given presentation")
@@ -646,9 +652,13 @@ def steenrod_sq(p: AlgebraPresentation, i: int, a: Element) -> Element:
                     got.remove(c)
                 else:
                     got.add(c)
-        table = a._squares = {t: Element(p, frozenset(got)) for t, got in sums.items()}
+        table = a._squares = sums
     got = table.get(i)
-    return got if got is not None else Element(p, frozenset())
+    if got is None:
+        return p.zero()
+    if got.__class__ is set:
+        got = table[i] = Element(p, frozenset(got))
+    return got
 
 
 # -- cup length --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -29,7 +30,8 @@ from topoinv.gralg import (
     steenrod_sq,
     tensor_blocks,
 )
-from topoinv.spaces import Family, SpaceId, catalog, presentation
+from topoinv.invariants import cup_report
+from topoinv.spaces import Family, SpaceId, catalog, presentation, serre_verify
 
 
 def P(spec):
@@ -101,10 +103,39 @@ def test_mixed_presentations_rejected():
 def test_zero_operands_and_stored_squares_build_no_new_element():
     p = P("RV:6,3")
     a, zero = p.gen(3) + p.gen(4), p.zero()
+    assert p.zero() is zero
+    r = P("RX:5,2")  # y^N = 0
+    assert r.y_power(r.order) is r.zero() and r.monomial(r.order, (4,)) is r.zero()
     assert a + zero is a and zero + a is a
     assert a * zero is zero and zero * a is zero
     square = steenrod_sq(p, 1, a)
     assert square == p.gen(4) and steenrod_sq(p, 1, a) is square
+    # Sq^3 z3 = z6 lies outside the ring and Sq^3 z4 = 0: no term at index 3
+    assert steenrod_sq(p, 3, a) is zero
+    # Sq^1(z4 z5) = z4 z6 = Sq^1(z3 z6): the terms at index 1 cancel
+    q = P("RV:7,4")
+    b = q.monomial(0, (4, 5)) + q.monomial(0, (3, 6))
+    cancelled = steenrod_sq(q, 1, b)
+    assert cancelled == q.zero() and steenrod_sq(q, 1, b) is cancelled
+    assert steenrod_sq(q, 2, b) == q.monomial(0, (5, 6))
+
+
+def test_ring_work_leaves_no_cyclic_garbage():
+    # Rings, elements and reports of these paths are freed by reference
+    # counting alone: a ring makes its zero on first use, so building one
+    # makes no cycle through it, and no dropped ring waits for the cyclic
+    # collector.
+    gc.collect()
+    gc.disable()
+    try:
+        for s in catalog(list(Family), range(1, 10)):
+            cup_report(s)
+            if s.family.is_projective:
+                serre_verify(s)
+            poincare(presentation(s))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 _CATALOG = ["RV:5,2", "RV:8,5", "RV:12,11", "CV:4,3", "HV:4,2", "RX:5,2",
