@@ -14,7 +14,7 @@ import time
 
 from .errors import DimensionCapExceeded, TopoinvError, WorkCapExceeded
 from .gralg import AlgebraPresentation, Element, poincare, steenrod_sq
-from .invariants import _cup_report
+from .invariants import cup_report
 from .equivariant import Sphere, SymplecticGroup, feasibility
 from .parity import binom_divides, binom_parity, parity_row
 from .spaces import (Family, SpaceId, catalog, dimension, presentation, serre_verify,
@@ -27,22 +27,6 @@ def _named(space: SpaceId, exc: TopoinvError) -> str:
     return message if message.startswith(f"{space}:") else f"{space}: {message}"
 
 
-def _space_check(check):
-    """`check` with a TopoinvError as the failure of its space; a cap refusal
-    passes through, for run_suites to skip the space."""
-
-    def guarded(space):
-        try:
-            return check(space)
-        except (WorkCapExceeded, DimensionCapExceeded):
-            raise
-        except TopoinvError as exc:
-            return _named(space, exc), []
-
-    return guarded
-
-
-@_space_check
 def _check_palindrome(space: SpaceId) -> tuple[str | None, list[str]]:
     p = presentation(space)
     series = poincare(p)
@@ -53,7 +37,6 @@ def _check_palindrome(space: SpaceId) -> tuple[str | None, list[str]]:
     return None, []
 
 
-@_space_check
 def _check_spectral(space: SpaceId) -> tuple[str | None, list[str]]:
     report = serre_verify(space)
     if not report.match:
@@ -86,7 +69,6 @@ def _adem_failure(p: AlgebraPresentation, x: Element) -> str | None:
     return None
 
 
-@_space_check
 def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
     import random
 
@@ -129,14 +111,13 @@ def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
     return None, []
 
 
-@_space_check
 def _check_cup(space: SpaceId) -> tuple[str | None, list[str]]:
     """Cross-check one space through cup_report, whose oracle runs on the
     ring's tensor blocks, and the closed form against the ring's own
     product: its value is at least the floor (N-1) + g, and its witness
     multiplies out to a nonzero class.  The ring is built once, here."""
     p = presentation(space)
-    report = _cup_report(space, p)
+    report = cup_report(space, p)
     exact = report.exact
     # the product of y^(N-1) and every generator is the top class
     floor = (p.order - 1) + p.num_gens
@@ -229,6 +210,8 @@ def run_suites(suite: str, max_n: int):
                     failure, found = check(space)
                 except (WorkCapExceeded, DimensionCapExceeded) as exc:
                     skips.append(_named(space, exc))
+                except TopoinvError as exc:
+                    failures.append(_named(space, exc))
                 else:
                     if failure is not None:
                         failures.append(failure)

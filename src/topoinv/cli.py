@@ -21,7 +21,7 @@ from types import SimpleNamespace
 from . import __version__
 from .errors import DimensionCapExceeded, InvalidParameters, TopoinvError, WorkCapExceeded
 from .gralg import CupMode, cup_length, poincare, presentation_to_dict
-from .invariants import RankResult, _cup_report, ucharrank
+from .invariants import RankResult, cup_report, ucharrank
 from .equivariant import feasibility, parse_gspace
 from .spaces import Family, SpaceId, catalog, dimension, presentation
 
@@ -78,7 +78,7 @@ def cuplength(args: SimpleNamespace) -> None:
     """Exact mod-2 cup length of SPACE_SPEC from its square chains."""
     space = SpaceId.parse(args.space_spec)
     p = presentation(space)
-    report = _cup_report(space, p) if args.with_bounds else None
+    report = cup_report(space, p) if args.with_bounds else None
     res = cup_length(p, CupMode(args.mode))
     warnings: list[str] = []
     result: dict = {"value": res.value, "witness": list(res.witness), "caveat": res.caveat}

@@ -2,13 +2,22 @@
 
 The S^3-spaces are the spheres S^{4n-1} (Sphere), the symplectic groups
 Sp(n) (SymplecticGroup) and the quaternionic Stiefel manifolds, which are
-the catalog's own SpaceId of family HV.  The mod-2 Fadell-Husseini index
-of each is a principal ideal <alpha^N> in the polynomial ring on the one
-degree-4 class alpha, so it is the integer N alone and containment of
-ideals is N <= N': N = n on S^{4n-1}, and on HV:n,k the truncation order
-of its fiber table (spaces.truncation_order).  Verdicts distinguish exact
-characterizations ("possible" / "impossible") from necessary-condition
-screens ("not-ruled-out").
+the catalog's own SpaceId of family HV; Sp:n meets the other kinds as
+HV:n,n.  feasibility applies six rules, each named in its verdict:
+
+  group-divisibility   Sp:n -> Sp:m exists exactly when n divides m
+  sphere-sphere        S4n-1:n -> S4n-1:m exists exactly when n <= m
+  frame-gap            HV:n,k -> HV:m,l is impossible when n-k > m-l
+  frame-divisibility   at n-k = m-l it is impossible unless
+                       binom(n, n-k+1) divides binom(m, m-l+1)
+  sphere-to-stiefel    S4n-1:n -> HV:m,l is impossible when n > m-l+1
+  stiefel-to-sphere    HV:n,k -> S4n-1:m is impossible when m < n-k+1
+
+The first two are exact characterizations ("possible" / "impossible");
+the other four are necessary-condition screens, "not-ruled-out" when they
+pass.  No rule reads a Fadell-Husseini index (truncation_order is not
+called here): deciding the screens by comparing index ideals is ROADMAP
+item 14.
 """
 
 from __future__ import annotations

@@ -435,50 +435,75 @@ class Element:
 # -- ring operations ---------------------------------------------------------
 
 
-def _field_bytes(bits: int) -> int:
-    """Bytes per field of a packed series whose values are below 2^bits:
-    1, 2, 4 or 8, a machine word that _field_view reads, or whole bytes
-    past 8."""
-    size = (bits + 7) // 8
+def _series_size(top: int, terms: int, degrees: list[int]) -> int:
+    """Bytes per field of a series whose degree e <= top counts, over at
+    most `terms` base powers, the subsets of `degrees` summing to e.
+
+    Those number at most 2^g for g degrees and, when the degrees are
+    distinct, at most q(e), the partitions of e into distinct parts.  For
+    0 < x < 1, x^e q(e) <= prod (1 + x^k), and at x = e^(-s) the log of the
+    product is at most the integral of log(1 + e^(-s u)) over u > 0,
+    pi^2/(12 s).  So log q(e) <= e s + pi^2/(12 s), at least pi*sqrt(e/3) at
+    its minimum, and q(e) <= e^(pi*sqrt(e/3)) < 2^(2.62*sqrt(e)) <=
+    2^(isqrt(7e) + 1).  The bits of terms go on top, and the width is rounded
+    up to 1, 2, 4 or 8 bytes, a machine word of _counts, or whole bytes past 8.
+    """
+    bits = len(degrees)
+    partitions = isqrt(7 * top) + 1
+    if bits > partitions and len(set(degrees)) == bits:
+        bits = partitions
+    size = (bits + terms.bit_length() + 7) // 8
     return 1 << (size - 1).bit_length() if size <= 8 else size
 
 
-def _partition_bits(top: int) -> int:
-    """Bits above every q(e), e <= top, the number of partitions of e into
-    distinct parts, that is of subsets of distinct degrees summing to e.
-
-    For 0 < x < 1, x^e q(e) <= prod (1 + x^k), and at x = e^(-s) the log of
-    the product is at most the integral of log(1 + e^(-s u)) over u > 0,
-    pi^2/(12 s).  So log q(e) <= e s + pi^2/(12 s), at least pi*sqrt(e/3)
-    at its minimum, and q(e) <= e^(pi*sqrt(e/3)) < 2^(2.62*sqrt(e)) <=
-    2^(isqrt(7e) + 1).
-    """
-    return isqrt(7 * top) + 1
-
-
-def _field_view(buf, size: int) -> memoryview:
-    """The size-byte fields of buf (size 1, 2, 4 or 8) as machine words
-    indexed by degree, the packed int being int.from_bytes(buf, sys.byteorder)."""
-    view = memoryview(buf).cast(_WORD_FORMAT[size])
+def _counts(size: int, length: int):
+    """`length` zeroed counters in fields of `size` bytes, indexed by degree:
+    machine words of a bytearray up to 8 bytes (reversed on a big-endian
+    host, so index 0 is the lowest field), a list past 8."""
+    if size > 8:
+        return [0] * length
+    view = memoryview(bytearray(size * length)).cast(_WORD_FORMAT[size])
     return view if sys.byteorder == "little" else view[::-1]
 
 
+def _pack(counts, size: int) -> int:
+    """The counters of _counts as one packed int, degree e in field e."""
+    if size > 8:
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+    return int.from_bytes(counts.obj, sys.byteorder)
+
+
 def _unpack(packed: int, size: int, length: int) -> list[int]:
-    """The `length` fields of `size` bytes of a packed series, lowest first:
-    through a typed view for a machine word, by int.from_bytes slices past it."""
-    if size <= 8:
-        return _field_view(packed.to_bytes(size * length, sys.byteorder), size).tolist()
-    data = packed.to_bytes(size * length, "little")
-    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    """The `length` fields of `size` bytes of a packed series, lowest first."""
+    if size > 8:
+        data = packed.to_bytes(size * length, "little")
+        return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    view = memoryview(packed.to_bytes(size * length, sys.byteorder)).cast(_WORD_FORMAT[size])
+    return (view if sys.byteorder == "little" else view[::-1]).tolist()
 
 
-def _widen(packed: int, size: int, wider: int, length: int) -> int:
-    """A packed series of `length` fields of `size` bytes, in fields of
-    `wider` bytes: one strided copy per byte of a field."""
-    narrow, wide = packed.to_bytes(size * length, "little"), bytearray(wider * length)
-    for i in range(size):
-        wide[i::wider] = narrow[i::size]
-    return int.from_bytes(wide, "little")
+def _series(top: int, size: int, base: int, step: int, degrees: Iterable[int]) -> list[int]:
+    """The coefficients up to t^top of base / (1 - t^step) * prod (1 + t^deg),
+    base packed in fields of `size` bytes; step 0 leaves out 1/(1 - t^step).
+
+    A series is one int, its polynomial taken at t = 2^b, b = 8*size.  That
+    evaluation is a ring map Z[t] -> Z, and truncation mod t^(top+1) is
+    reduction mod 2^(b(top+1)), a mask, so the result is exact modulo it
+    whatever the fields hold on the way, negative or past 2^b.  Decoding
+    reads every coefficient back when each lies in [0, 2^b), which the
+    caller proves with _series_size.  1/(1 - t^step) mod t^(top+1) is
+    (1 + t^step)(1 + t^2step)(1 + t^4step)... up to top, and each factor,
+    there or in the product, is one shift, one add and one mask.
+    """
+    b = 8 * size
+    mask = (1 << b * (top + 1)) - 1
+    c = base & mask
+    while 0 < step <= top:
+        c = (c + (c << b * step)) & mask
+        step *= 2
+    for deg in degrees:
+        c = (c + (c << b * deg)) & mask
+    return _unpack(c, size, top + 1)
 
 
 def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
@@ -490,20 +515,11 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     (generators + 1) times that length exceeds SERIES_WORK_CAP it raises
     WorkCapExceeded before anything is built.
 
-    The series is the product (1 + t^d + ... + t^(d(T-1))) * prod (1 + t^deg)
-    over the generators of degree at most top, T = min(N, top//d + 1) the
-    y-powers in range (1 without y), taken at t = 2^B as one int: the y part
-    is a repunit in base 2^(B*d), and each generator costs one shift, one add
-    and one mask.  It is exact.  Evaluation at 2^B is a ring map Z[t] -> Z,
-    so every product is computed exactly; the mask is truncation mod
-    t^(top+1); and decoding reads the coefficients back as B-bit fields
-    when each one up to top is below 2^B.  The width is a proven bound.  A
-    coefficient sums, over at most T y-powers, the subsets of the g
-    generators with a given degree sum: at most 2^g of them, and when their
-    degrees are distinct at most q(e) < 2^_partition_bits(top), a subset
-    being a partition of some e <= top into distinct parts.  So a
-    coefficient is below 2^B with B = min(g, that) + T.bit_length(), in
-    the fields of _field_bytes.
+    The series is _series of the y part 1 + t^d + ... + t^(d(T-1)), T =
+    min(N, top//d + 1) the y-powers in range (1 without y), times
+    (1 + t^deg) per generator of degree at most top; a coefficient counts,
+    over at most T y-powers, subsets of the generators, so _series_size
+    bounds it.
     """
     length = (p.top_degree if max_deg is None else max_deg) + 1
     work = (p.num_gens + 1) * length
@@ -515,19 +531,12 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     if top < 0:
         return []
     degrees = [deg for deg in p._degree_of_bit if deg <= top]
-    bits = len(degrees)
-    partitions = _partition_bits(top)
-    if bits > partitions and len(set(degrees)) == bits:
-        bits = partitions
     d = p.y_degree
     terms = min(p.order, top // d + 1) if d else 1
-    size = _field_bytes(bits + terms.bit_length())
-    b = 8 * size
-    c = ((1 << b * d * terms) - 1) // ((1 << b * d) - 1) if d else 1
-    mask = (1 << b * (top + 1)) - 1
-    for deg in degrees:
-        c = (c + (c << b * deg)) & mask
-    return _unpack(c, size, top + 1)
+    size = _series_size(top, terms, degrees)
+    shift = 8 * size * d  # t^d is 1 << shift at t = 2^(8*size)
+    base = ((1 << shift * terms) - 1) // ((1 << shift) - 1) if d else 1
+    return _series(top, size, base, 0, degrees)
 
 
 # -- Steenrod squares --------------------------------------------------------

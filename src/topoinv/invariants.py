@@ -206,9 +206,9 @@ class CupReport(Record):
 _ORACLE_OF_SHAPE: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
-def cup_report(space: SpaceId) -> CupReport:
+def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupReport:
     """Exact cup length with its oracle cross-check, the catalog bound and
-    any violations.
+    any violations; p is the space's ring when the caller has built it.
 
     The exact value comes from the square-chain closed form.  The
     exhaustive oracle re-derives it as the sum of its values on the ring's
@@ -227,11 +227,8 @@ def cup_report(space: SpaceId) -> CupReport:
     suppressed: over all catalog spaces with n <= 40 the
     dimension-minus-index bound is exceeded exactly on RX:n,2 with n odd.
     """
-    return _cup_report(space, presentation(space))
-
-
-def _cup_report(space: SpaceId, p: AlgebraPresentation) -> CupReport:
-    """cup_report of `space`, whose ring `p` the caller has built."""
+    if p is None:
+        p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
     blocks = tensor_blocks(p)
     if sum(block.total_dimension for block in blocks) <= ORACLE_DIMENSION_CAP:

@@ -25,13 +25,12 @@ differentials alone and compares graded dimensions.
 from __future__ import annotations
 
 import enum
-import sys
 from collections.abc import Iterable
 
 from ._record import Record, setfield
 from .errors import InvalidParameters, WorkCapExceeded
-from .gralg import (SQ_ZERO, AlgebraPresentation, SimpleGenerator, Trunc, _field_bytes,
-                    _field_view, _partition_bits, _unpack, _widen, poincare)
+from .gralg import (SQ_ZERO, AlgebraPresentation, SimpleGenerator, Trunc, _counts, _pack,
+                    _series, _series_size, poincare)
 from .parity import binom_parity
 
 __all__ = [
@@ -260,21 +259,12 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     the truncation index nor the presentation enters the ranks; the
     presentation is read only for the comparison.
 
-    The series are polynomials in x taken at x = 2^B as ints, B-bit fields
-    in the widths of gralg._field_bytes, truncated mod x^(window+1) by a
-    mask.  Evaluation at 2^B is a ring map, so the arithmetic is exact, and
-    decoding reads back every degree because each is below 2^B: the limit
-    is a subquotient of the E2 term, whose degree d sums, over at most
-    window // t + 1 base powers, the fiber subsets of one degree, at most
-    2^g of them for g generators in the window and, their degrees being
-    distinct, fewer than 2^gralg._partition_bits(window); B is the smaller
-    plus the bits of window // t + 1.  Counts of monomials and of pivots
-    per fiber degree are made in the fields (in machine words while B is
-    over 64); their running sums over each residue class, S and G, come
-    from shifts by t, 2t, 4t, ... and masks; the odd part is S - G - xG,
-    whose fields, homology dimensions, are nonnegative, so no field
-    borrows; it is widened to B-bit fields, and each even generator
-    multiplies it by (1 + x^deg), one shift, one add and one mask.
+    The limit is gralg._series, exact as shown there, of count - (1 + x)*gain,
+    the monomials and pivots per fiber degree, over 1 - x^t (the running
+    sums per residue class), times (1 + x^deg) per even generator.  Its
+    fields hold the E2 term, of which the limit is a subquotient: degree d
+    sums, over at most window // t + 1 base powers, the fiber subsets of
+    degree sum d, so gralg._series_size bounds it.
 
     The window defaults to the manifold dimension; a generator above it is
     in no monomial of the window and is left out.  Before any list is
@@ -313,41 +303,22 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     for i, (fdeg, _) in enumerate(odd):
         monomials += [(d0 + fdeg, mask | 1 << i, row << (1 << i) | 1 << mask)
                       for d0, mask, row in monomials if d0 + fdeg <= w]
-    size = _field_bytes(min(len(odd) + len(even), _partition_bits(w))
-                        + (w // t + 1).bit_length())
-    word = min(size, 8)
-    b = 8 * word
-    # what each fiber degree adds to the monomials and the rank, counted in
-    # the fields of the packed ints
-    count, gain = bytearray(word * (w + 1)), bytearray(word * (w + 1))
-    count_of, gain_of = _field_view(count, word), _field_view(gain, word)
+    size = _series_size(w, w // t + 1, [d for d, _ in odd] + even)
+    # what each fiber degree adds to the monomials and the rank
+    count, gain = _counts(size, w + 1), _counts(size, w + 1)
     pivots: dict[int, int] = {}
     for d0, _, row in sorted(monomials):
-        count_of[d0] += 1
+        count[d0] += 1
         while row:
             p = row.bit_length()
             other = pivots.get(p)
             if other is None:
                 pivots[p] = row
-                gain_of[d0] += 1
+                gain[d0] += 1
                 break
             row ^= other
-    total, rank = int.from_bytes(count, sys.byteorder), int.from_bytes(gain, sys.byteorder)
-    mask = (1 << b * (w + 1)) - 1
-    # degree d sums fiber degrees d - j*t: times (1 + x^t)(1 + x^2t)(1 + x^4t)...
-    step = t
-    while step <= w:
-        total = (total + (total << b * step)) & mask
-        rank = (rank + (rank << b * step)) & mask
-        step *= 2
-    limit = total - rank - ((rank << b) & mask)
-    if size > word:  # the odd part counts at most the monomials ranked
-        limit, b = _widen(limit, word, size, w + 1), 8 * size
-        mask = (1 << b * (w + 1)) - 1
-    # Kunneth: times (1 + x^deg) for each even-coefficient generator
-    for fdeg in even:
-        limit = (limit + (limit << b * fdeg)) & mask
-    limit = tuple(_unpack(limit, size, w + 1))
+    rank = _pack(gain, size)
+    limit = tuple(_series(w, size, _pack(count, size) - rank - (rank << 8 * size), t, even))
 
     # t * m = d + 1, so every generator left in `odd` is visible
     first_page = min((t * m for _, m in odd), default=0)

@@ -499,18 +499,23 @@ def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
 def test_verify_cross_checks_cup_length_up_to_the_oracle_cap(monkeypatch):
     # cup_report sums the oracle over tensor blocks, so it checks CX:16,11
     # (2^14) and RV:18,17 (2^17, above the whole-ring oracle's cap) alike
-    from topoinv.checks import _check_cup
+    # (run_suites records the error as that space's failure, naming it once)
+    import topoinv.checks
     from topoinv.errors import TopoinvError
     from topoinv.invariants import cup_report
 
     for spec in ("CX:16,11", "RV:18,17"):
-        assert _check_cup(SpaceId.parse(spec)) == (None, [])
+        assert topoinv.checks._check_cup(SpaceId.parse(spec)) == (None, [])
     _wrong_oracle(monkeypatch)
     for spec in ("CX:16,11", "RV:18,17"):
         with pytest.raises(TopoinvError, match=f"{spec}: closed form gave"):
             cup_report(SpaceId.parse(spec))
-        failure, _ = _check_cup(SpaceId.parse(spec))
-        assert failure.startswith(f"{spec}: closed form gave"), failure
+        monkeypatch.setattr(topoinv.checks, "catalog",
+                            lambda families, grid: [SpaceId.parse(spec)])
+        [(_, spaces, failures, _, skips, _, _)] = topoinv.checks.run_suites("cup", 2)
+        assert (spaces, skips, len(failures)) == (1, [], 1)
+        assert failures[0].startswith(f"{spec}: closed form gave"), failures
+        assert failures[0].count(spec) == 1, failures
 
 
 def test_verify_cup_suite_sweeps_each_block_shape_once(monkeypatch):

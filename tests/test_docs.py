@@ -52,3 +52,17 @@ def test_package_reexports_exactly_the_module_exports():
     for module in (parity, gralg, spaces, invariants, equivariant):
         for name in module.__all__:
             assert getattr(topoinv, name) is getattr(module, name), name
+
+
+def test_only_gralg_handles_packed_bytes():
+    # the byte layout of a packed series is gralg's alone: elsewhere no
+    # byte buffer, no int <-> bytes conversion and no host byte order
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "gralg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                assert node.id not in ("memoryview", "bytearray"), (path.name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ("from_bytes", "to_bytes", "byteorder"), (
+                    path.name, node.lineno)
