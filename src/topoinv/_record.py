@@ -18,11 +18,12 @@ class Record:
 
     A subclass names its fields in ``__slots__``, in constructor order, and
     its ``__init__`` stores them with ``setfield``; slots whose names start
-    with an underscore are not fields.  The base gives every subclass the
-    same equality, true only against its own class and comparing the
-    fields in order, and a hash over the fields (the bare value for a
-    one-field record).  It blocks assignment and deletion with
-    AttributeError, pickles through the constructor, and gives the repr
+    with an underscore are not fields, and may hold tables the constructor
+    derives from them.  The base gives every subclass the same equality,
+    true only against its own class and comparing the fields in order, and
+    a hash over the fields (the bare value for a one-field record).  It
+    blocks assignment and deletion with AttributeError, pickles through the
+    constructor, so those tables are built again, and gives the repr
     ``Name(field=value, ...)``.
     """
 

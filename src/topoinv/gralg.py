@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 import sys
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from math import isqrt
 
 from ._record import Record, setfield
@@ -128,12 +127,17 @@ class AlgebraPresentation(Record):
     """A ring: an optional truncated generator tensored with a simple system.
 
     Equality and hashing see only the four fields, so two identical rings
-    built from different spaces compare equal.  The ``__dict__`` slot holds
-    the cached properties.
+    built from different spaces compare equal.  The constructor validates
+    the ring and, in the same pass over the generators, builds the tables
+    the engine reads, each in an underscore slot: per generator bit its
+    degree and its square rule (the target's bit, or _RULE_ZERO), the bit
+    of each label and of each degree, and the top degree.  The Steenrod
+    caches start empty.
     """
 
-    __slots__ = ("trunc", "simple_gens", "symbol", "y_symbol", "_y_field", "_square_terms",
-                 "__dict__")
+    __slots__ = ("trunc", "simple_gens", "symbol", "y_symbol", "_y_field", "_degree_of_bit",
+                 "_rule_of_bit", "_bit_of_label", "_bit_of_degree", "_top_degree",
+                 "_factor_options_cache", "_square_tracks", "_square_terms", "_zero")
 
     def __init__(self, trunc: Trunc | None, simple_gens: tuple[SimpleGenerator, ...],
                  symbol: str = "g", y_symbol: str = "y"):
@@ -141,98 +145,98 @@ class AlgebraPresentation(Record):
         setfield(self, "simple_gens", simple_gens)
         setfield(self, "symbol", symbol)
         setfield(self, "y_symbol", y_symbol)
-        if trunc is not None:
-            if trunc.degree < 1 or trunc.order < 1:
-                raise InvalidParameters(f"bad truncation {trunc}")
+        if trunc is not None and (trunc.degree < 1 or trunc.order < 1):
+            raise InvalidParameters(f"bad truncation {trunc}")
         order = trunc.order if trunc is not None else 1
         width = order.bit_length()
         # Monomial code layout: (generator bitmask << width) | y_exponent, with
-        # y_exponent < order.  A slot, not a cached property: mul_codes reads it
-        # per call.
+        # y_exponent < order.
         setfield(self, "_y_field", (width, (1 << width) - 1, order))
-        # Terms held in _square_tracks, kept at most SQUARE_TERM_CAP.
-        setfield(self, "_square_terms", 0)
         labels = [g.label for g in simple_gens]
         if labels != sorted(set(labels)):
             raise InvalidParameters("generator labels must be strictly increasing")
-        degree_of = {g.label: g.degree for g in simple_gens}
-        squared_onto: dict[int, int] = {}
+        bits = range(len(labels))
+        bit_of_label = dict(zip(labels, bits))
+        degrees = tuple([g.degree for g in simple_gens])
+        rules = []
+        squared_onto: dict[int, int] = {}  # target bit -> label of its source
         for g in simple_gens:
-            if g.degree < 1:
-                raise InvalidParameters(f"generator {g.label} must have positive degree")
-            if isinstance(g.square, int):
-                if g.square not in degree_of or g.square <= g.label:
+            label, degree, square = g.label, g.degree, g.square
+            if degree < 1:
+                raise InvalidParameters(f"generator {label} must have positive degree")
+            if isinstance(square, int):
+                target = bit_of_label.get(square)
+                if target is None or square <= label:
                     raise InvalidParameters(
-                        f"square target {g.square} of generator {g.label} is not a later generator"
+                        f"square target {square} of generator {label} is not a later generator"
                     )
-                if g.square in squared_onto:
+                if target in squared_onto:
                     raise InvalidParameters(
-                        f"generators {squared_onto[g.square]} and {g.label} both square onto "
-                        f"{g.square}; square targets must be distinct"
+                        f"generators {squared_onto[target]} and {label} both square onto "
+                        f"{square}; square targets must be distinct"
                     )
-                squared_onto[g.square] = g.label
-                if degree_of[g.square] != 2 * g.degree:
-                    raise InvalidParameters(
-                        f"square of generator {g.label} must double the degree"
-                    )
-            elif g.square != SQ_ZERO:
-                raise InvalidParameters(f"bad square rule {g.square!r}")
+                squared_onto[target] = label
+                if degrees[target] != 2 * degree:
+                    raise InvalidParameters(f"square of generator {label} must double the degree")
+                rules.append(target)
+            elif square != SQ_ZERO:
+                raise InvalidParameters(f"bad square rule {square!r}")
+            else:
+                rules.append(_RULE_ZERO)
+        bit_of_degree = dict(zip(degrees, bits))
         if trunc is None:
             # Borel's rule is keyed by degree, and its top square Sq^deg z must
             # be z^2: the generator of twice the degree, or zero without one
-            label_of_degree = {g.degree: g.label for g in simple_gens}
-            if len(label_of_degree) != len(simple_gens):
+            if len(bit_of_degree) != len(degrees):
                 raise InvalidParameters("generator degrees of an untruncated ring must be distinct")
-            for g in simple_gens:
-                if g.square != label_of_degree.get(2 * g.degree, SQ_ZERO):
+            for g, rule in zip(simple_gens, rules):
+                if rule != bit_of_degree.get(2 * g.degree, _RULE_ZERO):
                     raise InvalidParameters(
                         f"Borel's rule needs the square of generator {g.label} to be "
                         f"Sq^{g.degree} of it"
                     )
+        setfield(self, "_degree_of_bit", degrees)
+        setfield(self, "_rule_of_bit", tuple(rules))
+        setfield(self, "_bit_of_label", bit_of_label)
+        setfield(self, "_bit_of_degree", bit_of_degree)
+        setfield(self, "_top_degree", (order - 1) * self.y_degree + sum(degrees))
+        # {factor code: its options}, filled by _factor_options
+        setfield(self, "_factor_options_cache", {})
+        # {monomial code: its total square's track}, holding _square_terms
+        # terms in all, at most SQUARE_TERM_CAP
+        setfield(self, "_square_tracks", {})
+        setfield(self, "_square_terms", 0)
+        # The ring's one zero, made by zero() on its first call.  Until then a
+        # dropped ring is freed by reference counting alone; once made, the
+        # zero refers back to the ring, and that cycle waits for the cyclic
+        # garbage collector.
+        setfield(self, "_zero", None)
 
     # -- structure ---------------------------------------------------------
 
-    @cached_property
+    @property
     def order(self) -> int:
         return self._y_field[2]
 
-    @cached_property
+    @property
     def y_degree(self) -> int:
         return self.trunc.degree if self.trunc is not None else 0
 
-    @cached_property
+    @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(g.label for g in self.simple_gens)
+        return tuple(self._bit_of_label)
 
-    @cached_property
+    @property
     def num_gens(self) -> int:
         return len(self.simple_gens)
 
-    @cached_property
-    def _bit_of_label(self) -> dict[int, int]:
-        return {g.label: i for i, g in enumerate(self.simple_gens)}
-
-    @cached_property
-    def _bit_of_degree(self) -> dict[int, int]:
-        return {g.degree: i for i, g in enumerate(self.simple_gens)}
-
-    @cached_property
-    def _degree_of_bit(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.simple_gens)
-
-    @cached_property
-    def _rule_of_bit(self) -> tuple[int, ...]:
-        return tuple(_RULE_ZERO if g.square == SQ_ZERO else self._bit_of_label[g.square]
-                     for g in self.simple_gens)
-
-    @cached_property
+    @property
     def total_dimension(self) -> int:
-        return self.order * (1 << self.num_gens)
+        return self._y_field[2] << len(self.simple_gens)
 
-    @cached_property
+    @property
     def top_degree(self) -> int:
-        top = (self.order - 1) * self.y_degree
-        return top + sum(self._degree_of_bit)
+        return self._top_degree
 
     # -- monomials ---------------------------------------------------------
 
@@ -244,10 +248,11 @@ class AlgebraPresentation(Record):
         width, y_mask, _ = self._y_field
         y_exp = code & y_mask
         mask = code >> width
+        gens = self.simple_gens
         labels = []
         while mask:
             low = mask & -mask
-            labels.append(self.labels[low.bit_length() - 1])
+            labels.append(gens[low.bit_length() - 1].label)
             mask ^= low
         return y_exp, tuple(labels)
 
@@ -261,14 +266,6 @@ class AlgebraPresentation(Record):
             deg += degs[low.bit_length() - 1]
             mask ^= low
         return deg
-
-    @cached_property
-    def _factor_options_cache(self) -> dict[int, list[tuple[int, int]]]:
-        return {}
-
-    @cached_property
-    def _square_tracks(self) -> dict[int, dict[int, int]]:
-        return {}
 
     def monomial_name(self, code: int) -> str:
         y_exp, labels = self.unpack(code)
@@ -322,12 +319,11 @@ class AlgebraPresentation(Record):
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "Element":
-        return self._zero
-
-    # made on first use: one made in __init__ would put every ring in a cycle for the GC
-    @cached_property
-    def _zero(self) -> "Element":
-        return Element(self, frozenset())
+        zero = self._zero
+        if zero is None:
+            zero = Element(self, frozenset())
+            setfield(self, "_zero", zero)
+        return zero
 
     def y_power(self, e: int) -> "Element":
         if self.trunc is None:
@@ -731,7 +727,8 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     power is the only longest generator product.  A witness of more than
     CUP_WITNESS_CAP factors raises WorkCapExceeded before it is listed."""
     factors = [(p.y_symbol, p.order - 1)]
-    factors += [(f"{p.symbol}{p.labels[chain[0]]}", (1 << len(chain)) - 1) for chain in _chains(p)]
+    factors += [(f"{p.symbol}{p.simple_gens[chain[0]].label}", (1 << len(chain)) - 1)
+                for chain in _chains(p)]
     value = sum(count for _, count in factors)
     if value > CUP_WITNESS_CAP:
         raise WorkCapExceeded(f"cup-length witness of {value} factors exceeds cap {CUP_WITNESS_CAP}")
@@ -803,7 +800,7 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
                     factor[m] = f
     tail = max(range(size), key=length.__getitem__)  # the least such code
     best = length[tail]
-    names = [p.y_symbol] + [f"{p.symbol}{j}" for j in p.labels]
+    names = [p.y_symbol] + [f"{p.symbol}{g.label}" for g in p.simple_gens]
     word = []
     while length[tail] > 1:
         word.append(names[factor[tail]])

@@ -66,3 +66,19 @@ def test_only_gralg_handles_packed_bytes():
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in ("from_bytes", "to_bytes", "byteorder"), (
                     path.name, node.lineno)
+
+
+def test_records_keep_derived_tables_in_slots():
+    # a ring's derived tables are slots its constructor fills: no module
+    # caches values in a per-instance __dict__
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert "cached_property" not in names, (path.name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "cached_property", (path.name, node.lineno)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__slots__" for target in node.targets):
+                slots = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
+                assert "__dict__" not in slots, (path.name, node.lineno)

@@ -621,6 +621,78 @@ def test_presentation_rejects_unsorted_labels():
         )
 
 
+@pytest.mark.parametrize("trunc, gens, message", [
+    # the truncation, then the labels, before any generator's own fault
+    (Trunc(0, 2), ((2, 2), (1, 1)), "bad truncation Trunc(degree=0, order=2)"),
+    (None, ((2, 0), (1, 1)), "generator labels must be strictly increasing"),
+    (None, ((1, 1, 2), (1, 2)), "generator labels must be strictly increasing"),
+    # then each generator in turn, its degree before its square
+    (Trunc(1, 4), ((1, 0, "undetermined"),), "generator 1 must have positive degree"),
+    (Trunc(1, 4), ((1, 1, "undetermined"), (2, 0)), "bad square rule 'undetermined'"),
+    (None, ((1, 1, 2), (2, 0)), "square of generator 1 must double the degree"),
+    (None, ((2, 2, 2), (3, 1, 9)), "square target 2 of generator 2 is not a later generator"),
+    (None, ((1, 1, 4), (2, 2, 1), (4, 2)),
+     "square target 1 of generator 2 is not a later generator"),
+    (Trunc(1, 3), ((1, 1, 3), (2, 1, 3), (3, 2), (4, 3, 5), (5, 5)),
+     "generators 1 and 2 both square onto 3; square targets must be distinct"),
+    (None, ((1, 1, 3), (2, 1, 3), (3, 2), (4, 3, 5), (5, 5)),
+     "generators 1 and 2 both square onto 3; square targets must be distinct"),
+    (Trunc(1, 3), ((1, 1, 4), (2, 1, 3), (3, 2), (4, 3), (5, 3, 3)),
+     "square of generator 1 must double the degree"),
+    # on an untruncated ring, then distinct degrees, then Borel's rule
+    (None, ((1, 1, 2), (2, 3), (3, 3)), "square of generator 1 must double the degree"),
+    (None, ((1, 2), (2, 4), (3, 3, 4)), "square target 4 of generator 3 is not a later generator"),
+    (None, ((1, 2), (2, 4), (3, 4)),
+     "generator degrees of an untruncated ring must be distinct"),
+    (None, ((1, 2), (2, 3), (3, 4)), "Borel's rule needs the square of generator 1 to be Sq^2 of it"),
+])
+def test_first_fault_of_a_ring_is_reported(trunc, gens, message):
+    # of a ring's faults, the first in the order above is the one named
+    with pytest.raises(InvalidParameters) as info:
+        AlgebraPresentation(trunc, tuple(SimpleGenerator(*g) for g in gens))
+    assert str(info.value) == message
+
+
+def _reference_tables(p):
+    """The ring's derived values, each worked out on its own from the fields."""
+    gens = p.simple_gens
+    order = p.trunc.order if p.trunc is not None else 1
+    y_degree = p.trunc.degree if p.trunc is not None else 0
+    bit_of_label = {g.label: i for i, g in enumerate(gens)}
+    degree_of_bit = tuple(g.degree for g in gens)
+    return {
+        "order": order,
+        "y_degree": y_degree,
+        "labels": tuple(g.label for g in gens),
+        "num_gens": len(gens),
+        "total_dimension": order * (1 << len(gens)),
+        "top_degree": (order - 1) * y_degree + sum(degree_of_bit),
+        "_bit_of_label": bit_of_label,
+        "_bit_of_degree": {g.degree: i for i, g in enumerate(gens)},
+        "_degree_of_bit": degree_of_bit,
+        "_rule_of_bit": tuple(-1 if g.square == SQ_ZERO else bit_of_label[g.square] for g in gens),
+    }
+
+
+def _assert_tables_match_reference(p):
+    for name, want in _reference_tables(p).items():
+        got = getattr(p, name)
+        assert type(got) is type(want) and got == want, (p, name)
+
+
+def test_tables_match_the_reference_on_catalog_blocks():
+    for space in catalog(list(Family), range(1, 25)):
+        p = presentation(space)
+        for ring in (p,) + tensor_blocks(p):
+            _assert_tables_match_reference(ring)
+
+
+@given(random_presentations())
+@settings(max_examples=80, deadline=None)
+def test_tables_match_the_reference_on_random_presentations(p):
+    _assert_tables_match_reference(p)
+
+
 def test_presentation_identity_is_the_ring():
     p = P("RX:5,2")
     assert p == AlgebraPresentation(Trunc(1, 4), (SimpleGenerator(4, 4, SQ_ZERO),),
