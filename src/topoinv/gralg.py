@@ -6,13 +6,13 @@ products where squaring a generator either vanishes or lands on another
 generator of twice the degree.  Distinct generators square onto distinct
 targets, so the squares form chains j -> 2j -> 4j -> ... and the cup
 length has a closed form over them; an oracle re-derives it over generator
-words in (g+1)*N*2^g products.  The ring is the tensor product of y's
-factor and the chains, so tensor_blocks splits it into small blocks whose
-oracle values add up to the closed form.  Monomials are packed into
-single ints (a generator bitmask shifted over the y-exponent), so
-products, the oracle and Steenrod squares all run on machine words.  The
-y-exponent field of a code is sized per ring, to the bits of its
-truncation order.
+words in g*2^g products, one per generator on each generator mask.  The
+ring is the tensor product of y's factor and the chains, so tensor_blocks
+splits it into small blocks whose oracle values add up to the closed
+form.  Monomials are packed into single ints (a generator bitmask shifted
+over the y-exponent), so products, the oracle and Steenrod squares all
+run on machine words.  The y-exponent field of a code is sized per ring,
+to the bits of its truncation order.
 
 Steenrod squares follow one rule.  On an untruncated ring (RV, CV, HV)
 Borel's action Sq^t z = binom(deg z, t) * (the generator of degree
@@ -67,9 +67,9 @@ __all__ = [
 SQ_ZERO = "zero"
 
 # Largest total Z2-dimension the exhaustive cup-length oracle accepts.  At
-# 2^16 (RV:17,16, HV:16,16) it takes 0.2-0.5 s and under 1 MiB of peak RSS,
-# and its longest word, cap - 1 in Z2[y]/(y^cap), still fits the oracle's
-# 16-bit length array.
+# 2^16 (RV:17,16, HV:16,16) it takes 0.1-0.2 s and 0.32 MiB of traced peak
+# memory (2 vCPU), and its longest generator word, 2^16 - 1 for one chain of
+# 16 generators, still fits the oracle's 16-bit length array.
 ORACLE_DIMENSION_CAP = 1 << 16
 # Largest (generators + 1) * (series length) poincare accepts: it bounds the
 # bits of the one int the series is packed into, and the CLI prints one JSON
@@ -131,8 +131,9 @@ class AlgebraPresentation(Record):
     the ring and, in the same pass over the generators, builds the tables
     the engine reads, each in an underscore slot: per generator bit its
     degree and its square rule (the target's bit, or _RULE_ZERO), the bit
-    of each label and of each degree, and the top degree.  The Steenrod
-    caches start empty.
+    of each label, the top degree and, on an untruncated ring, where only
+    Borel's rule looks a generator up by degree, the bit of each degree.
+    The Steenrod caches start empty.
     """
 
     __slots__ = ("trunc", "simple_gens", "symbol", "y_symbol", "_y_field", "_degree_of_bit",
@@ -183,10 +184,10 @@ class AlgebraPresentation(Record):
                 raise InvalidParameters(f"bad square rule {square!r}")
             else:
                 rules.append(_RULE_ZERO)
-        bit_of_degree = dict(zip(degrees, bits))
         if trunc is None:
             # Borel's rule is keyed by degree, and its top square Sq^deg z must
             # be z^2: the generator of twice the degree, or zero without one
+            bit_of_degree = dict(zip(degrees, bits))
             if len(bit_of_degree) != len(degrees):
                 raise InvalidParameters("generator degrees of an untruncated ring must be distinct")
             for g, rule in zip(simple_gens, rules):
@@ -195,10 +196,10 @@ class AlgebraPresentation(Record):
                         f"Borel's rule needs the square of generator {g.label} to be "
                         f"Sq^{g.degree} of it"
                     )
+            setfield(self, "_bit_of_degree", bit_of_degree)
         setfield(self, "_degree_of_bit", degrees)
         setfield(self, "_rule_of_bit", tuple(rules))
         setfield(self, "_bit_of_label", bit_of_label)
-        setfield(self, "_bit_of_degree", bit_of_degree)
         setfield(self, "_top_degree", (order - 1) * self.y_degree + sum(degrees))
         # {factor code: its options}, filled by _factor_options
         setfield(self, "_factor_options_cache", {})
@@ -744,69 +745,47 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
         # a dimension of thousands of digits is past int-to-str's default limit
         shown = dim if dim.bit_length() <= 64 else f"at least 2^{dim.bit_length() - 1}"
         raise DimensionCapExceeded(f"total dimension {shown} exceeds oracle cap {ORACLE_DIMENSION_CAP}")
-    width, _, order = p._y_field
-    gens = p.num_gens
-    if order == 1 and not gens:
-        return CupResult(0, ())
+    order, gens = p.order, p.num_gens
     rules = p._rule_of_bit
-    size = (1 << gens) << width
-    # Indexed by code: the length of the longest generator word with that
-    # product (0 = not reached; 16 bits hold the cap - 1 of Z2[y]/(y^cap)),
-    # the code before its last factor, and that factor (0 for y, bit + 1 for
-    # a generator).  A prefix of a nonzero word is nonzero, so extending each
-    # reached code by each factor sees every word.  A product by y or by one
-    # generator raises the code (a square chain clears lower bits but sets a
-    # higher one), so in increasing code order every code is final before it
-    # is extended.  Typed views of bytearrays, so the sweep imports no module.
+    size = 1 << gens
+    # Indexed by mask: the length of the longest generator word with that
+    # product (16 bits hold 2^16 - 1, one chain of 16 generators at the
+    # cap), the mask before its last factor and that factor's bit.  Every
+    # mask is reached, by its own generators, and a product by a generator
+    # raises the mask (a square chain clears lower bits but sets a higher
+    # one), so in increasing order every mask is final before it is
+    # extended.  Typed views of bytearrays, so the sweep imports no module.
     length = memoryview(bytearray(2 * size)).cast("H")
-    parent = memoryview(bytearray(4 * size)).cast("I")
+    parent = memoryview(bytearray(2 * size)).cast("H")
     factor = bytearray(size)
-    if order > 1:
-        length[1] = 1
-    for i in range(gens):
-        length[1 << (width + i)] = 1
-    for mask in range(1 << gens):
-        base = mask << width
-        # (factor, product's mask << width) of each generator not killing
-        # this mask; the y-exponent rides along unchanged
-        steps = []
-        for i in range(gens):
-            bit = 1 << i
-            if not mask & bit:
-                steps.append((i + 1, (mask | bit) << width))
-                continue
-            m, j = mask ^ bit, i
-            while rules[j] >= 0:
-                j = rules[j]
-                if not m >> j & 1:
-                    steps.append((i + 1, (m | 1 << j) << width))
-                    break
-                m ^= 1 << j
-        for e in range(order):
-            c = base | e
-            n = length[c]
-            if not n:
-                continue
-            n += 1
-            if e + 1 < order and length[c + 1] < n:
-                length[c + 1] = n
-                parent[c + 1] = c
-                factor[c + 1] = 0
-            for f, m in steps:
-                m |= e
-                if length[m] < n:
-                    length[m] = n
-                    parent[m] = c
-                    factor[m] = f
-    tail = max(range(size), key=length.__getitem__)  # the least such code
-    best = length[tail]
-    names = [p.y_symbol] + [f"{p.symbol}{g.label}" for g in p.simple_gens]
+    steps = [(i, 1 << i) for i in range(gens)]
+    for mask in range(size):
+        n = length[mask] + 1
+        for i, bit in steps:
+            if mask & bit:  # g_i * g_i carries up the square chain of i, or vanishes
+                m, j = mask ^ bit, rules[i]
+                while j >= 0 and m >> j & 1:
+                    m ^= 1 << j
+                    j = rules[j]
+                if j < 0:
+                    continue
+                m |= 1 << j
+            else:
+                m = mask | bit
+            if length[m] < n:
+                length[m] = n
+                parent[m] = mask
+                factor[m] = i
+    # the least mask of greatest length, so y^(N-1) times it is the least
+    # code of greatest length
+    mask = max(range(size), key=length.__getitem__)
+    best = order - 1 + length[mask]
+    names = [f"{p.symbol}{g.label}" for g in p.simple_gens]
     word = []
-    while length[tail] > 1:
-        word.append(names[factor[tail]])
-        tail = parent[tail]
-    word.append(p.monomial_name(tail))
-    return CupResult(best, tuple(reversed(word)))
+    while mask:
+        word.append(names[factor[mask]])
+        mask = parent[mask]
+    return CupResult(best, (p.y_symbol,) * (order - 1) + tuple(reversed(word)))
 
 
 def cup_length(
@@ -820,12 +799,15 @@ def cup_length(
     repeated, in generator order.  EXHAUSTIVE_ORACLE reads no chains: a
     product of elements is nonzero only if some product of support
     monomials is, and a monomial is the product of its generators, so it
-    takes the longest nonzero word in y and the g_i, found by extending
-    each monomial reached by each generator in increasing code order, at
-    most (g+1)*N*2^g products worked out inline (no mul_codes call); the
-    witness is that word, ending at the least code of greatest length.
-    Three flat arrays indexed by code hold its state, at most 14 bytes per
-    basis monomial.  It refuses rings of total dimension above
+    takes the longest nonzero word in y and the g_i.  A product by y never
+    changes the generator mask and one by a generator never changes y's
+    exponent, so that word is y^(N-1) and the longest generator word, found
+    by extending each of the 2^g generator masks by each generator in
+    increasing order: at most g*2^g products, worked out inline (no
+    mul_codes call).  The witness is that word, ending at the least code of
+    greatest length.  Three flat arrays indexed by mask hold the sweep's
+    state, 5 bytes per generator mask whatever y's order N.  It refuses
+    rings of total dimension above
     ORACLE_DIMENSION_CAP with DimensionCapExceeded before any product.
     cup_report checks the closed form with the oracle on tensor_blocks.
 

@@ -428,6 +428,80 @@ def test_cup_oracle_dimension_cap():
     p = AlgebraPresentation(Trunc(1, ORACLE_DIMENSION_CAP), ())
     res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
     assert res.value == len(res.witness) == ORACLE_DIMENSION_CAP - 1
+    assert (res.value, res.witness) == _cup_oracle_per_code(p)
+
+
+def _cup_oracle_per_code(p):
+    """Reference for the oracle: the longest-word sweep over every monomial
+    code (mask << width | y-exponent) in increasing code order, extending
+    each reached code by y and by each generator, then the word ending at
+    the least code of greatest length, read back through each code's
+    parent.  Returns (value, witness)."""
+    width, _, order = p._y_field
+    gens = p.num_gens
+    if order == 1 and not gens:
+        return 0, ()
+    rules = p._rule_of_bit
+    size = (1 << gens) << width
+    # per code: word length (0 = not reached), parent code, last factor
+    # (0 for y, bit + 1 for a generator)
+    length, parent, factor = [0] * size, [0] * size, [0] * size
+    if order > 1:
+        length[1] = 1
+    for i in range(gens):
+        length[1 << (width + i)] = 1
+    for mask in range(1 << gens):
+        base = mask << width
+        steps = []
+        for i in range(gens):
+            bit = 1 << i
+            if not mask & bit:
+                steps.append((i + 1, (mask | bit) << width))
+                continue
+            m, j = mask ^ bit, i
+            while rules[j] >= 0:
+                j = rules[j]
+                if not m >> j & 1:
+                    steps.append((i + 1, (m | 1 << j) << width))
+                    break
+                m ^= 1 << j
+        for e in range(order):
+            c = base | e
+            n = length[c]
+            if not n:
+                continue
+            n += 1
+            if e + 1 < order and length[c + 1] < n:
+                length[c + 1], parent[c + 1], factor[c + 1] = n, c, 0
+            for f, m in steps:
+                m |= e
+                if length[m] < n:
+                    length[m], parent[m], factor[m] = n, c, f
+    tail = max(range(size), key=length.__getitem__)
+    best = length[tail]
+    names = [p.y_symbol] + [f"{p.symbol}{g.label}" for g in p.simple_gens]
+    word = []
+    while length[tail] > 1:
+        word.append(names[factor[tail]])
+        tail = parent[tail]
+    word.append(p.monomial_name(tail))
+    return best, tuple(reversed(word))
+
+
+def _assert_oracle_matches_per_code(p):
+    res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+    assert (res.value, res.witness) == _cup_oracle_per_code(p), p
+
+
+def test_oracle_matches_the_per_code_sweep_on_catalog_rings_and_blocks():
+    rings = [presentation(space) for space in catalog(list(Family), range(1, 13))]
+    rings = [p for p in rings if p.total_dimension <= ORACLE_DIMENSION_CAP]
+    assert len(rings) == 439
+    for p in rings:
+        _assert_oracle_matches_per_code(p)
+    for space in catalog(list(Family), range(1, 25)):
+        for block in tensor_blocks(presentation(space)):
+            _assert_oracle_matches_per_code(block)
 
 
 def _elementwise_cup(p):
@@ -502,6 +576,12 @@ def test_cup_modes_agree_on_random_presentations(p):
     assert a.value == b.value
 
 
+@given(random_presentations())
+@settings(max_examples=80, deadline=None)
+def test_oracle_matches_the_per_code_sweep_on_random_presentations(p):
+    _assert_oracle_matches_per_code(p)
+
+
 def _assert_witness_word_is_nonzero(p):
     res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
     factor_of = {f"{p.symbol}{j}": p.gen(j) for j in p.labels}
@@ -526,8 +606,8 @@ def test_oracle_witness_is_a_nonzero_generator_word(p):
 
 
 def test_oracle_makes_no_mul_codes_call_and_matches_the_closed_form(monkeypatch):
-    """The oracle works its products out inline: at most g+1 per reached
-    code, one by y and one per generator, so at most (g+1)*N*2^g in all."""
+    """The oracle works its products out inline: one per generator on each
+    generator mask, so at most g*2^g in all, whatever y's order N."""
 
     def refused(self, a, b):
         raise AssertionError("the oracle called mul_codes")
@@ -555,8 +635,7 @@ def test_oracle_witnesses_are_pinned():
         assert cup_length(P(spec), CupMode.EXHAUSTIVE_ORACLE).witness == tuple(word.split()), spec
 
 
-def test_oracle_peak_memory_is_under_one_mib():
-    p = P("FV:15,6")  # 2^14 basis monomials
+def _oracle_peak(p):
     tracemalloc.start()
     try:
         res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
@@ -564,7 +643,23 @@ def test_oracle_peak_memory_is_under_one_mib():
     finally:
         tracemalloc.stop()
     assert res.value == cup_length(p).value
-    assert peak <= 1 << 20, peak
+    return res, peak
+
+
+def test_oracle_peak_memory_is_five_bytes_per_generator_mask():
+    # 2^14 basis monomials but 2^11 generator masks: 10 KiB of arrays,
+    # then the witness
+    p = P("FV:15,6")
+    res, peak = _oracle_peak(p)
+    assert peak <= 5 * (1 << p.num_gens) + sys.getsizeof(res.witness) + (1 << 12), peak
+
+
+def test_oracle_peak_memory_on_the_y_only_ring_at_the_cap_is_its_witness():
+    # one generator mask, so beside its witness of cap - 1 factors of y
+    # (0.5 MiB) the sweep holds almost nothing
+    p = AlgebraPresentation(Trunc(1, ORACLE_DIMENSION_CAP), ())
+    res, peak = _oracle_peak(p)
+    assert peak <= sys.getsizeof(res.witness) + (1 << 12), peak
 
 
 @given(random_presentations())
@@ -660,7 +755,7 @@ def _reference_tables(p):
     y_degree = p.trunc.degree if p.trunc is not None else 0
     bit_of_label = {g.label: i for i, g in enumerate(gens)}
     degree_of_bit = tuple(g.degree for g in gens)
-    return {
+    tables = {
         "order": order,
         "y_degree": y_degree,
         "labels": tuple(g.label for g in gens),
@@ -668,16 +763,21 @@ def _reference_tables(p):
         "total_dimension": order * (1 << len(gens)),
         "top_degree": (order - 1) * y_degree + sum(degree_of_bit),
         "_bit_of_label": bit_of_label,
-        "_bit_of_degree": {g.degree: i for i, g in enumerate(gens)},
         "_degree_of_bit": degree_of_bit,
         "_rule_of_bit": tuple(-1 if g.square == SQ_ZERO else bit_of_label[g.square] for g in gens),
     }
+    if p.trunc is None:
+        # only Borel's rule, on untruncated rings, looks a generator up by degree
+        tables["_bit_of_degree"] = {g.degree: i for i, g in enumerate(gens)}
+    return tables
 
 
 def _assert_tables_match_reference(p):
-    for name, want in _reference_tables(p).items():
+    tables = _reference_tables(p)
+    for name, want in tables.items():
         got = getattr(p, name)
         assert type(got) is type(want) and got == want, (p, name)
+    assert hasattr(p, "_bit_of_degree") == ("_bit_of_degree" in tables), p
 
 
 def test_tables_match_the_reference_on_catalog_blocks():
