@@ -144,10 +144,10 @@ def table(args: SimpleNamespace) -> None:
         print(json.dumps(rows, indent=2, sort_keys=True))
 
 
-# Largest n of the grids: `verify --suite all --max-n 16` takes about 0.85-1.04 s
-# in process (2 vCPU, six fresh processes; by `--meta`, steenrod 0.59-0.72 s,
-# spectral 0.17-0.19 s, cup 0.04-0.05 s of it), and the steenrod spaces at
-# n = 17 cost 3x those at 16.
+# Largest n of the grids: `verify --suite all --max-n 16` takes about 0.67-0.92 s
+# in process (2 vCPU, eight fresh processes, median 0.73 s; by `--meta`,
+# steenrod 0.58-0.82 s, cup 0.04 s, spectral 0.012-0.017 s of it), and the
+# steenrod spaces at n = 17 cost 3x those at 16.
 _MAX_VERIFY_N = 16
 
 

@@ -24,9 +24,9 @@ class DimensionCapExceeded(TopoinvError):
 
 
 class WorkCapExceeded(TopoinvError):
-    """Estimated work exceeds a fixed cap: of a fiber (FIBER_CAP), a spectral
-    check (SS_WORK_CAP), a Poincare series (SERIES_WORK_CAP), a cup-length
-    witness (CUP_WITNESS_CAP), a binomial's lower index (BINOM_INDEX_CAP) or
-    a Steenrod pass's total square (SQUARE_TERM_CAP, 2^18 terms; its slowest
-    refusal measured, on a random RV:64,63 monomial, takes about 1.4 s and
-    91 MiB of peak RSS on 2 vCPU)."""
+    """Estimated work exceeds a fixed cap: of a fiber (FIBER_CAP), a Poincare
+    series (SERIES_WORK_CAP, which also bounds a spectral check's window), a
+    cup-length witness (CUP_WITNESS_CAP), a binomial's lower index
+    (BINOM_INDEX_CAP) or a Steenrod pass's total square (SQUARE_TERM_CAP,
+    2^18 terms; its slowest refusal measured, on a random RV:64,63
+    monomial, takes about 1.4 s and 91 MiB of peak RSS on 2 vCPU)."""

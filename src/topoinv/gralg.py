@@ -443,7 +443,8 @@ def _series_size(top: int, terms: int, degrees: list[int]) -> int:
     pi^2/(12 s).  So log q(e) <= e s + pi^2/(12 s), at least pi*sqrt(e/3) at
     its minimum, and q(e) <= e^(pi*sqrt(e/3)) < 2^(2.62*sqrt(e)) <=
     2^(isqrt(7e) + 1).  The bits of terms go on top, and the width is rounded
-    up to 1, 2, 4 or 8 bytes, a machine word of _counts, or whole bytes past 8.
+    up to 1, 2, 4 or 8 bytes, a machine word of _unpack's view, or whole
+    bytes past 8.
     """
     bits = len(degrees)
     partitions = isqrt(7 * top) + 1
@@ -451,23 +452,6 @@ def _series_size(top: int, terms: int, degrees: list[int]) -> int:
         bits = partitions
     size = (bits + terms.bit_length() + 7) // 8
     return 1 << (size - 1).bit_length() if size <= 8 else size
-
-
-def _counts(size: int, length: int):
-    """`length` zeroed counters in fields of `size` bytes, indexed by degree:
-    machine words of a bytearray up to 8 bytes (reversed on a big-endian
-    host, so index 0 is the lowest field), a list past 8."""
-    if size > 8:
-        return [0] * length
-    view = memoryview(bytearray(size * length)).cast(_WORD_FORMAT[size])
-    return view if sys.byteorder == "little" else view[::-1]
-
-
-def _pack(counts, size: int) -> int:
-    """The counters of _counts as one packed int, degree e in field e."""
-    if size > 8:
-        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
-    return int.from_bytes(counts.obj, sys.byteorder)
 
 
 def _unpack(packed: int, size: int, length: int) -> list[int]:
@@ -479,25 +463,24 @@ def _unpack(packed: int, size: int, length: int) -> list[int]:
     return (view if sys.byteorder == "little" else view[::-1]).tolist()
 
 
-def _series(top: int, size: int, base: int, step: int, degrees: Iterable[int]) -> list[int]:
-    """The coefficients up to t^top of base / (1 - t^step) * prod (1 + t^deg),
-    base packed in fields of `size` bytes; step 0 leaves out 1/(1 - t^step).
+def _series(top: int, d: int, terms: int, degrees: list[int]) -> list[int]:
+    """The coefficients up to t^top of (1 + t^d + ... + t^(d(terms-1))) *
+    prod (1 + t^deg): `terms` powers of a class of degree d (d = 0 for
+    none, with terms = 1) times an exterior algebra on `degrees`.
 
-    A series is one int, its polynomial taken at t = 2^b, b = 8*size.  That
-    evaluation is a ring map Z[t] -> Z, and truncation mod t^(top+1) is
-    reduction mod 2^(b(top+1)), a mask, so the result is exact modulo it
-    whatever the fields hold on the way, negative or past 2^b.  Decoding
-    reads every coefficient back when each lies in [0, 2^b), which the
-    caller proves with _series_size.  1/(1 - t^step) mod t^(top+1) is
-    (1 + t^step)(1 + t^2step)(1 + t^4step)... up to top, and each factor,
-    there or in the product, is one shift, one add and one mask.
+    A series is one int, its polynomial taken at t = 2^b, b = 8*size: the
+    powers are the repunit (2^(b*d*terms) - 1) / (2^(b*d) - 1), and each
+    factor (1 + t^deg) is one shift, one add and one mask.  Evaluation is a
+    ring map Z[t] -> Z, and truncation mod t^(top+1) is reduction mod
+    2^(b(top+1)), a mask.  A coefficient counts, over at most `terms`
+    powers, subsets of the degrees, so _series_size keeps each below 2^b
+    and decoding reads every one back.
     """
+    size = _series_size(top, terms, degrees)
     b = 8 * size
     mask = (1 << b * (top + 1)) - 1
-    c = base & mask
-    while 0 < step <= top:
-        c = (c + (c << b * step)) & mask
-        step *= 2
+    shift = b * d  # t^d is 1 << shift
+    c = ((1 << shift * terms) - 1) // ((1 << shift) - 1) & mask if d else 1
     for deg in degrees:
         c = (c + (c << b * deg)) & mask
     return _unpack(c, size, top + 1)
@@ -512,11 +495,8 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     (generators + 1) times that length exceeds SERIES_WORK_CAP it raises
     WorkCapExceeded before anything is built.
 
-    The series is _series of the y part 1 + t^d + ... + t^(d(T-1)), T =
-    min(N, top//d + 1) the y-powers in range (1 without y), times
-    (1 + t^deg) per generator of degree at most top; a coefficient counts,
-    over at most T y-powers, subsets of the generators, so _series_size
-    bounds it.
+    The series is _series of T = min(N, top//d + 1) y-powers in range (1
+    without y) times (1 + t^deg) per generator of degree at most top.
     """
     length = (p.top_degree if max_deg is None else max_deg) + 1
     work = (p.num_gens + 1) * length
@@ -527,13 +507,9 @@ def poincare(p: AlgebraPresentation, max_deg: int | None = None) -> list[int]:
     top = p.top_degree if max_deg is None else min(max_deg, p.top_degree)
     if top < 0:
         return []
-    degrees = [deg for deg in p._degree_of_bit if deg <= top]
     d = p.y_degree
     terms = min(p.order, top // d + 1) if d else 1
-    size = _series_size(top, terms, degrees)
-    shift = 8 * size * d  # t^d is 1 << shift at t = 2^(8*size)
-    base = ((1 << shift * terms) - 1) // ((1 << shift) - 1) if d else 1
-    return _series(top, size, base, 0, degrees)
+    return _series(top, d, terms, [deg for deg in p._degree_of_bit if deg <= top])
 
 
 # -- Steenrod squares --------------------------------------------------------

@@ -18,8 +18,9 @@ read only by serre_verify).  The truncation order N is the least m with
 an odd coefficient, found by bit arithmetic without listing the fiber
 (truncation_order).  A Stiefel ring is the fiber's simple system; a
 quotient ring is Z2[y]/(y^N) tensored with the fiber minus its generator
-m = N.  serre_verify rebuilds a quotient ring from the transgression
-differentials alone and compares graded dimensions.
+m = N.  serre_verify reads the limit of the transgression differentials
+in closed form, from one scan of the fiber's coefficients, and compares
+graded dimensions.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from collections.abc import Iterable
 
 from ._record import Record, setfield
 from .errors import InvalidParameters, WorkCapExceeded
-from .gralg import (SQ_ZERO, AlgebraPresentation, SimpleGenerator, Trunc, _counts, _pack,
-                    _series, _series_size, poincare)
+from .gralg import SQ_ZERO, AlgebraPresentation, SimpleGenerator, Trunc, _series, poincare
 from .parity import binom_parity
 
 __all__ = [
@@ -235,43 +235,35 @@ class SSReport(Record):
         setfield(self, "match", match)
 
 
-# Largest work estimate serre_verify accepts.
-SS_WORK_CAP = 1 << 21
-
-
 def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     """Check a quotient presentation against its transgression differentials.
 
-    Builds the window of the fiber-times-base bigraded Z2 vector space, lets
-    every fiber generator transgress with its binomial coefficient, extends
-    by the Leibniz rule, and computes graded dimensions of the limit.  A
-    generator with an even coefficient has zero differential, so by Kunneth
-    over Z2 the limit is the homology of the odd generators' complex tensored
-    with the exterior algebra on the even ones.  Only the odd part is ranked
-    over Z2 (bit-parallel Gaussian elimination); in one total degree a fiber
-    monomial fixes its base exponent, so the fiber mask is the column.  With
-    a bounded filtration the limit's total series equals the homology series
-    of the assembled differential.  The base ring is polynomial, so a mask's
-    row is the same in every degree, and degree d holds the masks of fiber
-    degree d0 <= d, d0 = d mod t (t the base degree): a running rank per
-    residue class, from one elimination fed in order of d0, since a fiber
-    degree is -1 mod t and rows of two classes share no column.  Neither
-    the truncation index nor the presentation enters the ranks; the
-    presentation is read only for the comparison.
+    In the Serre spectral sequence of the fiber bundle V -> X, generator m
+    of the fiber transgresses onto c_m y^m, c_m its binomial coefficient,
+    and the differentials extend by the Leibniz rule: the limit is the
+    homology of the Koszul complex over Z2[y] on the fiber generators.  A
+    generator with c_m even is a cycle and splits off an exterior factor.
+    Among the odd ones, with N the least m, x_m - y^(m-N) x_N is a cycle of
+    the same degree for every other m, so the homology is Z2[y]/(y^N)
+    tensored with the exterior algebra on every generator but x_N.  Its
+    series, (1 - t^(dN)) / (1 - t^d) * prod (1 + t^deg), is one
+    gralg._series call, truncated at the window; with no odd coefficient
+    it is Z2[y] up to the window.  The tests keep the row-by-row GF(2)
+    elimination of the complex as the reference that proves this lemma.
 
-    The limit is gralg._series, exact as shown there, of count - (1 + x)*gain,
-    the monomials and pivots per fiber degree, over 1 - x^t (the running
-    sums per residue class), times (1 + x^deg) per even generator.  Its
-    fields hold the E2 term, of which the limit is a subquotient: degree d
-    sums, over at most window // t + 1 base powers, the fiber subsets of
-    degree sum d, so gralg._series_size bounds it.
+    N comes from one scan of _fiber and _coefficient_parity: neither the
+    truncation order nor the presentation enters the limit, and the
+    presentation is read only for the comparison.  So a ring that drops
+    the wrong generator or truncates y at the wrong power fails, and the
+    first nonzero differential, on page d*N while x_N lies in the window
+    (0 otherwise), is a second route to truncation_order.  A fault in
+    _fiber, _coefficient_parity or gralg._series feeds both sides alike
+    and is invisible here; only an independent route to the coefficients
+    would see it.
 
     The window defaults to the manifold dimension; a generator above it is
-    in no monomial of the window and is left out.  Before any list is
-    built, the monomials ranked are bounded by 2^g * ((window + 1) // base
-    degree + 1), g the odd-coefficient generators in the window; a bound
-    above SS_WORK_CAP raises WorkCapExceeded, and so does a window whose
-    presentation series poincare refuses.  A row has at most 2^g bits.
+    in no class of the window and is left out.  A window whose
+    presentation series poincare refuses raises WorkCapExceeded.
     """
     if not space.family.is_projective:
         raise InvalidParameters(f"serre_verify applies to quotient families, not {space}")
@@ -280,48 +272,21 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     w = dimension(space) if window is None else window
     if w < 0:
         raise InvalidParameters("window must be nonnegative")
-
-    # (degree, m) of each odd-coefficient generator in the window, and the
-    # degree of each even one
-    odd, even = [], []
-    for _, d, m in fiber:
-        if d <= w:
-            if _coefficient_parity(space, m):
-                odd.append((d, m))
-            else:
-                even.append(d)
-    estimate = (1 << len(odd)) * ((w + 1) // t + 1)
-    if estimate > SS_WORK_CAP:
-        raise WorkCapExceeded(f"{space}: estimated work {estimate} exceeds cap {SS_WORK_CAP}")
-    # the presentation's series holds SERIES_WORK_CAP: refuse before any row
     pres = tuple(poincare(presentation(space), w))
     pres += (0,) * (w + 1 - len(pres))
 
-    # (fiber degree, mask, row) of each odd monomial in the window, by doubling:
-    # with generator i above every bit of S, row(S + i) = row(S) << 2^i | bit S
-    monomials = [(0, 0, 0)]
-    for i, (fdeg, _) in enumerate(odd):
-        monomials += [(d0 + fdeg, mask | 1 << i, row << (1 << i) | 1 << mask)
-                      for d0, mask, row in monomials if d0 + fdeg <= w]
-    size = _series_size(w, w // t + 1, [d for d, _ in odd] + even)
-    # what each fiber degree adds to the monomials and the rank
-    count, gain = _counts(size, w + 1), _counts(size, w + 1)
-    pivots: dict[int, int] = {}
-    for d0, _, row in sorted(monomials):
-        count[d0] += 1
-        while row:
-            p = row.bit_length()
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = row
-                gain[d0] += 1
-                break
-            row ^= other
-    rank = _pack(gain, size)
-    limit = tuple(_series(w, size, _pack(count, size) - rank - (rank << 8 * size), t, even))
-
-    # t * m = d + 1, so every generator left in `odd` is visible
-    first_page = min((t * m for _, m in odd), default=0)
+    # N, the first m with an odd coefficient, and the degrees of the other
+    # generators in the window
+    order, degrees = 0, []
+    for _, d, m in fiber:
+        if not order and _coefficient_parity(space, m):
+            order = m
+        elif d <= w:
+            degrees.append(d)
+    terms = w // t + 1
+    limit = tuple(_series(w, t, min(order, terms) if order else terms, degrees))
+    # x_N has degree t*N - 1
+    first_page = t * order if order and t * order <= w + 1 else 0
 
     return SSReport(
         space=space,

@@ -635,13 +635,13 @@ def test_verify_catches_a_planted_coefficient(monkeypatch, family, top, failures
 
 
 def test_verify_counts_a_cap_refusal_as_skipped(monkeypatch):
-    # a lowered work cap refuses the spectral check of the spaces with the
-    # most odd-coefficient generators: each is skipped and named, not failed
+    # a lowered fiber cap refuses the spectral check of the spaces with the
+    # most fiber generators: each is skipped and named, not failed
     import topoinv.spaces
     from topoinv.errors import WorkCapExceeded
     from topoinv.spaces import serre_verify
 
-    monkeypatch.setattr(topoinv.spaces, "SS_WORK_CAP", 64)
+    monkeypatch.setattr(topoinv.spaces, "FIBER_CAP", 4)
     spaces, refusals = catalog(["RX", "FV", "CX", "HX"], range(2, 9)), []
     for space in spaces:
         try:

@@ -1,5 +1,4 @@
 import tracemalloc
-from math import isqrt
 
 import pytest
 
@@ -13,6 +12,7 @@ from topoinv.spaces import (
     _fiber,
     catalog,
     dimension,
+    fiber_range,
     presentation,
     serre_verify,
     truncation_order,
@@ -242,6 +242,76 @@ def _serre_series_per_degree(space, w):
     return tuple(betti), min((t * m for _, m in odd), default=0)
 
 
+def _serre_series_running(space, w):
+    """Reference for serre_verify, and the proof of its closed form: the
+    transgression complex ranked row by row.  The odd-coefficient monomials
+    of the window are built by doubling and ranked by one running GF(2) elimination fed
+    in order of fiber degree; the even-coefficient generators multiply in
+    their exterior factor.
+
+    In one total degree a fiber monomial fixes its base exponent, so the
+    fiber mask is the column.  The base ring is polynomial, so a mask's
+    row is the same in every degree, and degree d holds the masks of fiber
+    degree d0 <= d, d0 = d mod t (t the base degree): the ranks are running
+    ranks per residue class, since a fiber degree is -1 mod t and rows of
+    two classes share no column.  The limit in degree d sums count - gain -
+    gain one degree down, the monomials and pivots per fiber degree, over
+    its residue class.
+    """
+    t = space.family.base_degree
+    odd, even = [], []
+    for _, d, m in _fiber(space):
+        if d <= w:
+            if _coefficient_parity(space, m):
+                odd.append((d, m))
+            else:
+                even.append(d)
+    # with generator i above every bit of S, row(S + i) = row(S) << 2^i | bit S
+    monomials = [(0, 0, 0)]
+    for i, (fdeg, _) in enumerate(odd):
+        monomials += [(d0 + fdeg, mask | 1 << i, row << (1 << i) | 1 << mask)
+                      for d0, mask, row in monomials if d0 + fdeg <= w]
+    count, gain = [0] * (w + 1), [0] * (w + 1)
+    pivots = {}
+    for d0, _, row in sorted(monomials):
+        count[d0] += 1
+        while row:
+            p = row.bit_length()
+            other = pivots.get(p)
+            if other is None:
+                pivots[p] = row
+                gain[d0] += 1
+                break
+            row ^= other
+    series = [count[d] - gain[d] - (gain[d - 1] if d else 0) for d in range(w + 1)]
+    for d in range(t, w + 1):
+        series[d] += series[d - t]
+    for fdeg in even:
+        for d in range(w, fdeg - 1, -1):
+            series[d] += series[d - fdeg]
+    return tuple(series), min((t * m for _, m in odd), default=0)
+
+
+def _old_estimate(space, w):
+    """The work estimate, 2^(odd-coefficient generators in the window) *
+    ((w + 1) // base degree + 1), above which serre_verify once refused."""
+    g = sum(1 for _, d, m in _fiber(space) if d <= w and _coefficient_parity(space, m))
+    return (1 << g) * ((w + 1) // space.family.base_degree + 1)
+
+
+# fields of 8, 16, 32 and 64 bits filled in the elimination's packed series,
+# and of 65 and 72 bits, past a machine word, each with two odd-coefficient
+# generators; the 74 generators of HX:128,127 in its window were bounded by
+# partitions
+_WIDE = [("RX:5,4", 10), ("CX:17,11", 40), ("CX:33,26", 100), ("RX:65,53", 2014),
+         ("RX:65,54", 2025), ("RX:65,60", 2070), ("HX:128,127", 300)]
+
+
+def _serre(space, w):
+    report = serre_verify(space, w)
+    return report.e_infinity_series, report.first_nonzero_differential_page
+
+
 def test_serre_running_ranks_match_per_degree_reference():
     # windows that drop generators (0, 3, 7), the top degree, and past it;
     # base degrees 1, 2 and 4 give one, two and four residue classes
@@ -249,22 +319,52 @@ def test_serre_running_ranks_match_per_degree_reference():
     cases = [(space, w) for space in spaces
              for w in (0, 3, 7, dimension(space), dimension(space) + 5)]
     assert len(spaces) == 217
-    # packed fields of 8, 16, 32 and 64 bits filled, and of 65 and 72 bits,
-    # past a machine word, each with two odd-coefficient generators; the 74
-    # generators of HX:128,127 in its window are bounded by partitions
-    wide = [("RX:5,4", 10), ("CX:17,11", 40), ("CX:33,26", 100), ("RX:65,53", 2014),
-            ("RX:65,54", 2025), ("RX:65,60", 2070), ("HX:128,127", 300)]
-    bits = []
-    for spec, w in wide:
-        space = SpaceId.parse(spec)
-        g = sum(1 for _, d, _ in _fiber(space) if d <= w)
-        bits.append(min(g, isqrt(7 * w) + 1) + (w // space.family.base_degree + 1).bit_length())
-        cases.append((space, w))
-    assert bits == [8, 16, 32, 64, 65, 72, 53]
+    cases += [(SpaceId.parse(spec), w) for spec, w in _WIDE]
     for space, w in cases:
-        report = serre_verify(space, w)
-        got = (report.e_infinity_series, report.first_nonzero_differential_page)
-        assert got == _serre_series_per_degree(space, w), (str(space), w)
+        want = _serre_series_per_degree(space, w)
+        assert _serre_series_running(space, w) == want, (str(space), w)
+        assert _serre(space, w) == want, (str(space), w)
+
+
+def test_serre_closed_form_matches_the_elimination_up_to_n_24():
+    # every window the elimination ranked within its old work cap, 2^21
+    spaces = catalog([Family.RX, Family.FV, Family.CX, Family.HX], range(2, 25))
+    cases = [(space, w) for space in spaces
+             for w in (0, 3, 7, dimension(space), dimension(space) + 5)]
+    within = [(space, w) for space, w in cases if _old_estimate(space, w) <= 1 << 21]
+    assert (len(cases), len(within)) == (4685, 4674)
+    for space, w in within + [(SpaceId.parse(spec), w) for spec, w in _WIDE]:
+        assert _serre(space, w) == _serre_series_running(space, w), (str(space), w)
+
+
+def test_serre_flags_a_planted_truncation_order(monkeypatch):
+    # truncation_order one too high wherever the fiber range allows: the
+    # closed form never reads it, so it flags exactly the rings whose series
+    # the elimination tells apart from the presentation
+    import topoinv.spaces
+
+    order = topoinv.spaces.truncation_order
+
+    def planted(space):
+        m = order(space)
+        return m + 1 if m + 1 in fiber_range(space) else m
+
+    monkeypatch.setattr(topoinv.spaces, "truncation_order", planted)
+    changed, refused, flagged = 0, 0, 0
+    for space in catalog([Family.RX, Family.FV, Family.CX, Family.HX], range(2, 17)):
+        if planted(space) == order(space):
+            assert serre_verify(space).match, str(space)
+            continue
+        changed += 1
+        try:
+            report = serre_verify(space)
+        except InvalidParameters:  # a square onto the omitted generator
+            refused += 1
+            continue
+        want = _serre_series_running(space, report.window)[0]
+        assert report.match == (want == report.presentation_series), str(space)
+        flagged += not report.match
+    assert (changed, refused, flagged) == (287, 42, 245)
 
 
 def test_serre_width_holds_where_the_limit_reaches_the_bound(monkeypatch):
@@ -288,13 +388,22 @@ def test_serre_width_holds_where_the_limit_reaches_the_bound(monkeypatch):
 
 
 def test_serre_costliest_space_up_to_sixteen():
-    # 14 odd generators, estimate 2^14 * 107 just under SS_WORK_CAP: the
-    # dearest spectral check of `verify --max-n 16`
+    # 14 odd generators, whose elimination ranked 2^14 * 107 monomials: the
+    # dearest spectral check of `verify --max-n 16` before the closed form
     space = SpaceId.parse("RX:15,14")
     report = serre_verify(space)
     assert report.match
     assert report.e_infinity_series == tuple(poincare(presentation(space)))
     assert report.first_nonzero_differential_page == 2
+
+
+def test_spectral_suite_checks_every_quotient_space_up_to_64():
+    # the closed form refuses none of the 6,977 quotient spaces with n <= 64,
+    # of which the elimination's work cap refused 1,234
+    from topoinv.checks import run_suites
+
+    (name, spaces, failures, warnings, skips, _, _), = run_suites("spectral", 64)
+    assert (name, spaces, failures, warnings, skips) == ("spectral", 6977, [], [], [])
 
 
 def test_serre_rejects_stiefel_families():
@@ -303,13 +412,18 @@ def test_serre_rejects_stiefel_families():
 
 
 def test_serre_work_cap():
-    with pytest.raises(WorkCapExceeded):
-        serre_verify(SpaceId.parse("RX:31,30"))  # 30 odd generators: estimate 2^30 * 467
+    # 30 odd generators, estimate 2^30 * 467: the elimination's work cap
+    # refused it, and the closed form answers
+    space = SpaceId.parse("RX:31,30")
+    report = serre_verify(space)
+    assert report.match
+    assert report.e_infinity_series == tuple(poincare(presentation(space)))
+    assert report.first_nonzero_differential_page == 2
 
 
 def test_serre_series_cap_refuses_before_any_row():
-    # the estimate, 2 * 2^20, passes SS_WORK_CAP; the series of 2^21 - 2
-    # degrees is over SERIES_WORK_CAP, and must be refused before the rows
+    # the series of 2^21 - 2 degrees is over SERIES_WORK_CAP, and must be
+    # refused before the limit's series is built
     tracemalloc.start()
     try:
         with pytest.raises(WorkCapExceeded):
@@ -322,10 +436,9 @@ def test_serre_series_cap_refuses_before_any_row():
 
 def test_serre_small_window_leaves_out_generators_above_it():
     # RX:31,k has only odd coefficients; a generator of degree q is in the window iff q <= w
-    for spec, window in (("RX:31,20", 0), ("RX:31,20", 12), ("RX:31,30", 16)):
+    # (17 generators at window 17, estimate 2^17 * 19, were past the old work cap)
+    for spec, window in (("RX:31,20", 0), ("RX:31,20", 12), ("RX:31,30", 16), ("RX:31,30", 17)):
         assert serre_verify(SpaceId.parse(spec), window).match, (spec, window)
-    with pytest.raises(WorkCapExceeded):
-        serre_verify(SpaceId.parse("RX:31,30"), 17)  # 17 generators: 2^17 * 19
 
 
 # -- catalog ----------------------------------------------------------------------
