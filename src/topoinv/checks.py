@@ -2,17 +2,17 @@
 
 Each grid suite maps one check over catalog spaces in this process; a
 check returns its failure, if any, as a message, and its expected
-warnings.  A cap refusal (WorkCapExceeded, DimensionCapExceeded) skips its
-space; any other TopoinvError raised while a check builds or reads a
-catalog ring is that space's failure: a broken catalog fails the suite, it
-is not bad input.  Only `verify` imports this module; no other command does.
+warnings.  A work-cap refusal (WorkCapExceeded) skips its space; any other
+TopoinvError raised while a check builds or reads a catalog ring is that
+space's failure: a broken catalog fails the suite, it is not bad input.
+Only `verify` imports this module; no other command does.
 """
 
 from __future__ import annotations
 
 import time
 
-from .errors import DimensionCapExceeded, TopoinvError, WorkCapExceeded
+from .errors import TopoinvError, WorkCapExceeded
 from .gralg import AlgebraPresentation, Element, poincare, steenrod_sq
 from .invariants import cup_report
 from .equivariant import Sphere, SymplecticGroup, feasibility
@@ -208,7 +208,7 @@ def run_suites(suite: str, max_n: int):
                 start = time.perf_counter()
                 try:
                     failure, found = check(space)
-                except (WorkCapExceeded, DimensionCapExceeded) as exc:
+                except WorkCapExceeded as exc:
                     skips.append(_named(space, exc))
                 except TopoinvError as exc:
                     failures.append(_named(space, exc))

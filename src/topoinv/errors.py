@@ -20,7 +20,7 @@ class UnsupportedPresentation(TopoinvError):
 
 
 class DimensionCapExceeded(TopoinvError):
-    """Total dimension exceeds the exhaustive cup-length oracle's fixed cap."""
+    """Generator masks exceed the exhaustive cup-length oracle's fixed cap."""
 
 
 class WorkCapExceeded(TopoinvError):

@@ -6,13 +6,13 @@ products where squaring a generator either vanishes or lands on another
 generator of twice the degree.  Distinct generators square onto distinct
 targets, so the squares form chains j -> 2j -> 4j -> ... and the cup
 length has a closed form over them; an oracle re-derives it over generator
-words in g*2^g products, one per generator on each generator mask.  The
-ring is the tensor product of y's factor and the chains, so tensor_blocks
-splits it into small blocks whose oracle values add up to the closed
-form.  Monomials are packed into single ints (a generator bitmask shifted
-over the y-exponent), so products, the oracle and Steenrod squares all
-run on machine words.  The y-exponent field of a code is sized per ring,
-to the bits of its truncation order.
+words in g*2^g products, one per generator on each of the 2^g masks its
+cap counts.  The ring is the tensor product of y's factor and the chains,
+so tensor_blocks groups the chains into blocks of few masks whose oracle
+values add up to the closed form.  Monomials are packed into single ints
+(a generator bitmask shifted over the y-exponent), so products, the oracle
+and Steenrod squares all run on machine words.  The y-exponent field of a
+code is sized per ring, to the bits of its truncation order.
 
 Steenrod squares follow one rule.  On an untruncated ring (RV, CV, HV)
 Borel's action Sq^t z = binom(deg z, t) * (the generator of degree
@@ -66,11 +66,11 @@ __all__ = [
 
 SQ_ZERO = "zero"
 
-# Largest total Z2-dimension the exhaustive cup-length oracle accepts.  At
-# 2^16 (RV:17,16, HV:16,16) it takes 0.1-0.2 s and 0.32 MiB of traced peak
-# memory (2 vCPU), and its longest generator word, 2^16 - 1 for one chain of
-# 16 generators, still fits the oracle's 16-bit length array.
-ORACLE_DIMENSION_CAP = 1 << 16
+# Most generator masks (2^g, y's order uncounted) the cup-length oracle
+# sweeps.  At 2^16 (RV:17,16, HV:16,16) it takes 0.1-0.2 s and 0.32 MiB of
+# traced peak memory (2 vCPU); the longest word there, 2^16 - 1 for one chain
+# of 16 generators, still fits the oracle's 16-bit length array.
+ORACLE_MASK_CAP = 1 << 16
 # Largest (generators + 1) * (series length) poincare accepts: it bounds the
 # bits of the one int the series is packed into, and the CLI prints one JSON
 # entry per degree.
@@ -82,9 +82,10 @@ SERIES_WORK_CAP = 1 << 20
 # builds has 320 terms); the seed-1 random monomial of RV:40,39 reaches it
 # after 0.6 s at 81 MiB (2 vCPU).
 SQUARE_TERM_CAP = 1 << 18
-# Most basis monomials of a tensor block.  A block costs about as much to
-# build as a small ring to sweep: on the cup-grid benchmark (2 vCPU) 2^4
-# made the median item 17% slower than 2^6, and 2^8 the 90th percentile 60%.
+# Most generator masks (y's order uncounted) of a tensor block, unless one
+# chain alone holds more.  A block costs about a small ring's sweep to build:
+# on cup-grid (2 vCPU) 2^4 made the median item 17% slower than 2^6, and 2^8
+# the 90th percentile 60%.
 TENSOR_BLOCK_CAP = 1 << 6
 # Longest cup-length witness the chain closed form lists, one entry per
 # factor: the CLI prints it, and at 2^20 factors (RX:1048576,2) a query
@@ -675,24 +676,25 @@ def _chains(p: AlgebraPresentation) -> list[list[int]]:
 
 
 def tensor_blocks(p: AlgebraPresentation) -> tuple[AlgebraPresentation, ...]:
-    """The ring as a tensor product of square-closed blocks: y in the
-    first, each chain whole in one, longest first, while a block stays
-    within TENSOR_BLOCK_CAP monomials (y or a chain alone above it is a
-    block of its own; a ring within it is its own one block).  Over a field
-    cup(A (x) B) = cup(A) + cup(B).  Only a block's products are meant: one
-    after the first has no y, so it takes Borel's rule for its squares."""
-    if p.total_dimension <= TENSOR_BLOCK_CAP:
+    """The ring as a tensor product of square-closed blocks: each chain
+    whole in one, longest first, while a block stays within
+    TENSOR_BLOCK_CAP generator masks (a chain alone above it is a block of
+    its own; a ring within it is its own one block), y's factor in the
+    first.  Over a field cup(A (x) B) = cup(A) + cup(B).  Only a block's
+    products are meant.  Later blocks of a truncated ring keep a truncation
+    of order 1, so they are validated as truncated, not by Borel's rule."""
+    if 1 << p.num_gens <= TENSOR_BLOCK_CAP:
         return (p,)
-    groups, bits, dim = [], [], p.order
+    groups, bits = [], []
     for chain in sorted(_chains(p), key=len, reverse=True):
-        if dim > 1 and dim << len(chain) > TENSOR_BLOCK_CAP:
+        if bits and 1 << (len(bits) + len(chain)) > TENSOR_BLOCK_CAP:
             groups.append(bits)
-            bits, dim = [], 1
+            bits = []
         bits += chain
-        dim <<= len(chain)
     groups.append(bits)
     gens = p.simple_gens
-    return tuple(AlgebraPresentation(p.trunc if i == 0 else None,
+    rest = None if p.trunc is None else Trunc(p.y_degree, 1)
+    return tuple(AlgebraPresentation(p.trunc if i == 0 else rest,
                                      tuple(gens[bit] for bit in sorted(bits)),
                                      p.symbol, p.y_symbol)
                  for i, bits in enumerate(groups))
@@ -716,20 +718,18 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
 
 
 def _cup_oracle(p: AlgebraPresentation) -> CupResult:
-    dim = p.total_dimension
-    if dim > ORACLE_DIMENSION_CAP:
-        # a dimension of thousands of digits is past int-to-str's default limit
-        shown = dim if dim.bit_length() <= 64 else f"at least 2^{dim.bit_length() - 1}"
-        raise DimensionCapExceeded(f"total dimension {shown} exceeds oracle cap {ORACLE_DIMENSION_CAP}")
     order, gens = p.order, p.num_gens
-    rules = p._rule_of_bit
     size = 1 << gens
+    if size > ORACLE_MASK_CAP:
+        raise DimensionCapExceeded(f"2^{gens} generator masks exceed oracle cap "
+                                   f"2^{ORACLE_MASK_CAP.bit_length() - 1}")
+    rules = p._rule_of_bit
     # Indexed by mask: the length of the longest generator word with that
-    # product (16 bits hold 2^16 - 1, one chain of 16 generators at the
-    # cap), the mask before its last factor and that factor's bit.  Every
-    # mask is reached, by its own generators, and a product by a generator
-    # raises the mask (a square chain clears lower bits but sets a higher
-    # one), so in increasing order every mask is final before it is
+    # product (16 bits hold the longest word at the cap, 2^16 - 1, one chain
+    # of 16 generators), the mask before its last factor and that factor's
+    # bit.  Every mask is reached, by its own generators, and a product by a
+    # generator raises the mask (a square chain clears lower bits but sets a
+    # higher one), so in increasing order every mask is final before it is
     # extended.  Typed views of bytearrays, so the sweep imports no module.
     length = memoryview(bytearray(2 * size)).cast("H")
     parent = memoryview(bytearray(2 * size)).cast("H")
@@ -756,6 +756,8 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
     # code of greatest length
     mask = max(range(size), key=length.__getitem__)
     best = order - 1 + length[mask]
+    if best > CUP_WITNESS_CAP:
+        raise WorkCapExceeded(f"cup-length witness of {best} factors exceeds cap {CUP_WITNESS_CAP}")
     names = [f"{p.symbol}{g.label}" for g in p.simple_gens]
     word = []
     while mask:
@@ -782,10 +784,10 @@ def cup_length(
     increasing order: at most g*2^g products, worked out inline (no
     mul_codes call).  The witness is that word, ending at the least code of
     greatest length.  Three flat arrays indexed by mask hold the sweep's
-    state, 5 bytes per generator mask whatever y's order N.  It refuses
-    rings of total dimension above
-    ORACLE_DIMENSION_CAP with DimensionCapExceeded before any product.
-    cup_report checks the closed form with the oracle on tensor_blocks.
+    state, 5 bytes per generator mask whatever y's order N.  Past
+    ORACLE_MASK_CAP masks it raises DimensionCapExceeded before any
+    product, and past CUP_WITNESS_CAP factors WorkCapExceeded before the
+    witness is listed.  cup_report checks the closed form on tensor_blocks.
 
     Every square is a generator or zero, so both modes give the exact cup
     length of the ring; the result's caveat is always False.

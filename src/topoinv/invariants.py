@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
-from .gralg import (ORACLE_DIMENSION_CAP, AlgebraPresentation, CupMode, CupResult, cup_length,
-                    tensor_blocks)
+from .gralg import AlgebraPresentation, CupMode, CupResult, cup_length, tensor_blocks
 from .spaces import SpaceId, dimension, fiber_range, presentation, truncation_order
 
 __all__ = [
@@ -202,8 +201,8 @@ class CupReport(Record):
         setfield(self, "violations", violations)
 
 
-# Oracle value of each tensor-block shape (order, square rules) met so far.
-_ORACLE_OF_SHAPE: dict[tuple[int, tuple[int, ...]], int] = {}
+# Longest generator word of each tensor-block shape (square rules) met so far.
+_ORACLE_OF_SHAPE: dict[tuple[int, ...], int] = {}
 
 
 def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupReport:
@@ -211,18 +210,18 @@ def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupRepor
     any violations; p is the space's ring when the caller has built it.
 
     The exact value comes from the square-chain closed form.  The
-    exhaustive oracle re-derives it as the sum of its values on the ring's
-    tensor blocks, and a disagreement raises TopoinvError (an internal
-    error, not a report).  The check is skipped only when the blocks'
-    dimensions sum past ORACLE_DIMENSION_CAP, which is tested before any
-    block is swept; no catalog space with n <= 64 comes near it.
-    A block's oracle value is a function of its shape, the key
-    (order, _rule_of_bit): the sweep reads only y's order and the square
-    rule of each generator bit, while labels, degrees and symbols only
-    name the witness, which is dropped here.  So each shape is swept once
-    per process and its value kept in _ORACLE_OF_SHAPE, one int per shape:
-    the catalog with n <= 16, 32 and 64 has 103, 150 and 184 shapes.  The
-    closed form is still computed and compared on every space.
+    exhaustive oracle re-derives it as y^(N-1) plus the longest generator
+    word of each of the ring's tensor blocks, and a disagreement raises
+    TopoinvError (an internal error, not a report).  No catalog block is
+    over the oracle's cap: a block of several chains holds at most 2^6
+    masks, and a chain q, 2q, ..., 2^(L-1)q needs consecutive real fiber
+    degrees, at most FIBER_CAP = 2^14 of them, so L <= 15, 2^15 masks.
+    A word's length depends only on the block's shape, the key _rule_of_bit
+    (labels, degrees and symbols only name the witness, dropped here), so
+    each shape is swept once per process and its length kept in
+    _ORACLE_OF_SHAPE: the catalog with n <= 16, 32 and 64 has 42, 44 and
+    45 shapes.  The closed form is still computed and compared on every
+    space.
     A bound smaller than the exact value is recorded as a violation, never
     suppressed: over all catalog spaces with n <= 40 the
     dimension-minus-index bound is exceeded exactly on RX:n,2 with n odd.
@@ -230,18 +229,15 @@ def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupRepor
     if p is None:
         p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
-    blocks = tensor_blocks(p)
-    if sum(block.total_dimension for block in blocks) <= ORACLE_DIMENSION_CAP:
-        oracle = 0
-        for block in blocks:
-            key = (block.order, block._rule_of_bit)
-            if key not in _ORACLE_OF_SHAPE:
-                _ORACLE_OF_SHAPE[key] = cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value
-            oracle += _ORACLE_OF_SHAPE[key]
-        if oracle != exact.value:
-            raise TopoinvError(
-                f"{space}: closed form gave {exact.value} but the oracle gave {oracle}"
-            )
+    oracle = p.order - 1
+    for block in tensor_blocks(p):
+        rules = block._rule_of_bit
+        if rules not in _ORACLE_OF_SHAPE:
+            value = cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value
+            _ORACLE_OF_SHAPE[rules] = value - (block.order - 1)
+        oracle += _ORACLE_OF_SHAPE[rules]
+    if oracle != exact.value:
+        raise TopoinvError(f"{space}: closed form gave {exact.value} but the oracle gave {oracle}")
     bounds: list[tuple[str, int]] = []
     catalog_bound = cup_bound_dim_minus_index(space)
     if catalog_bound is not None:

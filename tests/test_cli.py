@@ -104,9 +104,9 @@ def test_long_fibers_are_refused_at_once_and_orders_answer_for_every_n():
                             "exceed cap 16384")
     # a witness lists one factor per cup: y^(N-1) alone is over its cap
     _assert_refused_at_once(("cuplength", "RX:2097152,2"), "exceeds cap 1048576")
-    # a dimension of ten thousand digits is shown by its size
+    # the oracle names its generator masks by their power of two
     _assert_refused_at_once(("cuplength", "RX:16385,16384", "--mode", "oracle"),
-                            "total dimension at least 2^16397 exceeds oracle cap 65536")
+                            "2^16383 generator masks exceed oracle cap 2^16")
     start = time.perf_counter()
     data = payload(run("ucharrank", "CX:100000000,99999999"))
     assert time.perf_counter() - start < 2
@@ -436,12 +436,26 @@ def test_csv_column_count_is_constant():
 
 
 def test_oracle_over_its_cap_exits_2_with_one_error_line():
-    res = run("cuplength", "RV:18,17", "--mode", "oracle")  # dimension 2^17
-    assert res.exit_code == 2
-    assert isinstance(res.exception, SystemExit)
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error:") and "oracle cap 65536" in lines[0]
+    start = time.perf_counter()
+    res = run("cuplength", "RV:18,17", "--mode", "oracle")
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == ["error: 2^17 generator masks exceed oracle cap 2^16"]
+    assert res.stdout == ""
+    # like the closed form, the oracle lists no witness of more than 2^20 factors
+    _assert_refused_at_once(("cuplength", "RX:2097152,2", "--mode", "oracle"),
+                            "exceeds cap 1048576")
+
+
+def test_oracle_answers_where_only_y_is_large():
+    # y's order counts toward no oracle cap: CX:65537,1 has one generator mask
+    res = run("cuplength", "CX:65537,1", "--mode", "oracle")
+    assert res.exit_code == 0, res.output
+    assert payload(res)["result"]["value"] == 65536
+    res = run("cuplength", "RX:70000,2", "--mode", "oracle")
+    assert res.exit_code == 0, res.output
+    closed_form = payload(run("cuplength", "RX:70000,2"))["result"]["value"]
+    assert payload(res)["result"]["value"] == closed_form
 
 
 def test_work_cap_environment_variable_is_ignored(monkeypatch):
@@ -498,7 +512,7 @@ def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
 
 def test_verify_cross_checks_cup_length_up_to_the_oracle_cap(monkeypatch):
     # cup_report sums the oracle over tensor blocks, so it checks CX:16,11
-    # (2^14) and RV:18,17 (2^17, above the whole-ring oracle's cap) alike
+    # (2^10 masks) and RV:18,17 (2^17, above the whole-ring oracle's cap) alike
     # (run_suites records the error as that space's failure, naming it once)
     import topoinv.checks
     from topoinv.errors import TopoinvError
@@ -518,9 +532,28 @@ def test_verify_cross_checks_cup_length_up_to_the_oracle_cap(monkeypatch):
         assert failures[0].count(spec) == 1, failures
 
 
+def test_cup_report_cross_checks_the_longest_chain_a_fiber_allows(monkeypatch):
+    # RV:16385,16384 holds the chain g1 -> g2 -> ... -> g16384 of 15
+    # generators, 2^15 masks in one block: swept afresh within 2 s, and a
+    # wrong oracle is caught on it
+    import topoinv.invariants
+    from topoinv.errors import TopoinvError
+    from topoinv.invariants import cup_report
+
+    space = SpaceId.parse("RV:16385,16384")
+    start = time.perf_counter()
+    assert cup_report(space).exact.value == 1 << 17
+    assert time.perf_counter() - start < 2
+    chain = tuple(range(1, 15)) + (-1,)  # each bit squares onto the next
+    assert topoinv.invariants._ORACLE_OF_SHAPE[chain] == (1 << 15) - 1
+    _wrong_oracle(monkeypatch)
+    with pytest.raises(TopoinvError, match="RV:16385,16384: closed form gave"):
+        cup_report(space)
+
+
 def test_verify_cup_suite_sweeps_each_block_shape_once(monkeypatch):
-    # the 791 spaces of the grid split into blocks of 103 shapes (order,
-    # square rules), and the oracle sweeps each shape once
+    # the 791 spaces of the grid split into blocks of 42 shapes (square
+    # rules), and the oracle sweeps each shape once
     import topoinv.gralg
     from topoinv.invariants import cup_report
 
@@ -535,7 +568,7 @@ def test_verify_cup_suite_sweeps_each_block_shape_once(monkeypatch):
     res = run("verify", "--suite", "cup", "--max-n", "16")
     assert res.exit_code == 0, res.output
     assert "cup: 791 spaces, 0 failures" in res.stdout
-    assert len(sweeps) == 103
+    assert len(sweeps) == 42
     sweeps.clear()
     cup_report(SpaceId.parse("RV:16,15"))
     assert sweeps == []

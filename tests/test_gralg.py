@@ -14,7 +14,7 @@ from topoinv.errors import (
     WorkCapExceeded,
 )
 from topoinv.gralg import (
-    ORACLE_DIMENSION_CAP,
+    ORACLE_MASK_CAP,
     SERIES_WORK_CAP,
     SQ_ZERO,
     TENSOR_BLOCK_CAP,
@@ -381,17 +381,25 @@ def test_truncation_order_sizes_the_y_field():
     assert (a.value, a.caveat) == (b.value, b.caveat) == (1001, False)
 
 
-def test_cup_oracle_dimension_cap():
-    assert ORACLE_DIMENSION_CAP == 1 << 16
-    p = P("RV:18,17")  # dimension 2^17, over the cap
-    with pytest.raises(DimensionCapExceeded):
+def test_cup_oracle_mask_cap():
+    assert ORACLE_MASK_CAP == 1 << 16
+    p = P("RV:18,17")  # 2^17 generator masks, over the cap
+    with pytest.raises(DimensionCapExceeded) as info:
         cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
-    # a ring at the cap whose longest word, cap - 1 factors of y, is as
-    # long as a ring of that dimension allows
-    p = AlgebraPresentation(Trunc(1, ORACLE_DIMENSION_CAP), ())
+    assert str(info.value) == "2^17 generator masks exceed oracle cap 2^16"
+    # one chain of 16 generators at the cap: its longest word, 2^16 - 1
+    # factors, is the most the oracle's 16-bit lengths must hold
+    chain = [SimpleGenerator(1 << i, 1 << i, 2 << i) for i in range(15)]
+    p = AlgebraPresentation(None, tuple(chain) + (SimpleGenerator(1 << 15, 1 << 15),))
+    assert 1 << p.num_gens == ORACLE_MASK_CAP
     res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
-    assert res.value == len(res.witness) == ORACLE_DIMENSION_CAP - 1
-    assert (res.value, res.witness) == _cup_oracle_per_code(p)
+    assert res.value == len(res.witness) == ORACLE_MASK_CAP - 1 == cup_length(p).value
+    # y's order never counts: one generator mask, whatever the order
+    for order in (ORACLE_MASK_CAP, 4 * ORACLE_MASK_CAP):
+        p = AlgebraPresentation(Trunc(1, order), (SimpleGenerator(3, 3),))
+        res = cup_length(p, CupMode.EXHAUSTIVE_ORACLE)
+        assert res.value == len(res.witness) == order == cup_length(p).value
+    _assert_oracle_matches_per_code(AlgebraPresentation(Trunc(1, ORACLE_MASK_CAP), ()))
 
 
 def _cup_oracle_per_code(p):
@@ -458,7 +466,8 @@ def _assert_oracle_matches_per_code(p):
 
 def test_oracle_matches_the_per_code_sweep_on_catalog_rings_and_blocks():
     rings = [presentation(space) for space in catalog(list(Family), range(1, 13))]
-    rings = [p for p in rings if p.total_dimension <= ORACLE_DIMENSION_CAP]
+    # the per-code reference sweeps every monomial
+    rings = [p for p in rings if p.total_dimension <= 1 << 16]
     assert len(rings) == 439
     for p in rings:
         _assert_oracle_matches_per_code(p)
@@ -505,16 +514,16 @@ def test_cup_against_elementwise_enumeration():
 
 
 @st.composite
-def random_presentations(draw):
-    """Custom rings: optional truncation and random degrees.  Untruncated
-    rings take Borel's square (the generator of twice the degree, or zero);
-    truncated ones choose between zero and that generator."""
+def random_presentations(draw, degrees=st.lists(st.integers(1, 12), max_size=8)):
+    """Custom rings: optional truncation and random degrees, one generator
+    per distinct degree drawn.  Untruncated rings take Borel's square (the
+    generator of twice the degree, or zero); truncated ones choose between
+    zero and that generator."""
     if draw(st.booleans()):
         trunc = Trunc(draw(st.integers(1, 3)), draw(st.integers(1, 9)))
     else:
         trunc = None
-    degrees = draw(st.lists(st.integers(1, 12), min_size=0, max_size=8))
-    labels = sorted(set(degrees))
+    labels = sorted(set(draw(degrees)))
     gens = []
     for d in labels:
         doubled = [2 * d] if 2 * d in labels else []
@@ -539,10 +548,28 @@ def test_cup_modes_agree_on_random_presentations(p):
     assert a.value == b.value
 
 
-@given(random_presentations())
+G = SimpleGenerator
+# a truncated ring whose block after the first, g5 g9 g10 g18, breaks
+# Borel's rule (g5^2 = 0 beside g10): y^8, the chains g1 -> g2 -> g4,
+# g3 -> g6 and g9 -> g18, and g5 and g10 give 8 + 7 + 3 + 3 + 1 + 1 = 23
+_SPLIT_TRUNCATED_RING = AlgebraPresentation(Trunc(1, 9), (
+    G(1, 1, 2), G(2, 2, 4), G(3, 3, 6), G(4, 4), G(5, 5), G(6, 6), G(9, 9, 18), G(10, 10),
+    G(18, 18)))
+
+
+@given(st.one_of(random_presentations(),
+                 # more generators than a block's 2^6 masks hold, so it splits
+                 random_presentations(st.sets(st.integers(1, 16), min_size=7, max_size=10))))
+@example(_SPLIT_TRUNCATED_RING)
 @settings(max_examples=80, deadline=None)
 def test_oracle_matches_the_per_code_sweep_on_random_presentations(p):
-    _assert_oracle_matches_per_code(p)
+    # on the ring and each of its tensor blocks, whose oracle values add up
+    # to the closed form
+    blocks = tensor_blocks(p)
+    for ring in (p,) + blocks:
+        _assert_oracle_matches_per_code(ring)
+    total = sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value for block in blocks)
+    assert total == cup_length(p).value, p
 
 
 def _assert_witness_word_is_nonzero(p):
@@ -618,9 +645,10 @@ def test_oracle_peak_memory_is_five_bytes_per_generator_mask():
 
 
 def test_oracle_peak_memory_on_the_y_only_ring_at_the_cap_is_its_witness():
-    # one generator mask, so beside its witness of cap - 1 factors of y
-    # (0.5 MiB) the sweep holds almost nothing
-    p = AlgebraPresentation(Trunc(1, ORACLE_DIMENSION_CAP), ())
+    # y's order the size of the mask cap but one generator mask, so beside
+    # its witness of 2^16 - 1 factors of y (0.5 MiB) the sweep holds almost
+    # nothing
+    p = AlgebraPresentation(Trunc(1, ORACLE_MASK_CAP), ())
     res, peak = _oracle_peak(p)
     assert peak <= sys.getsizeof(res.witness) + (1 << 12), peak
 
@@ -772,26 +800,49 @@ def test_tensor_blocks_split_the_ring_into_square_closed_blocks():
     for space in _BLOCK_CATALOG:
         p = presentation(space)
         blocks = tensor_blocks(p)
-        product = 1
+        masks = 1
+        # y whole in the first block; on a truncated ring the others keep a
+        # truncation of order 1, y absent
+        later = None if p.trunc is None else Trunc(p.y_degree, 1)
         for i, block in enumerate(blocks):
-            product *= block.total_dimension
+            masks <<= block.num_gens
             labels = set(block.labels)
             # square-closed: every square target lies in the same block
             assert all(g.square == SQ_ZERO or g.square in labels for g in block.simple_gens)
-            # y only in the first block
-            assert block.trunc == (p.trunc if i == 0 else None), space
-            # within the cap, unless y or one chain alone is larger
+            assert block.trunc == (p.trunc if i == 0 else later), space
+            # within the cap, y's order uncounted, unless one chain alone is larger
             targets = {g.square for g in block.simple_gens}
             roots = [g for g in block.simple_gens if g.label not in targets]
-            alone = len(roots) + (block.order > 1) == 1
-            assert block.total_dimension <= TENSOR_BLOCK_CAP or alone, space
-        assert product == p.total_dimension, space
+            assert 1 << block.num_gens <= TENSOR_BLOCK_CAP or len(roots) == 1, space
+        # the masks multiply out to the ring's, and y's order is counted once
+        assert masks == 1 << p.num_gens, space
+        assert [block.order for block in blocks] == [p.order] + [1] * (len(blocks) - 1), space
         # every generator in exactly one block, with its own square
         gens = [g for block in blocks for g in block.simple_gens]
         assert sorted(gens, key=lambda g: g.label) == list(p.simple_gens), space
-    p = P("RX:5,2")
-    assert p.total_dimension <= TENSOR_BLOCK_CAP and tensor_blocks(p) == (p,)
-    assert tensor_blocks(P("RV:16,15"))[0].trunc is None
+    # a ring of at most 2^6 masks is its own one block, however long y is
+    for spec in ("RX:5,2", "CX:65537,1"):
+        p = P(spec)
+        assert tensor_blocks(p) == (p,), spec
+    # an untruncated ring's blocks have no truncation at all
+    assert all(block.trunc is None for block in tensor_blocks(P("RV:16,15")))
+
+
+def test_tensor_blocks_of_truncated_rings_need_not_follow_borels_rule():
+    # y^8, g1, g3, g5 and g10: 2^4 masks, so one block however long y is
+    small = AlgebraPresentation(Trunc(1, 9), (G(1, 1), G(3, 3), G(5, 5), G(10, 10)))
+    assert tensor_blocks(small) == (small,)
+    # a later block of a split ring keeps its squares, zero on g5 beside
+    # g10, which Borel's rule would refuse
+    blocks = tensor_blocks(_SPLIT_TRUNCATED_RING)
+    assert [block.labels for block in blocks] == [(1, 2, 3, 4, 6), (5, 9, 10, 18)]
+    assert blocks[1].trunc == Trunc(1, 1)
+    with pytest.raises(InvalidParameters, match="Borel's rule needs the square of generator 5"):
+        AlgebraPresentation(None, blocks[1].simple_gens)
+    for p, value in ((small, 12), (_SPLIT_TRUNCATED_RING, 23)):
+        blocks = tensor_blocks(p)
+        assert sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value for block in blocks) == value
+        assert cup_length(p).value == value
 
 
 def test_tensor_blocks_oracle_sum_is_the_closed_form_up_to_n_32():
