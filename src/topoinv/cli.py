@@ -78,8 +78,12 @@ def cuplength(args: SimpleNamespace) -> None:
     """Exact mod-2 cup length of SPACE_SPEC from its square chains."""
     space = SpaceId.parse(args.space_spec)
     p = presentation(space)
+    mode = CupMode(args.mode)
     report = cup_report(space, p) if args.with_bounds else None
-    res = cup_length(p, CupMode(args.mode))
+    if report is not None and mode is CupMode.GENERATOR_SEARCH:
+        res = report.exact  # the closed form, computed once
+    else:
+        res = cup_length(p, mode)
     warnings: list[str] = []
     result: dict = {"value": res.value, "witness": list(res.witness), "caveat": res.caveat}
     if report is not None:

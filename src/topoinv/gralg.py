@@ -8,11 +8,14 @@ targets, so the squares form chains j -> 2j -> 4j -> ... and the cup
 length has a closed form over them; an oracle re-derives it over generator
 words in g*2^g products, one per generator on each of the 2^g masks its
 cap counts.  The ring is the tensor product of y's factor and the chains,
-so tensor_blocks groups the chains into blocks of few masks whose oracle
-values add up to the closed form.  Monomials are packed into single ints
-(a generator bitmask shifted over the y-exponent), so products, the oracle
-and Steenrod squares all run on machine words.  The y-exponent field of a
-code is sized per ring, to the bits of its truncation order.
+so _block_bits groups the chains into blocks of few masks whose oracle
+values add up to the closed form; tensor_blocks builds their rings, while
+cup_report reads a block's shape off the ring's square rules and builds a
+block's ring only for a shape it has not swept.  Monomials are packed
+into single ints (a generator bitmask shifted over the y-exponent), so
+products, the oracle and Steenrod squares all run on machine words.  The
+y-exponent field of a code is sized per ring, to the bits of its
+truncation order.
 
 Steenrod squares follow one rule.  On an untruncated ring (RV, CV, HV)
 Borel's action Sq^t z = binom(deg z, t) * (the generator of degree
@@ -83,10 +86,13 @@ SERIES_WORK_CAP = 1 << 20
 # after 0.6 s at 81 MiB (2 vCPU).
 SQUARE_TERM_CAP = 1 << 18
 # Most generator masks (y's order uncounted) of a tensor block, unless one
-# chain alone holds more.  A block costs about a small ring's sweep to build:
-# on cup-grid (2 vCPU) 2^4 made the median item 17% slower than 2^6, and 2^8
-# the 90th percentile 60%.
-TENSOR_BLOCK_CAP = 1 << 6
+# chain alone holds more.  cup_report builds a block's ring only to sweep a
+# shape it has not met, so a block costs about its sweep, and smaller blocks
+# sweep fewer, smaller shapes.  On cup-grid (2 vCPU, 8 s runs, 4 alternating
+# rounds on each of seeds 1 and 7) 2^4 made wall_norm_s 6-7% lower than 2^6
+# and the 90th percentile item 22-26% lower, the median item 2-3% higher;
+# 2^8 made wall_norm_s 20% and the 90th percentile 12% higher than 2^6.
+TENSOR_BLOCK_CAP = 1 << 4
 # Longest cup-length witness the chain closed form lists, one entry per
 # factor: the CLI prints it, and at 2^20 factors (RX:1048576,2) a query
 # takes 0.5 s and prints 11 MB (2 vCPU).
@@ -675,45 +681,86 @@ def _chains(p: AlgebraPresentation) -> list[list[int]]:
     return chains
 
 
-def tensor_blocks(p: AlgebraPresentation) -> tuple[AlgebraPresentation, ...]:
-    """The ring as a tensor product of square-closed blocks: each chain
-    whole in one, longest first, while a block stays within
-    TENSOR_BLOCK_CAP generator masks (a chain alone above it is a block of
-    its own; a ring within it is its own one block), y's factor in the
-    first.  Over a field cup(A (x) B) = cup(A) + cup(B).  Only a block's
-    products are meant.  Later blocks of a truncated ring keep a truncation
-    of order 1, so they are validated as truncated, not by Borel's rule."""
+def _block_bits(p: AlgebraPresentation) -> list[list[int]]:
+    """The generator bits of each tensor block, ascending, y's block first:
+    each chain whole in one block, longest first, while a block stays
+    within TENSOR_BLOCK_CAP generator masks (a chain alone above it is a
+    block of its own).  A ring within the cap is its own one block, read
+    without walking its chains."""
     if 1 << p.num_gens <= TENSOR_BLOCK_CAP:
-        return (p,)
+        return [list(range(p.num_gens))]
     groups, bits = [], []
     for chain in sorted(_chains(p), key=len, reverse=True):
         if bits and 1 << (len(bits) + len(chain)) > TENSOR_BLOCK_CAP:
-            groups.append(bits)
+            groups.append(sorted(bits))
             bits = []
         bits += chain
-    groups.append(bits)
+    groups.append(sorted(bits))
+    return groups
+
+
+def _block_shapes(p: AlgebraPresentation) -> list[tuple[list[int], tuple[int, ...]]]:
+    """(generator bits, shape) of each tensor block of p, in the order of
+    tensor_blocks, with no block ring built: the shape is the block ring's
+    _rule_of_bit, p's square rules renumbered onto the block's bits (a
+    chain lies whole in one block, so every target does too)."""
+    rules = p._rule_of_bit
+    shapes = []
+    for bits in _block_bits(p):
+        if len(bits) < len(rules):
+            position = dict(zip(bits, range(len(bits))))
+            position[_RULE_ZERO] = _RULE_ZERO
+            shape = tuple([position[rules[bit]] for bit in bits])
+        else:
+            shape = rules
+        shapes.append((bits, shape))
+    return shapes
+
+
+def _block_ring(p: AlgebraPresentation, index: int, bits: list[int]) -> AlgebraPresentation:
+    """The ring of block `index` of _block_bits(p), on generator bits
+    `bits`: p itself when they are all of p's.  Only the first block keeps
+    y's truncation; later blocks of a truncated ring keep a truncation of
+    order 1, so they are validated as truncated, not by Borel's rule."""
+    if len(bits) == p.num_gens:
+        return p
+    trunc = p.trunc if index == 0 or p.trunc is None else Trunc(p.y_degree, 1)
     gens = p.simple_gens
-    rest = None if p.trunc is None else Trunc(p.y_degree, 1)
-    return tuple(AlgebraPresentation(p.trunc if i == 0 else rest,
-                                     tuple(gens[bit] for bit in sorted(bits)),
-                                     p.symbol, p.y_symbol)
-                 for i, bits in enumerate(groups))
+    return AlgebraPresentation(trunc, tuple([gens[bit] for bit in bits]), p.symbol, p.y_symbol)
+
+
+def tensor_blocks(p: AlgebraPresentation) -> tuple[AlgebraPresentation, ...]:
+    """The ring as a tensor product of square-closed blocks, grouped by
+    _block_bits and built by _block_ring.  Over a field cup(A (x) B) =
+    cup(A) + cup(B).  Only a block's products are meant.  cup_report reads
+    each block's shape off p's square rules and builds a block's ring only
+    on a memo miss, so a memo hit builds no block ring."""
+    return tuple(_block_ring(p, i, bits) for i, bits in enumerate(_block_bits(p)))
 
 
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     """A chain r -> r^2 -> ... of L generators is a tensor factor
     Z2[r]/(r^(2^L)), so it adds 2^L - 1; y^(N-1) times each root to that
-    power is the only longest generator product.  A witness of more than
-    CUP_WITNESS_CAP factors raises WorkCapExceeded before it is listed."""
-    factors = [(p.y_symbol, p.order - 1)]
-    factors += [(f"{p.symbol}{p.simple_gens[chain[0]].label}", (1 << len(chain)) - 1)
-                for chain in _chains(p)]
-    value = sum(count for _, count in factors)
+    power is the only longest generator product.  One walk of the square
+    rules finds every chain's root and length: a square's target sits at a
+    higher bit, so a bit no earlier rule reached is a root.  A witness of
+    more than CUP_WITNESS_CAP factors raises WorkCapExceeded before it is
+    listed."""
+    lengths: dict[int, int] = {}  # root bit -> its chain's length, by root
+    root_of: dict[int, int] = {}  # bit reached by a square -> its chain's root
+    for bit, rule in enumerate(p._rule_of_bit):
+        root = root_of.pop(bit, bit)
+        lengths[root] = lengths.get(root, 0) + 1
+        if rule >= 0:
+            root_of[rule] = root
+    y_count = p.order - 1
+    value = y_count + sum((1 << length) - 1 for length in lengths.values())
     if value > CUP_WITNESS_CAP:
         raise WorkCapExceeded(f"cup-length witness of {value} factors exceeds cap {CUP_WITNESS_CAP}")
-    witness: list[str] = []
-    for symbol, count in factors:
-        witness += [symbol] * count
+    witness = [p.y_symbol] * y_count
+    symbol, gens = p.symbol, p.simple_gens
+    for root, length in lengths.items():
+        witness += [f"{symbol}{gens[root].label}"] * ((1 << length) - 1)
     return CupResult(value, tuple(witness))
 
 
@@ -787,12 +834,16 @@ def cup_length(
     state, 5 bytes per generator mask whatever y's order N.  Past
     ORACLE_MASK_CAP masks it raises DimensionCapExceeded before any
     product, and past CUP_WITNESS_CAP factors WorkCapExceeded before the
-    witness is listed.  cup_report checks the closed form on tensor_blocks.
+    witness is listed.  A mode is a CupMode member or its value, such as
+    "oracle"; any other raises ValueError.  cup_report checks the closed
+    form against the oracle summed over the tensor blocks, sweeping a block
+    only when its shape is new, so a memo hit builds no block ring.
 
     Every square is a generator or zero, so both modes give the exact cup
     length of the ring; the result's caveat is always False.
     """
-    mode = CupMode(mode)
+    if mode.__class__ is not CupMode:
+        mode = CupMode(mode)
     if mode is CupMode.GENERATOR_SEARCH:
         return _cup_from_chains(p)
     return _cup_oracle(p)

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
-from .gralg import AlgebraPresentation, CupMode, CupResult, cup_length, tensor_blocks
+from .gralg import (
+    AlgebraPresentation,
+    CupMode,
+    CupResult,
+    _block_ring,
+    _block_shapes,
+    cup_length,
+)
 from .spaces import SpaceId, dimension, fiber_range, presentation, truncation_order
 
 __all__ = [
@@ -213,15 +220,18 @@ def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupRepor
     exhaustive oracle re-derives it as y^(N-1) plus the longest generator
     word of each of the ring's tensor blocks, and a disagreement raises
     TopoinvError (an internal error, not a report).  No catalog block is
-    over the oracle's cap: a block of several chains holds at most 2^6
+    over the oracle's cap: a block of several chains holds at most 2^4
     masks, and a chain q, 2q, ..., 2^(L-1)q needs consecutive real fiber
     degrees, at most FIBER_CAP = 2^14 of them, so L <= 15, 2^15 masks.
     A word's length depends only on the block's shape, the key _rule_of_bit
     (labels, degrees and symbols only name the witness, dropped here), so
     each shape is swept once per process and its length kept in
-    _ORACLE_OF_SHAPE: the catalog with n <= 16, 32 and 64 has 42, 44 and
-    45 shapes.  The closed form is still computed and compared on every
-    space.
+    _ORACLE_OF_SHAPE: the catalog with n <= 16, 32 and 64 has 16, 17 and
+    18 shapes.  A shape is read off p's square rules
+    (gralg._block_shapes), so a memo hit builds no block ring; a miss
+    builds that one block's ring, the one tensor_blocks returns, and sweeps
+    it.  The closed form is still
+    computed and compared on every space.
     A bound smaller than the exact value is recorded as a violation, never
     suppressed: over all catalog spaces with n <= 40 the
     dimension-minus-index bound is exceeded exactly on RX:n,2 with n odd.
@@ -230,12 +240,13 @@ def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupRepor
         p = presentation(space)
     exact = cup_length(p, CupMode.GENERATOR_SEARCH)
     oracle = p.order - 1
-    for block in tensor_blocks(p):
-        rules = block._rule_of_bit
-        if rules not in _ORACLE_OF_SHAPE:
-            value = cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value
-            _ORACLE_OF_SHAPE[rules] = value - (block.order - 1)
-        oracle += _ORACLE_OF_SHAPE[rules]
+    for index, (bits, shape) in enumerate(_block_shapes(p)):
+        word = _ORACLE_OF_SHAPE.get(shape)
+        if word is None:
+            block = _block_ring(p, index, bits)
+            word = cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value - (block.order - 1)
+            _ORACLE_OF_SHAPE[shape] = word
+        oracle += word
     if oracle != exact.value:
         raise TopoinvError(f"{space}: closed form gave {exact.value} but the oracle gave {oracle}")
     bounds: list[tuple[str, int]] = []

@@ -14,13 +14,16 @@ its symbols.  fiber_range(space) is the one place that knows the fiber's
 exponents, [n-k+1, n] or [n-2k+1, n] on FV.  Every ring is read from the
 table of its Stiefel fiber (_fiber), whose generator m transgresses onto
 y^m in the quotient with a binomial coefficient (_coefficient_parity,
-read only by serre_verify).  The truncation order N is the least m with
-an odd coefficient, found by bit arithmetic without listing the fiber
-(truncation_order).  A Stiefel ring is the fiber's simple system; a
-quotient ring is Z2[y]/(y^N) tensored with the fiber minus its generator
-m = N.  serre_verify reads the limit of the transgression differentials
-in closed form, from one scan of the fiber's coefficients, and compares
-graded dimensions.
+read only by serre_verify).  A generator's square is read off the
+fiber's arithmetic, not looked up: over R generator m squares onto
+2m - 1 while that is at most n, and over C and H never.  The truncation
+order N is the least m with an odd coefficient, found by bit arithmetic
+without listing the fiber (truncation_order).  A Stiefel ring is the
+fiber's simple system; a quotient ring is Z2[y]/(y^N) tensored with the
+fiber minus its generator m = N.  serre_verify reads the limit of the
+transgression differentials in closed form, from one scan of the
+coefficients over fiber_range, and compares graded dimensions; the
+fiber is listed once, by presentation.
 """
 
 from __future__ import annotations
@@ -197,22 +200,26 @@ def presentation(space: SpaceId) -> AlgebraPresentation:
     """The ring of any catalog space, read from its fiber table.
 
     Each generator squares to the fiber generator of twice its degree, or
-    to zero; only real degrees double into the fiber.  The target is
-    looked up over the whole fiber, so AlgebraPresentation would refuse a
-    square onto the omitted generator m = N.  None occurs: on RX and FV,
-    2j = N - 1 would make N odd; clearing the low bit of an odd N keeps
-    its binomial condition (a submask of n on RX, N & (k-1) = 0 on FV, by
-    Lucas), and N is the least m that meets it, so N - 1 lies just below
-    the range of m and is the lowest label, at most j.
+    to zero, and the fiber's arithmetic says which.  Over R generator m, of
+    degree m - 1, squares onto m' = 2m - 1, of label and degree 2m - 2,
+    exactly when 2m - 1 <= n (2m - 1 >= m lies above the range's start).
+    Over C and H no square lands in the fiber: 2(dm - 1) = dm' - 1 would
+    need d to divide 1.  AlgebraPresentation would refuse a square onto the
+    omitted generator m = N.  None occurs: on RX and FV, 2j = N - 1 would
+    make N odd; clearing the low bit of an odd N keeps its binomial
+    condition (a submask of n on RX, N & (k-1) = 0 on FV, by Lucas), and N
+    is the least m that meets it, so N - 1 lies just below the range of m
+    and is the lowest label, at most j.
     """
     fam = space.family
     fiber = _fiber(space)
-    label_of_degree = {degree: label for label, degree, _ in fiber}
     trunc, order = None, 0
     if fam.is_projective:
         order = truncation_order(space)
         trunc = Trunc(fam.base_degree, order)
-    gens = tuple(SimpleGenerator(label, degree, label_of_degree.get(2 * degree, SQ_ZERO))
+    # the highest fiber exponent a square lands on: n over R, none over C and H
+    top = space.n if fam.base_degree == 1 else 0
+    gens = tuple(SimpleGenerator(label, degree, 2 * degree if 2 * m - 1 <= top else SQ_ZERO)
                  for label, degree, m in fiber if m != order)
     return AlgebraPresentation(trunc, gens, symbol=fam.symbol, y_symbol=fam.y_symbol)
 
@@ -251,38 +258,41 @@ def serre_verify(space: SpaceId, window: int | None = None) -> SSReport:
     it is Z2[y] up to the window.  The tests keep the row-by-row GF(2)
     elimination of the complex as the reference that proves this lemma.
 
-    N comes from one scan of _fiber and _coefficient_parity: neither the
-    truncation order nor the presentation enters the limit, and the
-    presentation is read only for the comparison.  So a ring that drops
-    the wrong generator or truncates y at the wrong power fails, and the
-    first nonzero differential, on page d*N while x_N lies in the window
-    (0 otherwise), is a second route to truncation_order.  A fault in
-    _fiber, _coefficient_parity or gralg._series feeds both sides alike
-    and is invisible here; only an independent route to the coefficients
-    would see it.
+    N comes from one scan of the fiber's exponents and _coefficient_parity:
+    neither the truncation order nor the presentation enters the limit,
+    and the presentation is read only for the comparison.  So a ring that
+    drops the wrong generator or truncates y at the wrong power fails, and
+    the first nonzero differential, on page d*N while x_N lies in the
+    window (0 otherwise), is a second route to truncation_order.  A fault
+    in _coefficient_parity or gralg._series feeds both sides alike and is
+    invisible here; only an independent route to the coefficients would see
+    it.  The scan reads fiber_range and the degrees d*m - 1 without listing
+    the fiber, so a check lists it once, in presentation.
 
     The window defaults to the manifold dimension; a generator above it is
-    in no class of the window and is left out.  A window whose
-    presentation series poincare refuses raises WorkCapExceeded.
+    in no class of the window and is left out.  A fiber of more than
+    FIBER_CAP generators raises WorkCapExceeded, before the window is
+    checked, and so does a window whose presentation series poincare
+    refuses.
     """
     if not space.family.is_projective:
         raise InvalidParameters(f"serre_verify applies to quotient families, not {space}")
-    fiber = _fiber(space)
+    p = presentation(space)
     t = space.family.base_degree
     w = dimension(space) if window is None else window
     if w < 0:
         raise InvalidParameters("window must be nonnegative")
-    pres = tuple(poincare(presentation(space), w))
+    pres = tuple(poincare(p, w))
     pres += (0,) * (w + 1 - len(pres))
 
-    # N, the first m with an odd coefficient, and the degrees of the other
-    # generators in the window
+    # N, the first m with an odd coefficient, and the degrees t*m - 1 of the
+    # other generators in the window
     order, degrees = 0, []
-    for _, d, m in fiber:
+    for m in fiber_range(space):
         if not order and _coefficient_parity(space, m):
             order = m
-        elif d <= w:
-            degrees.append(d)
+        elif t * m - 1 <= w:
+            degrees.append(t * m - 1)
     terms = w // t + 1
     limit = tuple(_series(w, t, min(order, terms) if order else terms, degrees))
     # x_N has degree t*N - 1

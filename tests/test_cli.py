@@ -552,7 +552,7 @@ def test_cup_report_cross_checks_the_longest_chain_a_fiber_allows(monkeypatch):
 
 
 def test_verify_cup_suite_sweeps_each_block_shape_once(monkeypatch):
-    # the 791 spaces of the grid split into blocks of 42 shapes (square
+    # the 791 spaces of the grid split into blocks of 16 shapes (square
     # rules), and the oracle sweeps each shape once
     import topoinv.gralg
     from topoinv.invariants import cup_report
@@ -568,7 +568,7 @@ def test_verify_cup_suite_sweeps_each_block_shape_once(monkeypatch):
     res = run("verify", "--suite", "cup", "--max-n", "16")
     assert res.exit_code == 0, res.output
     assert "cup: 791 spaces, 0 failures" in res.stdout
-    assert len(sweeps) == 42
+    assert len(sweeps) == 16
     sweeps.clear()
     cup_report(SpaceId.parse("RV:16,15"))
     assert sweeps == []
@@ -608,6 +608,26 @@ def test_cuplength_with_bounds_builds_the_ring_once(monkeypatch):
     res = run("cuplength", "RX:5,2", "--with-bounds")
     assert res.exit_code == 0, res.output
     assert built == [SpaceId.parse("RX:5,2")]
+
+
+def test_cuplength_with_bounds_reads_the_closed_form_once(monkeypatch):
+    # cup_report's closed form is the query's value in generators mode
+    import topoinv.gralg
+
+    calls = []
+    closed_form = topoinv.gralg._cup_from_chains
+
+    def counted(p):
+        calls.append(p)
+        return closed_form(p)
+
+    monkeypatch.setattr(topoinv.gralg, "_cup_from_chains", counted)
+    plain = payload(run("cuplength", "RV:11,10"))
+    assert len(calls) == 1
+    calls.clear()
+    bounded = payload(run("cuplength", "RV:11,10", "--with-bounds"))
+    assert len(calls) == 1
+    assert bounded["result"] == {**plain["result"], "bounds": [], "violations": []}
 
 
 def test_cup_disagreement_in_a_query_exits_1_without_traceback(monkeypatch):

@@ -340,6 +340,14 @@ def test_cup_examples():
     assert cup_length(P("HX:5,2"), CupMode.EXHAUSTIVE_ORACLE).value == 4
 
 
+def test_cup_length_takes_a_mode_or_its_value():
+    p = P("RV:8,7")
+    for mode in CupMode:
+        assert cup_length(p, mode.value) == cup_length(p, mode)
+    with pytest.raises(ValueError):
+        cup_length(p, "search")
+
+
 def test_cup_of_trivial_algebra():
     trivial = AlgebraPresentation(Trunc(1, 1), ())
     for mode in CupMode:
@@ -549,7 +557,7 @@ def test_cup_modes_agree_on_random_presentations(p):
 
 
 G = SimpleGenerator
-# a truncated ring whose block after the first, g5 g9 g10 g18, breaks
+# a truncated ring whose last block, g5 g10, breaks
 # Borel's rule (g5^2 = 0 beside g10): y^8, the chains g1 -> g2 -> g4,
 # g3 -> g6 and g9 -> g18, and g5 and g10 give 8 + 7 + 3 + 3 + 1 + 1 = 23
 _SPLIT_TRUNCATED_RING = AlgebraPresentation(Trunc(1, 9), (
@@ -558,7 +566,7 @@ _SPLIT_TRUNCATED_RING = AlgebraPresentation(Trunc(1, 9), (
 
 
 @given(st.one_of(random_presentations(),
-                 # more generators than a block's 2^6 masks hold, so it splits
+                 # more generators than a block's 2^4 masks hold, so it splits
                  random_presentations(st.sets(st.integers(1, 16), min_size=7, max_size=10))))
 @example(_SPLIT_TRUNCATED_RING)
 @settings(max_examples=80, deadline=None)
@@ -820,7 +828,7 @@ def test_tensor_blocks_split_the_ring_into_square_closed_blocks():
         # every generator in exactly one block, with its own square
         gens = [g for block in blocks for g in block.simple_gens]
         assert sorted(gens, key=lambda g: g.label) == list(p.simple_gens), space
-    # a ring of at most 2^6 masks is its own one block, however long y is
+    # a ring of at most 2^4 masks is its own one block, however long y is
     for spec in ("RX:5,2", "CX:65537,1"):
         p = P(spec)
         assert tensor_blocks(p) == (p,), spec
@@ -835,10 +843,10 @@ def test_tensor_blocks_of_truncated_rings_need_not_follow_borels_rule():
     # a later block of a split ring keeps its squares, zero on g5 beside
     # g10, which Borel's rule would refuse
     blocks = tensor_blocks(_SPLIT_TRUNCATED_RING)
-    assert [block.labels for block in blocks] == [(1, 2, 3, 4, 6), (5, 9, 10, 18)]
-    assert blocks[1].trunc == Trunc(1, 1)
+    assert [block.labels for block in blocks] == [(1, 2, 4), (3, 6, 9, 18), (5, 10)]
+    assert blocks[2].trunc == Trunc(1, 1)
     with pytest.raises(InvalidParameters, match="Borel's rule needs the square of generator 5"):
-        AlgebraPresentation(None, blocks[1].simple_gens)
+        AlgebraPresentation(None, blocks[2].simple_gens)
     for p, value in ((small, 12), (_SPLIT_TRUNCATED_RING, 23)):
         blocks = tensor_blocks(p)
         assert sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value for block in blocks) == value

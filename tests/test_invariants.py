@@ -198,7 +198,7 @@ def test_cup_report_checks_the_value_with_the_block_oracle(monkeypatch):
     with pytest.raises(TopoinvError, match="RX:5,2: closed form gave 4 but the oracle gave 3"):
         cup_report(SpaceId.parse("RX:5,2"))
     # a ring of several blocks is checked too: each block's oracle is one short
-    with pytest.raises(TopoinvError, match="RV:16,15: closed form gave 32 but the oracle gave 29"):
+    with pytest.raises(TopoinvError, match="RV:16,15: closed form gave 32 but the oracle gave 28"):
         cup_report(SpaceId.parse("RV:16,15"))
 
 
@@ -214,10 +214,44 @@ def test_oracle_memo_holds_a_fresh_sweep_of_every_shape_up_to_n_32():
         for block in tensor_blocks(presentation(space)):
             block_of_shape.setdefault(block._rule_of_bit, block)
     memo = topoinv.invariants._ORACLE_OF_SHAPE
-    assert memo.keys() == block_of_shape.keys() and len(memo) == 44
+    assert memo.keys() == block_of_shape.keys() and len(memo) == 17
     for shape, block in block_of_shape.items():
         word = cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value - (block.order - 1)
         assert memo[shape] == word, shape
+
+
+def test_cup_report_reads_the_shapes_of_tensor_blocks_up_to_n_32():
+    # the shapes are read off the ring's square rules, no block ring built;
+    # they are the rules of the rings tensor_blocks builds, block by block
+    from topoinv.gralg import _block_shapes, tensor_blocks
+
+    spaces = catalog(list(Family), range(1, 33))
+    assert len(spaces) == 3249
+    for space in spaces:
+        p = presentation(space)
+        assert (tuple(shape for _, shape in _block_shapes(p))
+                == tuple(block._rule_of_bit for block in tensor_blocks(p))), space
+
+
+def test_cup_report_builds_no_block_ring_on_a_memo_hit(monkeypatch):
+    # once the memo holds every shape, cup_report builds each space's own
+    # ring and no other
+    from topoinv.gralg import AlgebraPresentation
+
+    spaces = catalog(list(Family), range(1, 17))
+    for space in spaces:
+        cup_report(space)
+    built = []
+    init = AlgebraPresentation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", counted)
+    for space in spaces:
+        cup_report(space)
+    assert len(built) == len(spaces) == 793
 
 
 def test_cup_report_catches_a_closed_form_fault_on_shapes_already_swept(monkeypatch):

@@ -3,7 +3,14 @@ import tracemalloc
 import pytest
 
 from topoinv.errors import InvalidParameters, WorkCapExceeded
-from topoinv.gralg import SQ_ZERO, poincare, steenrod_sq
+from topoinv.gralg import (
+    SQ_ZERO,
+    AlgebraPresentation,
+    SimpleGenerator,
+    Trunc,
+    poincare,
+    steenrod_sq,
+)
 from topoinv.spaces import (
     FIBER_CAP,
     Family,
@@ -137,6 +144,28 @@ def test_truncation_order_is_the_fiber_tables_least_odd_coefficient():
     assert len(spaces) == 13153
 
 
+def _presentation_by_degree_lookup(space):
+    """Reference for presentation: each generator's square looked up by
+    twice its degree over the whole fiber, the omitted generator N too."""
+    fam = space.family
+    fiber = _fiber(space)
+    label_of_degree = {degree: label for label, degree, _ in fiber}
+    trunc, order = None, 0
+    if fam.is_projective:
+        order = truncation_order(space)
+        trunc = Trunc(fam.base_degree, order)
+    gens = tuple(SimpleGenerator(label, degree, label_of_degree.get(2 * degree, SQ_ZERO))
+                 for label, degree, m in fiber if m != order)
+    return AlgebraPresentation(trunc, gens, symbol=fam.symbol, y_symbol=fam.y_symbol)
+
+
+def test_squares_from_the_fiber_arithmetic_match_the_degree_lookup():
+    spaces = catalog(list(Family), range(1, 65))
+    assert len(spaces) == 13153
+    for space in spaces:
+        assert repr(presentation(space)) == repr(_presentation_by_degree_lookup(space)), space
+
+
 def test_fiber_cap_refuses_before_any_list_is_built():
     # the order lists nothing, so it answers for every n (values found by a scan)
     assert truncation_order(SpaceId(Family.CX, 10**8, 10**8 - 1)) == 256
@@ -159,6 +188,24 @@ def test_fiber_cap_refuses_before_any_list_is_built():
 
 
 # -- spectral sequence ----------------------------------------------------------
+
+
+def test_spectral_check_lists_the_fiber_once(monkeypatch):
+    # the scan reads fiber_range; only presentation lists the fiber
+    import topoinv.spaces
+
+    calls = []
+    fiber = topoinv.spaces._fiber
+
+    def counted(space):
+        calls.append(space)
+        return fiber(space)
+
+    monkeypatch.setattr(topoinv.spaces, "_fiber", counted)
+    spaces = catalog([Family.RX, Family.FV, Family.CX, Family.HX], range(2, 13))
+    for space in spaces:
+        assert serre_verify(space).match, space
+    assert calls == spaces
 
 
 def test_serre_real_projective_small():
