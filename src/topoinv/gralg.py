@@ -11,11 +11,13 @@ cap counts.  The ring is the tensor product of y's factor and the chains,
 so _block_bits groups the chains into blocks of few masks whose oracle
 values add up to the closed form; tensor_blocks builds their rings, while
 cup_report reads a block's shape off the ring's square rules and builds a
-block's ring only for a shape it has not swept.  Monomials are packed
-into single ints (a generator bitmask shifted over the y-exponent), so
-products, the oracle and Steenrod squares all run on machine words.  The
-y-exponent field of a code is sized per ring, to the bits of its
-truncation order.
+block's ring only for a shape it has not swept.  A ring is validated and
+its tables filled in one pass over its generators, and its square rules
+are walked into chains once, on the first ask, for the closed form and
+the block grouping alike (_chains).  Monomials are packed into single
+ints (a generator bitmask shifted over the y-exponent), so products, the
+oracle and Steenrod squares all run on machine words.  The y-exponent
+field of a code is sized per ring, to the bits of its truncation order.
 
 Steenrod squares follow one rule.  On an untruncated ring (RV, CV, HV)
 Borel's action Sq^t z = binom(deg z, t) * (the generator of degree
@@ -135,17 +137,21 @@ class AlgebraPresentation(Record):
 
     Equality and hashing see only the four fields, so two identical rings
     built from different spaces compare equal.  The constructor validates
-    the ring and, in the same pass over the generators, builds the tables
-    the engine reads, each in an underscore slot: per generator bit its
-    degree and its square rule (the target's bit, or _RULE_ZERO), the bit
-    of each label, the top degree and, on an untruncated ring, where only
-    Borel's rule looks a generator up by degree, the bit of each degree.
-    The Steenrod caches start empty.
+    the ring and, in one pass over the generators, builds the tables the
+    engine reads, each in an underscore slot: per generator bit its degree
+    and its square rule (the target's bit, or _RULE_ZERO), the bit of each
+    label, the top degree and, on an untruncated ring, where only Borel's
+    rule looks a generator up by degree, the bit of each degree.  A
+    square's target is a later generator, so a short second loop over the
+    generators with a square resolves each target's bit.  The Steenrod
+    caches and the square chains (_chains) start empty and are filled by
+    their first reader.
     """
 
     __slots__ = ("trunc", "simple_gens", "symbol", "y_symbol", "_y_field", "_degree_of_bit",
                  "_rule_of_bit", "_bit_of_label", "_bit_of_degree", "_top_degree",
-                 "_factor_options_cache", "_square_tracks", "_square_terms", "_zero")
+                 "_factor_options_cache", "_square_tracks", "_square_terms", "_zero",
+                 "_chains_by_root")
 
     def __init__(self, trunc: Trunc | None, simple_gens: tuple[SimpleGenerator, ...],
                  symbol: str = "g", y_symbol: str = "y"):
@@ -160,42 +166,56 @@ class AlgebraPresentation(Record):
         # Monomial code layout: (generator bitmask << width) | y_exponent, with
         # y_exponent < order.
         setfield(self, "_y_field", (width, (1 << width) - 1, order))
-        labels = [g.label for g in simple_gens]
-        if labels != sorted(set(labels)):
-            raise InvalidParameters("generator labels must be strictly increasing")
-        bits = range(len(labels))
-        bit_of_label = dict(zip(labels, bits))
-        degrees = tuple([g.degree for g in simple_gens])
-        rules = []
-        squared_onto: dict[int, int] = {}  # target bit -> label of its source
-        for g in simple_gens:
+        # A label out of order raises at once; a generator's own fault (a
+        # degree below 1, a bad rule) is noted until every label is known.
+        n = len(simple_gens)
+        bit_of_label: dict[int, int] = {}
+        degrees, doubling = [], []  # doubling: the bits whose square is a label
+        fault, last = n, None  # fault: the first generator with a fault of its own
+        for bit, g in enumerate(simple_gens):
             label, degree, square = g.label, g.degree, g.square
-            if degree < 1:
-                raise InvalidParameters(f"generator {label} must have positive degree")
+            if last is not None and label <= last:
+                raise InvalidParameters("generator labels must be strictly increasing")
+            last = label
+            bit_of_label[label] = bit
+            degrees.append(degree)
             if isinstance(square, int):
-                target = bit_of_label.get(square)
-                if target is None or square <= label:
-                    raise InvalidParameters(
-                        f"square target {square} of generator {label} is not a later generator"
-                    )
-                if target in squared_onto:
-                    raise InvalidParameters(
-                        f"generators {squared_onto[target]} and {label} both square onto "
-                        f"{square}; square targets must be distinct"
-                    )
-                squared_onto[target] = label
-                if degrees[target] != 2 * degree:
-                    raise InvalidParameters(f"square of generator {label} must double the degree")
-                rules.append(target)
-            elif square != SQ_ZERO:
-                raise InvalidParameters(f"bad square rule {square!r}")
-            else:
-                rules.append(_RULE_ZERO)
+                doubling.append(bit)
+            elif square != SQ_ZERO and fault == n:
+                fault = bit
+            if degree < 1 and fault == n:
+                fault = bit
+        # Squares in generator order, up to the noted fault (a generator's own
+        # fault comes first); a target at a higher bit is a later generator.
+        rules = [_RULE_ZERO] * n
+        squared_onto: dict[int, int] = {}  # target bit -> label of its source
+        for bit in doubling:
+            if fault <= bit:
+                break
+            label, square = simple_gens[bit].label, simple_gens[bit].square
+            target = bit_of_label.get(square, bit)
+            if target <= bit:
+                raise InvalidParameters(
+                    f"square target {square} of generator {label} is not a later generator"
+                )
+            if target in squared_onto:
+                raise InvalidParameters(
+                    f"generators {squared_onto[target]} and {label} both square onto "
+                    f"{square}; square targets must be distinct"
+                )
+            squared_onto[target] = label
+            if degrees[target] != 2 * degrees[bit]:
+                raise InvalidParameters(f"square of generator {label} must double the degree")
+            rules[bit] = target
+        if fault < n:
+            g = simple_gens[fault]
+            raise InvalidParameters(f"generator {g.label} must have positive degree" if g.degree < 1
+                                    else f"bad square rule {g.square!r}")
         if trunc is None:
             # Borel's rule is keyed by degree, and its top square Sq^deg z must
             # be z^2: the generator of twice the degree, or zero without one
-            bit_of_degree = dict(zip(degrees, bits))
-            if len(bit_of_degree) != len(degrees):
+            bit_of_degree = dict(zip(degrees, range(n)))
+            if len(bit_of_degree) != n:
                 raise InvalidParameters("generator degrees of an untruncated ring must be distinct")
             for g, rule in zip(simple_gens, rules):
                 if rule != bit_of_degree.get(2 * g.degree, _RULE_ZERO):
@@ -204,10 +224,13 @@ class AlgebraPresentation(Record):
                         f"Sq^{g.degree} of it"
                     )
             setfield(self, "_bit_of_degree", bit_of_degree)
-        setfield(self, "_degree_of_bit", degrees)
+        setfield(self, "_degree_of_bit", tuple(degrees))
         setfield(self, "_rule_of_bit", tuple(rules))
         setfield(self, "_bit_of_label", bit_of_label)
-        setfield(self, "_top_degree", (order - 1) * self.y_degree + sum(degrees))
+        y_top = (order - 1) * trunc.degree if trunc is not None else 0
+        setfield(self, "_top_degree", y_top + sum(degrees))
+        # the square chains, walked by _chains on the first ask
+        setfield(self, "_chains_by_root", None)
         # {factor code: its options}, filled by _factor_options
         setfield(self, "_factor_options_cache", {})
         # {monomial code: its total square's track}, holding _square_terms
@@ -670,14 +693,29 @@ class CupResult(Record):
         setfield(self, "witness", witness)
 
 
+def _walk_chains(rules: tuple[int, ...]) -> list[list[int]]:
+    """The square chains r -> r^2 -> ... of a ring's rules as generator
+    bits, root first, by root, in one walk: a square's target sits at a
+    higher bit, so a bit no earlier rule reached is a root."""
+    chains, chain_of = [], {}  # chain_of: bit reached by a square -> its chain
+    for bit, rule in enumerate(rules):
+        chain = chain_of.pop(bit, None)
+        if chain is None:
+            chain = []
+            chains.append(chain)
+        chain.append(bit)
+        if rule >= 0:
+            chain_of[rule] = chain
+    return chains
+
+
 def _chains(p: AlgebraPresentation) -> list[list[int]]:
-    """The square chains r -> r^2 -> ... as generator bits, root first, by root."""
-    rules = p._rule_of_bit
-    targets = set(rules)
-    chains = [[bit] for bit in range(p.num_gens) if bit not in targets]
-    for chain in chains:
-        while rules[chain[-1]] >= 0:
-            chain.append(rules[chain[-1]])
+    """p's square chains (_walk_chains), walked on the first ask and kept
+    on p for the closed form and the block grouping alike."""
+    chains = p._chains_by_root
+    if chains is None:
+        chains = _walk_chains(p._rule_of_bit)
+        setfield(p, "_chains_by_root", chains)
     return chains
 
 
@@ -685,8 +723,8 @@ def _block_bits(p: AlgebraPresentation) -> list[list[int]]:
     """The generator bits of each tensor block, ascending, y's block first:
     each chain whole in one block, longest first, while a block stays
     within TENSOR_BLOCK_CAP generator masks (a chain alone above it is a
-    block of its own).  A ring within the cap is its own one block, read
-    without walking its chains."""
+    block of its own).  A ring within the cap is its own one block, whose
+    chains are not read."""
     if 1 << p.num_gens <= TENSOR_BLOCK_CAP:
         return [list(range(p.num_gens))]
     groups, bits = [], []
@@ -741,26 +779,18 @@ def tensor_blocks(p: AlgebraPresentation) -> tuple[AlgebraPresentation, ...]:
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     """A chain r -> r^2 -> ... of L generators is a tensor factor
     Z2[r]/(r^(2^L)), so it adds 2^L - 1; y^(N-1) times each root to that
-    power is the only longest generator product.  One walk of the square
-    rules finds every chain's root and length: a square's target sits at a
-    higher bit, so a bit no earlier rule reached is a root.  A witness of
-    more than CUP_WITNESS_CAP factors raises WorkCapExceeded before it is
-    listed."""
-    lengths: dict[int, int] = {}  # root bit -> its chain's length, by root
-    root_of: dict[int, int] = {}  # bit reached by a square -> its chain's root
-    for bit, rule in enumerate(p._rule_of_bit):
-        root = root_of.pop(bit, bit)
-        lengths[root] = lengths.get(root, 0) + 1
-        if rule >= 0:
-            root_of[rule] = root
+    power is the only longest generator product.  The chains are p's one
+    walk of its square rules (_chains).  A witness of more than
+    CUP_WITNESS_CAP factors raises WorkCapExceeded before it is listed."""
+    chains = _chains(p)
     y_count = p.order - 1
-    value = y_count + sum((1 << length) - 1 for length in lengths.values())
+    value = y_count + sum([(1 << len(chain)) - 1 for chain in chains])
     if value > CUP_WITNESS_CAP:
         raise WorkCapExceeded(f"cup-length witness of {value} factors exceeds cap {CUP_WITNESS_CAP}")
     witness = [p.y_symbol] * y_count
     symbol, gens = p.symbol, p.simple_gens
-    for root, length in lengths.items():
-        witness += [f"{symbol}{gens[root].label}"] * ((1 << length) - 1)
+    for chain in chains:
+        witness += [f"{symbol}{gens[chain[0]].label}"] * ((1 << len(chain)) - 1)
     return CupResult(value, tuple(witness))
 
 

@@ -230,10 +230,10 @@ def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupRepor
     18 shapes.  A shape is read off p's square rules
     (gralg._block_shapes), so a memo hit builds no block ring; a miss
     builds that one block's ring, the one tensor_blocks returns, and sweeps
-    it.  The closed form is still
-    computed and compared on every space.
-    A bound smaller than the exact value is recorded as a violation, never
-    suppressed: over all catalog spaces with n <= 40 the
+    it.  The closed form and the block grouping read the same one walk of
+    p's square chains.  The closed form is still computed and compared on
+    every space.  A bound smaller than the exact value is recorded as a
+    violation, never suppressed: over all catalog spaces with n <= 40 the
     dimension-minus-index bound is exceeded exactly on RX:n,2 with n odd.
     """
     if p is None:

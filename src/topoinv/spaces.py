@@ -87,6 +87,10 @@ class Family(enum.Enum):
         return k >= self.least_k and n - self.frames * k >= self.least_gap
 
 
+# Each family by its value: SpaceId.parse looks it up with no Enum call.
+_FAMILY_OF_VALUE = {fam.value: fam for fam in Family}
+
+
 class SpaceId(Record):
     """One manifold: family plus parameters (n, k).
 
@@ -116,8 +120,8 @@ class SpaceId(Record):
         try:
             fam, rest = spec.split(":", 1)
             n, k = rest.split(",", 1)
-            family, n, k = Family(fam.strip()), int(n), int(k)
-        except ValueError as exc:
+            family, n, k = _FAMILY_OF_VALUE[fam.strip()], int(n), int(k)
+        except (KeyError, ValueError) as exc:
             raise InvalidParameters(f"cannot parse {what} spec {spec!r}") from exc
         return SpaceId(family, n, k)
 

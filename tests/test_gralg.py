@@ -747,6 +747,90 @@ def test_first_fault_of_a_ring_is_reported(trunc, gens, message):
     assert str(info.value) == message
 
 
+def _reference_first_fault(trunc, gens):
+    """The message of a ring's first fault, or None for a valid ring: the
+    constructor's checks made one pass at a time, the labels, then each
+    generator in turn, then the degrees and Borel's rule of an untruncated
+    ring."""
+    if trunc is not None and (trunc.degree < 1 or trunc.order < 1):
+        return f"bad truncation {trunc}"
+    labels = [g.label for g in gens]
+    if labels != sorted(set(labels)):
+        return "generator labels must be strictly increasing"
+    bit_of_label = dict(zip(labels, range(len(labels))))
+    degrees = [g.degree for g in gens]
+    rules = []
+    squared_onto = {}
+    for g in gens:
+        if g.degree < 1:
+            return f"generator {g.label} must have positive degree"
+        if isinstance(g.square, int):
+            target = bit_of_label.get(g.square)
+            if target is None or g.square <= g.label:
+                return f"square target {g.square} of generator {g.label} is not a later generator"
+            if target in squared_onto:
+                return (f"generators {squared_onto[target]} and {g.label} both square onto "
+                        f"{g.square}; square targets must be distinct")
+            squared_onto[target] = g.label
+            if degrees[target] != 2 * g.degree:
+                return f"square of generator {g.label} must double the degree"
+            rules.append(target)
+        elif g.square != SQ_ZERO:
+            return f"bad square rule {g.square!r}"
+        else:
+            rules.append(-1)
+    if trunc is None:
+        bit_of_degree = dict(zip(degrees, range(len(degrees))))
+        if len(bit_of_degree) != len(degrees):
+            return "generator degrees of an untruncated ring must be distinct"
+        for g, rule in zip(gens, rules):
+            if rule != bit_of_degree.get(2 * g.degree, -1):
+                return f"Borel's rule needs the square of generator {g.label} to be Sq^{g.degree} of it"
+    return None
+
+
+@st.composite
+def malformed_rings(draw):
+    """(trunc, generators) near a valid ring, with a few faults: mostly
+    increasing labels, degrees equal to the label and Borel's squares, and
+    now and then a bad truncation, labels out of order, a degree out of
+    range, or a square that is zero, a bool (an int), another label, any
+    int or a bad rule."""
+    trunc = draw(st.sampled_from([None, None, None, Trunc(1, 4), Trunc(2, 1), Trunc(0, 3)]))
+    labels = draw(st.lists(st.integers(1, 12), max_size=7))
+    if draw(st.integers(0, 5)):
+        labels = sorted(set(labels))
+    gens = []
+    for label in labels:
+        fault = draw(st.integers(0, 5))
+        degree = draw(st.integers(-1, 24)) if fault == 0 else label
+        if fault == 1:
+            square = draw(st.sampled_from(labels) | st.integers(0, 24)
+                          | st.sampled_from([SQ_ZERO, 2 * label, "undetermined", True]))
+        else:
+            square = 2 * label if 2 * label in labels else SQ_ZERO
+        gens.append(SimpleGenerator(label, degree, square))
+    return trunc, tuple(gens)
+
+
+@given(malformed_rings())
+# a fault of a generator's square comes before a later generator's own fault
+@example((None, (G(1, 1, 3), G(2, 1, 3), G(3, 2), G(4, 0))))
+@example((Trunc(1, 2), (G(1, 1, 2), G(2, 3), G(3, 3, "undetermined"))))
+@settings(max_examples=400, deadline=None)
+def test_first_fault_matches_the_reference_validator(ring):
+    # the constructor's one pass names the same first fault as the checks
+    # made one pass at a time, and builds the reference tables otherwise
+    trunc, gens = ring
+    want = _reference_first_fault(trunc, gens)
+    if want is None:
+        _assert_tables_match_reference(AlgebraPresentation(trunc, gens))
+    else:
+        with pytest.raises(InvalidParameters) as info:
+            AlgebraPresentation(trunc, gens)
+        assert str(info.value) == want
+
+
 def _reference_tables(p):
     """The ring's derived values, each worked out on its own from the fields."""
     gens = p.simple_gens

@@ -254,6 +254,32 @@ def test_cup_report_builds_no_block_ring_on_a_memo_hit(monkeypatch):
     assert len(built) == len(spaces) == 793
 
 
+def test_cup_report_walks_a_rings_square_chains_once(monkeypatch):
+    # the closed form and the block grouping read one walk of the ring's
+    # square rules, whichever asks first, on a memo miss as on a hit
+    import topoinv.gralg as gralg
+    from topoinv.gralg import _block_shapes, cup_length
+
+    walked = []
+    walk = gralg._walk_chains
+
+    def counted(rules):
+        walked.append(rules)
+        return walk(rules)
+
+    monkeypatch.setattr(gralg, "_walk_chains", counted)
+    space = SpaceId.parse("RV:16,15")
+    for _ in ("miss", "hit"):
+        p = presentation(space)
+        assert cup_report(space, p).exact.value == 32
+        assert walked == [p._rule_of_bit]
+        walked.clear()
+    p = presentation(space)
+    assert len(_block_shapes(p)) == 4 and cup_length(p).value == 32
+    cup_report(space, p)
+    assert walked == [p._rule_of_bit]
+
+
 def test_cup_report_catches_a_closed_form_fault_on_shapes_already_swept(monkeypatch):
     import topoinv.invariants
     from topoinv.errors import TopoinvError

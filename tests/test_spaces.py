@@ -33,6 +33,21 @@ def test_space_id_parse_and_format():
     assert str(SpaceId.parse(" FV:8,2 ")) == "FV:8,2"
 
 
+def test_space_id_spellings_of_a_family():
+    # a family is its value, padding aside; parse finds it without calling
+    # Family, and every other spelling is unreadable
+    assert SpaceId.parse(" RX:7,2") == SpaceId("RX", 7, 2) == SpaceId(Family.RX, 7, 2)
+    for spec in ("rx:7,2", "QQ:3,1", "RX 7,2", "RX:7", "RX:7,x"):
+        with pytest.raises(InvalidParameters) as info:
+            SpaceId.parse(spec)
+        assert str(info.value) == f"cannot parse space spec {spec!r}"
+    with pytest.raises(InvalidParameters, match=r"^cannot parse G-space spec 'QQ:3,1'$"):
+        SpaceId.parse("QQ:3,1", "G-space")
+    # the constructor coerces a value through Family, and its error is Family's
+    with pytest.raises(ValueError, match=r"^'QQ' is not a valid Family$"):
+        SpaceId("QQ", 3, 1)
+
+
 @pytest.mark.parametrize(
     "spec",
     ["RV:5,5", "RV:4,0", "RX:5,1", "RX:4,4", "FV:6,3", "FV:4,2", "CX:3,3", "HX:2,2", "ZZ:3,1"],
