@@ -29,7 +29,6 @@ from .gralg import (
     poincare,
     presentation_to_dict,
     steenrod_sq,
-    tensor_blocks,
 )
 from .spaces import (
     Family,

@@ -112,10 +112,11 @@ def _check_steenrod(space: SpaceId) -> tuple[str | None, list[str]]:
 
 
 def _check_cup(space: SpaceId) -> tuple[str | None, list[str]]:
-    """Cross-check one space through cup_report, whose oracle runs on the
-    ring's tensor blocks, and the closed form against the ring's own
-    product: its value is at least the floor (N-1) + g, and its witness
-    multiplies out to a nonzero class.  The ring is built once, here."""
+    """Cross-check one space through cup_report, whose oracle sweeps the
+    shapes of the ring's tensor blocks, and the closed form against the
+    ring's own product: its value is at least the floor (N-1) + g, and its
+    witness multiplies out to a nonzero class.  The ring is built once,
+    here."""
     p = presentation(space)
     report = cup_report(space, p)
     exact = report.exact

@@ -7,14 +7,15 @@ generator of twice the degree.  Distinct generators square onto distinct
 targets, so the squares form chains j -> 2j -> 4j -> ... and the cup
 length has a closed form over them; an oracle re-derives it over generator
 words in g*2^g products, one per generator on each of the 2^g masks its
-cap counts.  The ring is the tensor product of y's factor and the chains,
-so _block_bits groups the chains into blocks of few masks whose oracle
-values add up to the closed form; tensor_blocks builds their rings, while
-cup_report reads a block's shape off the ring's square rules and builds a
-block's ring only for a shape it has not swept.  A ring is validated and
-its tables filled in one pass over its generators, and its square rules
-are walked into chains once, on the first ask, for the closed form and
-the block grouping alike (_chains).  Monomials are packed into single
+cap counts.  That sweep (_sweep) reads nothing but the square rules.  The
+ring is the tensor product of y's factor and the chains, so
+_block_shapes groups the chains into blocks of few masks, each block's
+shape its rules renumbered onto its bits, and _block_oracle adds up each
+shape's longest word, sweeping a shape only the first time it is met:
+with y's N - 1 that sum is the closed form.  A ring is validated and its
+tables filled in one pass over its generators, and its square rules are
+walked into chains once, on the first ask, for the closed form and the
+block grouping alike (_chains).  Monomials are packed into single
 ints (a generator bitmask shifted over the y-exponent), so products, the
 oracle and Steenrod squares all run on machine words.  The y-exponent
 field of a code is sized per ring, to the bits of its truncation order.
@@ -66,7 +67,6 @@ __all__ = [
     "poincare",
     "presentation_to_dict",
     "steenrod_sq",
-    "tensor_blocks",
 ]
 
 SQ_ZERO = "zero"
@@ -88,12 +88,13 @@ SERIES_WORK_CAP = 1 << 20
 # after 0.6 s at 81 MiB (2 vCPU).
 SQUARE_TERM_CAP = 1 << 18
 # Most generator masks (y's order uncounted) of a tensor block, unless one
-# chain alone holds more.  cup_report builds a block's ring only to sweep a
-# shape it has not met, so a block costs about its sweep, and smaller blocks
-# sweep fewer, smaller shapes.  On cup-grid (2 vCPU, 8 s runs, 4 alternating
-# rounds on each of seeds 1 and 7) 2^4 made wall_norm_s 6-7% lower than 2^6
-# and the 90th percentile item 22-26% lower, the median item 2-3% higher;
-# 2^8 made wall_norm_s 20% and the 90th percentile 12% higher than 2^6.
+# chain alone holds more.  _block_oracle sweeps a block's shape only the
+# first time it meets it, so a block costs about its sweep, and smaller
+# blocks sweep fewer, smaller shapes.  On cup-grid (2 vCPU, 8 s runs, 4
+# alternating rounds on each of seeds 1 and 7) 2^4 made wall_norm_s 6-7%
+# lower than 2^6 and the 90th percentile item 22-26% lower, the median item
+# 2-3% higher; 2^8 made wall_norm_s 20% and the 90th percentile 12% higher
+# than 2^6.
 TENSOR_BLOCK_CAP = 1 << 4
 # Longest cup-length witness the chain closed form lists, one entry per
 # factor: the CLI prints it, and at 2^20 factors (RX:1048576,2) a query
@@ -719,63 +720,6 @@ def _chains(p: AlgebraPresentation) -> list[list[int]]:
     return chains
 
 
-def _block_bits(p: AlgebraPresentation) -> list[list[int]]:
-    """The generator bits of each tensor block, ascending, y's block first:
-    each chain whole in one block, longest first, while a block stays
-    within TENSOR_BLOCK_CAP generator masks (a chain alone above it is a
-    block of its own).  A ring within the cap is its own one block, whose
-    chains are not read."""
-    if 1 << p.num_gens <= TENSOR_BLOCK_CAP:
-        return [list(range(p.num_gens))]
-    groups, bits = [], []
-    for chain in sorted(_chains(p), key=len, reverse=True):
-        if bits and 1 << (len(bits) + len(chain)) > TENSOR_BLOCK_CAP:
-            groups.append(sorted(bits))
-            bits = []
-        bits += chain
-    groups.append(sorted(bits))
-    return groups
-
-
-def _block_shapes(p: AlgebraPresentation) -> list[tuple[list[int], tuple[int, ...]]]:
-    """(generator bits, shape) of each tensor block of p, in the order of
-    tensor_blocks, with no block ring built: the shape is the block ring's
-    _rule_of_bit, p's square rules renumbered onto the block's bits (a
-    chain lies whole in one block, so every target does too)."""
-    rules = p._rule_of_bit
-    shapes = []
-    for bits in _block_bits(p):
-        if len(bits) < len(rules):
-            position = dict(zip(bits, range(len(bits))))
-            position[_RULE_ZERO] = _RULE_ZERO
-            shape = tuple([position[rules[bit]] for bit in bits])
-        else:
-            shape = rules
-        shapes.append((bits, shape))
-    return shapes
-
-
-def _block_ring(p: AlgebraPresentation, index: int, bits: list[int]) -> AlgebraPresentation:
-    """The ring of block `index` of _block_bits(p), on generator bits
-    `bits`: p itself when they are all of p's.  Only the first block keeps
-    y's truncation; later blocks of a truncated ring keep a truncation of
-    order 1, so they are validated as truncated, not by Borel's rule."""
-    if len(bits) == p.num_gens:
-        return p
-    trunc = p.trunc if index == 0 or p.trunc is None else Trunc(p.y_degree, 1)
-    gens = p.simple_gens
-    return AlgebraPresentation(trunc, tuple([gens[bit] for bit in bits]), p.symbol, p.y_symbol)
-
-
-def tensor_blocks(p: AlgebraPresentation) -> tuple[AlgebraPresentation, ...]:
-    """The ring as a tensor product of square-closed blocks, grouped by
-    _block_bits and built by _block_ring.  Over a field cup(A (x) B) =
-    cup(A) + cup(B).  Only a block's products are meant.  cup_report reads
-    each block's shape off p's square rules and builds a block's ring only
-    on a memo miss, so a memo hit builds no block ring."""
-    return tuple(_block_ring(p, i, bits) for i, bits in enumerate(_block_bits(p)))
-
-
 def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     """A chain r -> r^2 -> ... of L generators is a tensor factor
     Z2[r]/(r^(2^L)), so it adds 2^L - 1; y^(N-1) times each root to that
@@ -794,20 +738,22 @@ def _cup_from_chains(p: AlgebraPresentation) -> CupResult:
     return CupResult(value, tuple(witness))
 
 
-def _cup_oracle(p: AlgebraPresentation) -> CupResult:
-    order, gens = p.order, p.num_gens
+def _sweep(rules: tuple[int, ...]) -> tuple[memoryview, memoryview, bytearray]:
+    """The longest-word sweep over the 2^g generator masks of square rules
+    `rules`: per mask, the length of the longest generator word with that
+    product (16 bits hold the longest word at the cap, 2^16 - 1, one chain
+    of 16 generators), the mask before its last factor and that factor's
+    bit.  Every mask is reached, by its own generators, and a product by a
+    generator raises the mask (a square chain clears lower bits but sets a
+    higher one), so in increasing order every mask is final before it is
+    extended.  Typed views of bytearrays, so the sweep imports no module.
+    Past ORACLE_MASK_CAP masks it raises DimensionCapExceeded before any
+    product."""
+    gens = len(rules)
     size = 1 << gens
     if size > ORACLE_MASK_CAP:
         raise DimensionCapExceeded(f"2^{gens} generator masks exceed oracle cap "
                                    f"2^{ORACLE_MASK_CAP.bit_length() - 1}")
-    rules = p._rule_of_bit
-    # Indexed by mask: the length of the longest generator word with that
-    # product (16 bits hold the longest word at the cap, 2^16 - 1, one chain
-    # of 16 generators), the mask before its last factor and that factor's
-    # bit.  Every mask is reached, by its own generators, and a product by a
-    # generator raises the mask (a square chain clears lower bits but sets a
-    # higher one), so in increasing order every mask is final before it is
-    # extended.  Typed views of bytearrays, so the sweep imports no module.
     length = memoryview(bytearray(2 * size)).cast("H")
     parent = memoryview(bytearray(2 * size)).cast("H")
     factor = bytearray(size)
@@ -829,10 +775,15 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
                 length[m] = n
                 parent[m] = mask
                 factor[m] = i
+    return length, parent, factor
+
+
+def _cup_oracle(p: AlgebraPresentation) -> CupResult:
+    length, parent, factor = _sweep(p._rule_of_bit)
     # the least mask of greatest length, so y^(N-1) times it is the least
     # code of greatest length
-    mask = max(range(size), key=length.__getitem__)
-    best = order - 1 + length[mask]
+    mask = max(range(len(length)), key=length.__getitem__)
+    best = p.order - 1 + length[mask]
     if best > CUP_WITNESS_CAP:
         raise WorkCapExceeded(f"cup-length witness of {best} factors exceeds cap {CUP_WITNESS_CAP}")
     names = [f"{p.symbol}{g.label}" for g in p.simple_gens]
@@ -840,7 +791,52 @@ def _cup_oracle(p: AlgebraPresentation) -> CupResult:
     while mask:
         word.append(names[factor[mask]])
         mask = parent[mask]
-    return CupResult(best, (p.y_symbol,) * (order - 1) + tuple(reversed(word)))
+    return CupResult(best, (p.y_symbol,) * (p.order - 1) + tuple(reversed(word)))
+
+
+def _block_shapes(p: AlgebraPresentation) -> list[tuple[int, ...]]:
+    """The shape of each tensor block of p: its generators' square rules
+    renumbered onto the block's bits, ascending.  Each chain lies whole in
+    one block, longest first, while a block stays within TENSOR_BLOCK_CAP
+    generator masks (a chain alone above it is a block of its own), so
+    every target lies in its source's block.  A ring within the cap is its
+    own one block, whose chains are not read."""
+    rules = p._rule_of_bit
+    if 1 << len(rules) <= TENSOR_BLOCK_CAP:
+        return [rules]
+    groups, bits = [], []
+    for chain in sorted(_chains(p), key=len, reverse=True):
+        if bits and 1 << (len(bits) + len(chain)) > TENSOR_BLOCK_CAP:
+            groups.append(bits)
+            bits = []
+        bits += chain
+    groups.append(bits)
+    shapes = []
+    for bits in groups:
+        bits.sort()
+        position = dict(zip(bits, range(len(bits))))
+        position[_RULE_ZERO] = _RULE_ZERO
+        shapes.append(tuple([position[rules[bit]] for bit in bits]))
+    return shapes
+
+
+# Longest generator word of each block shape (square rules) swept so far.
+_ORACLE_OF_SHAPE: dict[tuple[int, ...], int] = {}
+
+
+def _block_oracle(p: AlgebraPresentation) -> int:
+    """p's longest generator word, summed over its tensor blocks: over a
+    field cup(A (x) B) = cup(A) + cup(B), and y's factor adds its N - 1
+    apart.  A block's word depends only on its shape (_block_shapes), so
+    each shape is swept once per process and its length kept in
+    _ORACLE_OF_SHAPE; no ring is built for a block."""
+    total = 0
+    for shape in _block_shapes(p):
+        word = _ORACLE_OF_SHAPE.get(shape)
+        if word is None:
+            word = _ORACLE_OF_SHAPE[shape] = max(_sweep(shape)[0])
+        total += word
+    return total
 
 
 def cup_length(
@@ -866,8 +862,8 @@ def cup_length(
     product, and past CUP_WITNESS_CAP factors WorkCapExceeded before the
     witness is listed.  A mode is a CupMode member or its value, such as
     "oracle"; any other raises ValueError.  cup_report checks the closed
-    form against the oracle summed over the tensor blocks, sweeping a block
-    only when its shape is new, so a memo hit builds no block ring.
+    form against the same sweep summed over the ring's tensor blocks
+    (_block_oracle), which sweeps a block's shape only when it is new.
 
     Every square is a generator or zero, so both modes give the exact cup
     length of the ring; the result's caveat is always False.

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from ._record import Record, setfield
 from .errors import InvalidParameters, TopoinvError
-from .gralg import (
-    AlgebraPresentation,
-    CupMode,
-    CupResult,
-    _block_ring,
-    _block_shapes,
-    cup_length,
-)
+from .gralg import AlgebraPresentation, CupResult, _block_oracle, cup_length
 from .spaces import SpaceId, dimension, fiber_range, presentation, truncation_order
 
 __all__ = [
@@ -208,45 +201,31 @@ class CupReport(Record):
         setfield(self, "violations", violations)
 
 
-# Longest generator word of each tensor-block shape (square rules) met so far.
-_ORACLE_OF_SHAPE: dict[tuple[int, ...], int] = {}
-
-
 def cup_report(space: SpaceId, p: AlgebraPresentation | None = None) -> CupReport:
     """Exact cup length with its oracle cross-check, the catalog bound and
     any violations; p is the space's ring when the caller has built it.
 
     The exact value comes from the square-chain closed form.  The
     exhaustive oracle re-derives it as y^(N-1) plus the longest generator
-    word of each of the ring's tensor blocks, and a disagreement raises
-    TopoinvError (an internal error, not a report).  No catalog block is
-    over the oracle's cap: a block of several chains holds at most 2^4
-    masks, and a chain q, 2q, ..., 2^(L-1)q needs consecutive real fiber
-    degrees, at most FIBER_CAP = 2^14 of them, so L <= 15, 2^15 masks.
-    A word's length depends only on the block's shape, the key _rule_of_bit
-    (labels, degrees and symbols only name the witness, dropped here), so
-    each shape is swept once per process and its length kept in
-    _ORACLE_OF_SHAPE: the catalog with n <= 16, 32 and 64 has 16, 17 and
-    18 shapes.  A shape is read off p's square rules
-    (gralg._block_shapes), so a memo hit builds no block ring; a miss
-    builds that one block's ring, the one tensor_blocks returns, and sweeps
-    it.  The closed form and the block grouping read the same one walk of
-    p's square chains.  The closed form is still computed and compared on
-    every space.  A bound smaller than the exact value is recorded as a
-    violation, never suppressed: over all catalog spaces with n <= 40 the
-    dimension-minus-index bound is exceeded exactly on RX:n,2 with n odd.
+    word of each of the ring's tensor blocks (gralg._block_oracle), and a
+    disagreement raises TopoinvError (an internal error, not a report).  No
+    catalog block is over the oracle's cap: a block of several chains holds
+    at most 2^4 masks, and a chain q, 2q, ..., 2^(L-1)q needs consecutive
+    real fiber degrees, at most FIBER_CAP = 2^14 of them, so L <= 15, 2^15
+    masks.  A block's word depends only on its shape, its square rules read
+    off p's, so each shape is swept once per process: the catalog with
+    n <= 16, 32 and 64 has 16, 17 and 18 shapes.  No ring is built for a
+    block.  The closed form and the block grouping read the same one walk
+    of p's square chains, and the closed form is still computed and
+    compared on every space.  A bound smaller than the exact value is
+    recorded as a violation, never suppressed: over all catalog spaces with
+    n <= 40 the dimension-minus-index bound is exceeded exactly on RX:n,2
+    with n odd.
     """
     if p is None:
         p = presentation(space)
-    exact = cup_length(p, CupMode.GENERATOR_SEARCH)
-    oracle = p.order - 1
-    for index, (bits, shape) in enumerate(_block_shapes(p)):
-        word = _ORACLE_OF_SHAPE.get(shape)
-        if word is None:
-            block = _block_ring(p, index, bits)
-            word = cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value - (block.order - 1)
-            _ORACLE_OF_SHAPE[shape] = word
-        oracle += word
+    exact = cup_length(p)
+    oracle = p.order - 1 + _block_oracle(p)
     if oracle != exact.value:
         raise TopoinvError(f"{space}: closed form gave {exact.value} but the oracle gave {oracle}")
     bounds: list[tuple[str, int]] = []

@@ -7,6 +7,6 @@ import pytest
 def empty_oracle_memo(monkeypatch):
     """Give each test an empty memo of block oracle values, so a value kept
     by an earlier test, or planted by a faulty oracle, never reaches it."""
-    import topoinv.invariants
+    import topoinv.gralg
 
-    monkeypatch.setattr(topoinv.invariants, "_ORACLE_OF_SHAPE", {})
+    monkeypatch.setattr(topoinv.gralg, "_ORACLE_OF_SHAPE", {})

@@ -311,13 +311,13 @@ def test_table_cuplength_runs_no_oracle(monkeypatch):
     import topoinv.gralg
 
     calls = []
-    oracle = topoinv.gralg._cup_oracle
+    sweep = topoinv.gralg._sweep
 
-    def counted(p):
-        calls.append(p)
-        return oracle(p)
+    def counted(rules):
+        calls.append(rules)
+        return sweep(rules)
 
-    monkeypatch.setattr(topoinv.gralg, "_cup_oracle", counted)
+    monkeypatch.setattr(topoinv.gralg, "_sweep", counted)
     res = run("table", "cuplength", "RX", "--n", "3..12", "--format", "csv")
     assert res.exit_code == 0
     assert len(res.output.splitlines()) == 1 + len(catalog(["RX"], range(3, 13)))
@@ -488,22 +488,25 @@ def test_table_answers_spheres_as_uncovered():
 
 
 def _wrong_oracle(monkeypatch):
-    import topoinv.invariants
-    from topoinv.gralg import CupMode, CupResult, cup_length
+    # the one oracle sweep finds every word one factor longer
+    import topoinv.gralg
 
-    def wrong_oracle(p, mode=CupMode.GENERATOR_SEARCH, **kwargs):
-        res = cup_length(p, mode, **kwargs)
-        if CupMode(mode) is CupMode.EXHAUSTIVE_ORACLE:
-            return CupResult(res.value + 1, res.witness)
-        return res
+    sweep = topoinv.gralg._sweep
 
-    monkeypatch.setattr(topoinv.invariants, "cup_length", wrong_oracle)
+    def wrong_sweep(rules):
+        length, parent, factor = sweep(rules)
+        return [n + 1 for n in length], parent, factor
+
+    monkeypatch.setattr(topoinv.gralg, "_sweep", wrong_sweep)
     # forget the shapes swept before the fault, so every block is swept again
-    monkeypatch.setattr(topoinv.invariants, "_ORACLE_OF_SHAPE", {})
+    monkeypatch.setattr(topoinv.gralg, "_ORACLE_OF_SHAPE", {})
 
 
 def test_verify_reports_cup_disagreement_as_failure(monkeypatch):
     _wrong_oracle(monkeypatch)
+    # the whole-ring oracle goes through the same sweep
+    closed = payload(run("cuplength", "RX:5,2"))["result"]["value"]
+    assert payload(run("cuplength", "RX:5,2", "--mode", "oracle"))["result"]["value"] == closed + 1
     res = run("verify", "--suite", "all", "--max-n", "3")
     assert res.exit_code == 1
     assert "FAIL: RV:3,2: closed form gave" in res.output
@@ -536,7 +539,7 @@ def test_cup_report_cross_checks_the_longest_chain_a_fiber_allows(monkeypatch):
     # RV:16385,16384 holds the chain g1 -> g2 -> ... -> g16384 of 15
     # generators, 2^15 masks in one block: swept afresh within 2 s, and a
     # wrong oracle is caught on it
-    import topoinv.invariants
+    import topoinv.gralg
     from topoinv.errors import TopoinvError
     from topoinv.invariants import cup_report
 
@@ -545,7 +548,7 @@ def test_cup_report_cross_checks_the_longest_chain_a_fiber_allows(monkeypatch):
     assert cup_report(space).exact.value == 1 << 17
     assert time.perf_counter() - start < 2
     chain = tuple(range(1, 15)) + (-1,)  # each bit squares onto the next
-    assert topoinv.invariants._ORACLE_OF_SHAPE[chain] == (1 << 15) - 1
+    assert topoinv.gralg._ORACLE_OF_SHAPE[chain] == (1 << 15) - 1
     _wrong_oracle(monkeypatch)
     with pytest.raises(TopoinvError, match="RV:16385,16384: closed form gave"):
         cup_report(space)
@@ -558,17 +561,17 @@ def test_verify_cup_suite_sweeps_each_block_shape_once(monkeypatch):
     from topoinv.invariants import cup_report
 
     sweeps = []
-    oracle = topoinv.gralg._cup_oracle
+    sweep = topoinv.gralg._sweep
 
-    def counted(p):
-        sweeps.append(p)
-        return oracle(p)
+    def counted(rules):
+        sweeps.append(rules)
+        return sweep(rules)
 
-    monkeypatch.setattr(topoinv.gralg, "_cup_oracle", counted)
+    monkeypatch.setattr(topoinv.gralg, "_sweep", counted)
     res = run("verify", "--suite", "cup", "--max-n", "16")
     assert res.exit_code == 0, res.output
     assert "cup: 791 spaces, 0 failures" in res.stdout
-    assert len(sweeps) == 16
+    assert len(sweeps) == len(set(sweeps)) == 16
     sweeps.clear()
     cup_report(SpaceId.parse("RV:16,15"))
     assert sweeps == []

@@ -82,3 +82,17 @@ def test_records_keep_derived_tables_in_slots():
                     getattr(target, "id", None) == "__slots__" for target in node.targets):
                 slots = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
                 assert "__dict__" not in slots, (path.name, node.lineno)
+
+
+def test_readme_names_resolve():
+    # every `module.name` the README cites is still defined in that module
+    import re
+
+    from topoinv import gralg, parity, spaces
+
+    modules = {"gralg": gralg, "parity": parity, "spaces": spaces}
+    readme = (ROOT / "README.md").read_text()
+    cited = set(re.findall(r"`(gralg|parity|spaces)\.(\w+)[^`]*`", readme))
+    assert cited
+    for module, name in cited:
+        assert hasattr(modules[module], name), f"README cites {module}.{name}, which is gone"

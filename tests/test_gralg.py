@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import topoinv.gralg
 from topoinv.errors import (
     DimensionCapExceeded,
     InvalidParameters,
@@ -23,11 +24,15 @@ from topoinv.gralg import (
     Element,
     SimpleGenerator,
     Trunc,
+    _block_oracle,
+    _block_shapes,
+    _chains,
+    _sweep,
     _unpack,
+    _walk_chains,
     cup_length,
     poincare,
     steenrod_sq,
-    tensor_blocks,
 )
 from topoinv.invariants import cup_report
 from topoinv.spaces import Family, SpaceId, catalog, presentation, serre_verify
@@ -472,6 +477,19 @@ def _assert_oracle_matches_per_code(p):
     assert (res.value, res.witness) == _cup_oracle_per_code(p), p
 
 
+def _ring_of_shape(shape):
+    """Reference ring of a block shape: generator bit b labelled b + 1 with
+    rule shape[b], each root of degree 1 and each square doubling it, and a
+    truncation of order 1, so no y and no Borel's rule."""
+    degrees = [1] * len(shape)
+    for bit, rule in enumerate(shape):
+        if rule >= 0:
+            degrees[rule] = 2 * degrees[bit]
+    return AlgebraPresentation(Trunc(1, 1), tuple(
+        SimpleGenerator(bit + 1, degree, SQ_ZERO if rule < 0 else rule + 1)
+        for bit, (degree, rule) in enumerate(zip(degrees, shape))))
+
+
 def test_oracle_matches_the_per_code_sweep_on_catalog_rings_and_blocks():
     rings = [presentation(space) for space in catalog(list(Family), range(1, 13))]
     # the per-code reference sweeps every monomial
@@ -479,9 +497,12 @@ def test_oracle_matches_the_per_code_sweep_on_catalog_rings_and_blocks():
     assert len(rings) == 439
     for p in rings:
         _assert_oracle_matches_per_code(p)
-    for space in catalog(list(Family), range(1, 25)):
-        for block in tensor_blocks(presentation(space)):
-            _assert_oracle_matches_per_code(block)
+    shapes = {shape for space in catalog(list(Family), range(1, 25))
+              for shape in _block_shapes(presentation(space))}
+    for shape in shapes:
+        ring = _ring_of_shape(shape)
+        assert ring._rule_of_bit == shape
+        _assert_oracle_matches_per_code(ring)
 
 
 def _elementwise_cup(p):
@@ -571,13 +592,14 @@ _SPLIT_TRUNCATED_RING = AlgebraPresentation(Trunc(1, 9), (
 @example(_SPLIT_TRUNCATED_RING)
 @settings(max_examples=80, deadline=None)
 def test_oracle_matches_the_per_code_sweep_on_random_presentations(p):
-    # on the ring and each of its tensor blocks, whose oracle values add up
-    # to the closed form
-    blocks = tensor_blocks(p)
-    for ring in (p,) + blocks:
+    # on the ring and the ring of each of its block shapes, whose oracle
+    # values add up, with y's N - 1, to the closed form
+    _assert_oracle_matches_per_code(p)
+    blocks = [_ring_of_shape(shape) for shape in _block_shapes(p)]
+    for ring in blocks:
         _assert_oracle_matches_per_code(ring)
-    total = sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value for block in blocks)
-    assert total == cup_length(p).value, p
+    total = sum(cup_length(ring, CupMode.EXHAUSTIVE_ORACLE).value for ring in blocks)
+    assert total == _block_oracle(p) == cup_length(p).value - (p.order - 1), p
 
 
 def _assert_witness_word_is_nonzero(p):
@@ -865,9 +887,7 @@ def _assert_tables_match_reference(p):
 
 def test_tables_match_the_reference_on_catalog_blocks():
     for space in catalog(list(Family), range(1, 25)):
-        p = presentation(space)
-        for ring in (p,) + tensor_blocks(p):
-            _assert_tables_match_reference(ring)
+        _assert_tables_match_reference(presentation(space))
 
 
 @given(random_presentations())
@@ -884,64 +904,45 @@ def test_presentation_identity_is_the_ring():
 
 # -- tensor blocks --------------------------------------------------------------
 
-_BLOCK_CATALOG = catalog(list(Family), range(2, 33))
 
-
-def test_tensor_blocks_split_the_ring_into_square_closed_blocks():
-    assert len(_BLOCK_CATALOG) == 3247
-    for space in _BLOCK_CATALOG:
+def test_block_shapes_up_to_n_32():
+    # one pass over the catalog: each ring's block shapes, and cup_report's
+    # memo of one longest generator word per shape
+    spaces = catalog(list(Family), range(1, 33))
+    assert len(spaces) == 3249
+    for space in spaces:
         p = presentation(space)
-        blocks = tensor_blocks(p)
-        masks = 1
-        # y whole in the first block; on a truncated ring the others keep a
-        # truncation of order 1, y absent
-        later = None if p.trunc is None else Trunc(p.y_degree, 1)
-        for i, block in enumerate(blocks):
-            masks <<= block.num_gens
-            labels = set(block.labels)
-            # square-closed: every square target lies in the same block
-            assert all(g.square == SQ_ZERO or g.square in labels for g in block.simple_gens)
-            assert block.trunc == (p.trunc if i == 0 else later), space
+        shapes = _block_shapes(p)
+        for shape in shapes:
+            # square-closed: every target lies above its source, in the block
+            assert all(rule < 0 or bit < rule < len(shape) for bit, rule in enumerate(shape))
             # within the cap, y's order uncounted, unless one chain alone is larger
-            targets = {g.square for g in block.simple_gens}
-            roots = [g for g in block.simple_gens if g.label not in targets]
-            assert 1 << block.num_gens <= TENSOR_BLOCK_CAP or len(roots) == 1, space
-        # the masks multiply out to the ring's, and y's order is counted once
-        assert masks == 1 << p.num_gens, space
-        assert [block.order for block in blocks] == [p.order] + [1] * (len(blocks) - 1), space
-        # every generator in exactly one block, with its own square
-        gens = [g for block in blocks for g in block.simple_gens]
-        assert sorted(gens, key=lambda g: g.label) == list(p.simple_gens), space
+            roots = len(shape) - sum(rule >= 0 for rule in shape)
+            assert 1 << len(shape) <= TENSOR_BLOCK_CAP or roots == 1, space
+        # the masks multiply out to the ring's, each chain whole in one block
+        assert sum(map(len, shapes)) == p.num_gens, space
+        assert (sorted(len(chain) for shape in shapes for chain in _walk_chains(shape))
+                == sorted(map(len, _chains(p)))), space
+        cup_report(space, p)
+        memo = topoinv.gralg._ORACLE_OF_SHAPE
+        assert p.order - 1 + sum(memo[shape] for shape in shapes) == cup_length(p).value, space
+    assert len(memo) == 17
+    for shape, word in memo.items():
+        assert word == max(_sweep(shape)[0]), shape
     # a ring of at most 2^4 masks is its own one block, however long y is
     for spec in ("RX:5,2", "CX:65537,1"):
         p = P(spec)
-        assert tensor_blocks(p) == (p,), spec
-    # an untruncated ring's blocks have no truncation at all
-    assert all(block.trunc is None for block in tensor_blocks(P("RV:16,15")))
+        assert _block_shapes(p) == [p._rule_of_bit], spec
 
 
 def test_tensor_blocks_of_truncated_rings_need_not_follow_borels_rule():
     # y^8, g1, g3, g5 and g10: 2^4 masks, so one block however long y is
     small = AlgebraPresentation(Trunc(1, 9), (G(1, 1), G(3, 3), G(5, 5), G(10, 10)))
-    assert tensor_blocks(small) == (small,)
-    # a later block of a split ring keeps its squares, zero on g5 beside
-    # g10, which Borel's rule would refuse
-    blocks = tensor_blocks(_SPLIT_TRUNCATED_RING)
-    assert [block.labels for block in blocks] == [(1, 2, 4), (3, 6, 9, 18), (5, 10)]
-    assert blocks[2].trunc == Trunc(1, 1)
+    assert _block_shapes(small) == [small._rule_of_bit]
+    # a block of a split ring is swept from its shape alone, and keeps its
+    # squares: zero on g5 beside g10, which Borel's rule would refuse
+    assert _block_shapes(_SPLIT_TRUNCATED_RING) == [(1, 2, -1), (1, -1, 3, -1), (-1, -1)]
     with pytest.raises(InvalidParameters, match="Borel's rule needs the square of generator 5"):
-        AlgebraPresentation(None, blocks[2].simple_gens)
+        AlgebraPresentation(None, (G(5, 5), G(10, 10)))
     for p, value in ((small, 12), (_SPLIT_TRUNCATED_RING, 23)):
-        blocks = tensor_blocks(p)
-        assert sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value for block in blocks) == value
-        assert cup_length(p).value == value
-
-
-def test_tensor_blocks_oracle_sum_is_the_closed_form_up_to_n_32():
-    # every block swept directly, one sweep per block: the route that
-    # cup_report's memo of one value per block shape does not cover
-    for space in _BLOCK_CATALOG:
-        p = presentation(space)
-        total = sum(cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value
-                    for block in tensor_blocks(p))
-        assert total == cup_length(p).value, space
+        assert p.order - 1 + _block_oracle(p) == cup_length(p).value == value

@@ -184,17 +184,16 @@ def test_cup_report_without_violations():
 
 
 def test_cup_report_checks_the_value_with_the_block_oracle(monkeypatch):
-    import topoinv.invariants
+    import topoinv.gralg
     from topoinv.errors import TopoinvError
-    from topoinv.gralg import CupMode, CupResult, cup_length
 
-    def oracle_one_short(p, mode=CupMode.GENERATOR_SEARCH):
-        res = cup_length(p, mode)
-        if CupMode(mode) is CupMode.EXHAUSTIVE_ORACLE:
-            return CupResult(res.value - 1, res.witness[:-1])
-        return res
+    sweep = topoinv.gralg._sweep
 
-    monkeypatch.setattr(topoinv.invariants, "cup_length", oracle_one_short)
+    def sweep_one_short(rules):
+        length, parent, factor = sweep(rules)
+        return [n - 1 for n in length], parent, factor
+
+    monkeypatch.setattr(topoinv.gralg, "_sweep", sweep_one_short)
     with pytest.raises(TopoinvError, match="RX:5,2: closed form gave 4 but the oracle gave 3"):
         cup_report(SpaceId.parse("RX:5,2"))
     # a ring of several blocks is checked too: each block's oracle is one short
@@ -202,45 +201,13 @@ def test_cup_report_checks_the_value_with_the_block_oracle(monkeypatch):
         cup_report(SpaceId.parse("RV:16,15"))
 
 
-def test_oracle_memo_holds_a_fresh_sweep_of_every_shape_up_to_n_32():
-    import topoinv.invariants
-    from topoinv.gralg import CupMode, cup_length, tensor_blocks
-
-    # a shape is a block's square rules; the memo keeps its longest
-    # generator word, the oracle less y's N - 1
-    block_of_shape = {}
-    for space in catalog(list(Family), range(1, 33)):
-        cup_report(space)
-        for block in tensor_blocks(presentation(space)):
-            block_of_shape.setdefault(block._rule_of_bit, block)
-    memo = topoinv.invariants._ORACLE_OF_SHAPE
-    assert memo.keys() == block_of_shape.keys() and len(memo) == 17
-    for shape, block in block_of_shape.items():
-        word = cup_length(block, CupMode.EXHAUSTIVE_ORACLE).value - (block.order - 1)
-        assert memo[shape] == word, shape
-
-
-def test_cup_report_reads_the_shapes_of_tensor_blocks_up_to_n_32():
-    # the shapes are read off the ring's square rules, no block ring built;
-    # they are the rules of the rings tensor_blocks builds, block by block
-    from topoinv.gralg import _block_shapes, tensor_blocks
-
-    spaces = catalog(list(Family), range(1, 33))
-    assert len(spaces) == 3249
-    for space in spaces:
-        p = presentation(space)
-        assert (tuple(shape for _, shape in _block_shapes(p))
-                == tuple(block._rule_of_bit for block in tensor_blocks(p))), space
-
-
 def test_cup_report_builds_no_block_ring_on_a_memo_hit(monkeypatch):
-    # once the memo holds every shape, cup_report builds each space's own
-    # ring and no other
+    # cup_report builds each space's own ring and no other, on an empty
+    # memo as on a full one: a block is swept from its shape alone
+    import topoinv.gralg
     from topoinv.gralg import AlgebraPresentation
 
     spaces = catalog(list(Family), range(1, 17))
-    for space in spaces:
-        cup_report(space)
     built = []
     init = AlgebraPresentation.__init__
 
@@ -249,9 +216,13 @@ def test_cup_report_builds_no_block_ring_on_a_memo_hit(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(AlgebraPresentation, "__init__", counted)
-    for space in spaces:
-        cup_report(space)
-    assert len(built) == len(spaces) == 793
+    assert topoinv.gralg._ORACLE_OF_SHAPE == {}
+    for memo in ("cold", "warm"):
+        for space in spaces:
+            cup_report(space)
+        assert len(built) == len(spaces) == 793, memo
+        built.clear()
+    assert len(topoinv.gralg._ORACLE_OF_SHAPE) == 16
 
 
 def test_cup_report_walks_a_rings_square_chains_once(monkeypatch):
