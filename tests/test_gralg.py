@@ -7,7 +7,6 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import topoinv.gralg
 from topoinv.errors import (
     DimensionCapExceeded,
     InvalidParameters,
@@ -27,7 +26,6 @@ from topoinv.gralg import (
     _block_oracle,
     _block_shapes,
     _chains,
-    _sweep,
     _unpack,
     _walk_chains,
     cup_length,
@@ -905,12 +903,13 @@ def test_presentation_identity_is_the_ring():
 # -- tensor blocks --------------------------------------------------------------
 
 
-def test_block_shapes_up_to_n_32():
-    # one pass over the catalog: each ring's block shapes, and cup_report's
-    # memo of one longest generator word per shape
-    spaces = catalog(list(Family), range(1, 33))
-    assert len(spaces) == 3249
-    for space in spaces:
+_BLOCK_CATALOG = catalog(list(Family), range(1, 33))
+
+
+def test_tensor_blocks_split_the_ring_into_square_closed_blocks():
+    # a block is swept as its shape: its square rules renumbered onto its bits
+    assert len(_BLOCK_CATALOG) == 3249
+    for space in _BLOCK_CATALOG:
         p = presentation(space)
         shapes = _block_shapes(p)
         for shape in shapes:
@@ -923,12 +922,6 @@ def test_block_shapes_up_to_n_32():
         assert sum(map(len, shapes)) == p.num_gens, space
         assert (sorted(len(chain) for shape in shapes for chain in _walk_chains(shape))
                 == sorted(map(len, _chains(p)))), space
-        cup_report(space, p)
-        memo = topoinv.gralg._ORACLE_OF_SHAPE
-        assert p.order - 1 + sum(memo[shape] for shape in shapes) == cup_length(p).value, space
-    assert len(memo) == 17
-    for shape, word in memo.items():
-        assert word == max(_sweep(shape)[0]), shape
     # a ring of at most 2^4 masks is its own one block, however long y is
     for spec in ("RX:5,2", "CX:65537,1"):
         p = P(spec)
@@ -946,3 +939,11 @@ def test_tensor_blocks_of_truncated_rings_need_not_follow_borels_rule():
         AlgebraPresentation(None, (G(5, 5), G(10, 10)))
     for p, value in ((small, 12), (_SPLIT_TRUNCATED_RING, 23)):
         assert p.order - 1 + _block_oracle(p) == cup_length(p).value == value
+
+
+def test_tensor_blocks_oracle_sum_is_the_closed_form_up_to_n_32():
+    # the longest generator words of the blocks add up, with y's N - 1, to
+    # the closed form
+    for space in _BLOCK_CATALOG:
+        p = presentation(space)
+        assert p.order - 1 + _block_oracle(p) == cup_length(p).value, space

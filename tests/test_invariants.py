@@ -201,6 +201,23 @@ def test_cup_report_checks_the_value_with_the_block_oracle(monkeypatch):
         cup_report(SpaceId.parse("RV:16,15"))
 
 
+def test_oracle_memo_holds_a_fresh_sweep_of_every_shape_up_to_n_32():
+    import topoinv.gralg
+    from topoinv.gralg import _block_shapes, _sweep
+
+    # a shape is a block's square rules; the memo keeps its longest
+    # generator word, the oracle less y's N - 1
+    shapes = set()
+    for space in catalog(list(Family), range(1, 33)):
+        p = presentation(space)
+        cup_report(space, p)
+        shapes.update(_block_shapes(p))
+    memo = topoinv.gralg._ORACLE_OF_SHAPE
+    assert memo.keys() == shapes and len(memo) == 17
+    for shape, word in memo.items():
+        assert word == max(_sweep(shape)[0]), shape
+
+
 def test_cup_report_builds_no_block_ring_on_a_memo_hit(monkeypatch):
     # cup_report builds each space's own ring and no other, on an empty
     # memo as on a full one: a block is swept from its shape alone
